@@ -3,18 +3,22 @@
 Campaigns derive one seed per trial from the root seed, so identical seeds
 give byte-identical report streams and --jobs only changes wall time, never
 output. Exit codes: 0 all pass, 1 rationally confirmed barrier violation
-(an implementation bug), 2 usage or parse error.
+(an implementation bug), 2 usage or input error, 3 internal error (the
+traceback is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import random
 import sys
+import traceback
+from fractions import Fraction
 from multiprocessing import Pool
 
 from .barrier import UnsupportedVarietyError, ceilings, verify_instance
@@ -141,10 +145,6 @@ def _emit(line: str, out) -> None:
 def _verify_trial(payload: dict) -> dict:
     param = parse_variety(payload["variety"])
     rng = random.Random(payload["trial_seed"])
-    # custom-method k estimation must not vary over trials, so its rng comes
-    # from the root seed
-    method = _build_method(payload["method"], param,
-                           random.Random(derive_seed(payload["root_seed"], "custom-k")))
     kind, data = payload["scheme_kind"], payload["scheme_data"]
     if kind == "random":
         seed = data["seed"]
@@ -152,9 +152,8 @@ def _verify_trial(payload: dict) -> dict:
         scheme = random_scheme(param, data["deg"], mix=data["mix"],
                                bound=payload["bound"], rng=gen)
     else:
-        scheme = load_scheme(data)
-        validate_scheme(param, scheme)
-    report = verify_instance(param, scheme, method, rng,
+        scheme = data
+    report = verify_instance(param, scheme, payload["method"], rng,
                              prime=payload["prime"], confirm=payload["confirm"],
                              bound=payload["bound"], seed=payload["trial_seed"])
     d = report.to_dict()
@@ -163,24 +162,52 @@ def _verify_trial(payload: dict) -> dict:
     return d
 
 
+def _rationals(obj):
+    """Every Fraction inside nested tuples, in order."""
+    if isinstance(obj, Fraction):
+        yield obj
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from _rationals(x)
+
+
+def _load_verify_scheme(path, param, prime):
+    scheme = load_scheme(path)
+    validate_scheme(param, scheme)
+    if prime is not None:
+        for i, piece in enumerate(scheme.pieces):
+            for x in _rationals(dataclasses.astuple(piece)):
+                if x.denominator % prime == 0:
+                    raise CliError(
+                        f"{path}: coordinate {x} of piece {i} has a denominator that "
+                        f"vanishes mod the screening prime {prime}; use --field q"
+                    )
+    return scheme
+
+
 def cmd_verify(args, out) -> int:
     root = _root_seed(args)
     prime = _parse_field(args.field)
     param = parse_variety(args.variety)
     scheme_kind, scheme_data = _parse_scheme_spec(args.scheme)
+    if scheme_kind == "file":
+        scheme_data = _load_verify_scheme(scheme_data, param, prime)
     method = _build_method(args.method, param, random.Random(derive_seed(root, "k")))
     if args.validate_k:
         check_k_consistency(method, param, args.validate_k, args.bound,
                             random.Random(derive_seed(root, "validate")))
+    # one method for all trials; a custom method estimates k from its own
+    # root-seeded rng, so every trial and every --jobs value sees the same k
+    trial_method = _build_method(args.method, param,
+                                 random.Random(derive_seed(root, "custom-k")))
 
     payloads = [
         {
             "variety": args.variety,
             "scheme_kind": scheme_kind,
             "scheme_data": scheme_data,
-            "method": args.method,
+            "method": trial_method,
             "index": i,
-            "root_seed": root,
             "trial_seed": derive_seed(root, i),
             "bound": args.bound,
             "prime": prime,
@@ -464,6 +491,9 @@ def main(argv=None, out=None) -> int:
             UnsupportedVarietyError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def entry() -> None:

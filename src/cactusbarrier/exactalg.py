@@ -55,9 +55,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [list(col) for col in zip(*self.rows)] if self.rows else [])
 
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.rows]
-
 
 def _rank_int_bareiss(rows: list[list[int]]) -> int:
     m = len(rows)
@@ -221,11 +218,6 @@ def nullspace(m: Matrix) -> list[list]:
             v[pc] = field.neg(a[r][j])
         basis.append(v)
     return basis
-
-
-def column_space(m: Matrix) -> "Subspace":
-    """Image of the matrix as a subspace of the row-index space."""
-    return subspace_from_vectors(m.field, m.nrows, [m.column(j) for j in range(m.ncols)])
 
 
 def solve_columns(field, columns: list, target: list):
@@ -392,7 +384,3 @@ def subspaces_equal(a: Subspace, b: Subspace) -> bool:
     ba = a.builder()
     bb = b.builder()
     return all(ba.contains(v) for v in b.basis) and all(bb.contains(v) for v in a.basis)
-
-
-def vector_to_field(field, vec) -> list:
-    return [field.of(x) for x in vec]

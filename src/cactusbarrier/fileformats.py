@@ -152,19 +152,24 @@ def custom_map_from_tensor(t: DenseTensor) -> LinearMatrixMap:
 
 
 def _point_from_json(coords) -> tuple:
+    if not isinstance(coords, list):
+        raise FileFormatError(f"coordinates must be a list, got {coords!r}")
     return tuple(parse_rational(x) for x in coords)
 
 
 def piece_from_dict(doc: dict):
     kind = doc.get("type")
-    if kind == "reduced":
-        return ReducedPoint(_point_from_json(doc["point"]))
-    if kind == "curvilinear":
-        base = _point_from_json(doc["base"])
-        coeffs = tuple(_point_from_json(c) for c in doc["coeffs"])
-        return CurvilinearGerm(Germ(base, coeffs), int(doc["length"]))
-    if kind == "neighborhood":
-        return FirstNeighborhood(_point_from_json(doc["point"]))
+    try:
+        if kind == "reduced":
+            return ReducedPoint(_point_from_json(doc["point"]))
+        if kind == "curvilinear":
+            base = _point_from_json(doc["base"])
+            coeffs = tuple(_point_from_json(c) for c in doc["coeffs"])
+            return CurvilinearGerm(Germ(base, coeffs), int(doc["length"]))
+        if kind == "neighborhood":
+            return FirstNeighborhood(_point_from_json(doc["point"]))
+    except KeyError as e:
+        raise FileFormatError(f"{kind} piece is missing key {e}") from None
     raise FileFormatError(f"unknown piece type {kind!r}")
 
 
@@ -184,7 +189,10 @@ def piece_to_dict(piece) -> dict:
 
 
 def scheme_from_dict(doc: dict) -> FiniteScheme:
-    return FiniteScheme(tuple(piece_from_dict(p) for p in doc["pieces"]))
+    pieces = doc.get("pieces") if isinstance(doc, dict) else None
+    if not isinstance(pieces, list) or not all(isinstance(p, dict) for p in pieces):
+        raise FileFormatError('a scheme needs a "pieces" list of objects')
+    return FiniteScheme(tuple(piece_from_dict(p) for p in pieces))
 
 
 def scheme_to_dict(scheme: FiniteScheme) -> dict:

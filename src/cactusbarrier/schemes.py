@@ -9,6 +9,17 @@ Flat limits are never computed here. A one-parameter family carries its own
 explicitly stated limit, and the code checks that the span of the stated limit
 sits inside the limit of the family's spans, which it computes exactly by
 t-saturation over the polynomial ring.
+
+Generic independence over the polynomial ring is certified by one
+specialization before any polynomial elimination runs. Vectors over QQ[t] are
+mapped to GF(2^31 - 1) with t -> T0 (over GF(q)[t], to GF(q) itself), and their
+images are eliminated there. The map is a ring homomorphism on every entry
+whose denominators are prime to p, so each m x m minor of the image is the
+image of the same minor over the polynomial ring: full rank of the image
+proves full generic rank. The certificate can only answer "independent";
+whenever it cannot (the image is dependent, or a denominator vanishes mod p),
+exact Bareiss elimination over the polynomial ring decides, so every result is
+the one that elimination alone would give.
 """
 
 from __future__ import annotations
@@ -17,13 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
+    DEFAULT_PRIME,
     Matrix,
+    SpanBuilder,
     Subspace,
     nullspace,
     rank_of_rows,
     subspace_from_vectors,
 )
-from .fields import QQ, PolyRing
+from .fields import QQ, PolyRing, PrimeField, RationalField
 from .varieties import (
     Germ,
     VarietyParam,
@@ -245,7 +258,60 @@ class SpanFamily:
     ring: PolyRing
 
 
+# The certificate sends t to T0; any value keeps it exact, and a nonzero one
+# avoids t = 0, where flat families drop rank by design.
+_CERT_T0 = 1_000_003
+_CERT_FIELD = PrimeField(DEFAULT_PRIME)
+
+
+class _RankCertificate:
+    """Grows the images of polynomial vectors under t -> T0 in a prime field.
+
+    `extends(v)` is True only when the image of v is independent of the images
+    accepted so far, which proves that v is independent of the corresponding
+    polynomial vectors over the fraction field. False proves nothing.
+    """
+
+    def __init__(self, ring: PolyRing, ambient_dim: int):
+        field = _CERT_FIELD if isinstance(ring.base, RationalField) else ring.base
+        # truncation is not a ring homomorphism, so a truncated ring gets no
+        # certificate
+        if isinstance(field, PrimeField) and ring.trunc is None:
+            self._builder = SpanBuilder(field, ambient_dim)
+            self._t0 = field.of(_CERT_T0)
+        else:
+            self._builder = None
+
+    @property
+    def dim(self) -> int:
+        return self._builder.dim if self._builder else 0
+
+    def extends(self, vec: list) -> bool:
+        if self._builder is None:
+            return False
+        f = self._builder.field
+        image = []
+        for e in vec:
+            acc = 0
+            for c in reversed(e):
+                try:
+                    c = f.of(c)
+                except ZeroDivisionError:  # a denominator vanishes mod p
+                    return False
+                acc = (acc * self._t0 + c) % f.p
+            image.append(acc)
+        return self._builder.add(image)
+
+
 def generic_rank(fam: SpanFamily) -> int:
+    """Rank of the basis over the fraction field of the polynomial ring.
+
+    A full-rank specialization at t = T0 certifies rank len(basis) without
+    polynomial elimination; otherwise Bareiss over the ring decides.
+    """
+    cert = _RankCertificate(fam.ring, fam.ambient_dim)
+    if all(cert.extends(v) for v in fam.basis):
+        return len(fam.basis)
     return rank_of_rows(fam.ring, fam.basis)
 
 
@@ -255,6 +321,10 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     Iteratively: evaluate at t=0; while the rank drops, replace a dependent
     combination by its quotient by the largest possible power of t; repeat.
     The output dimension equals the generic rank of the family.
+
+    The basis must have full generic rank. A full-rank specialization at
+    t = T0 certifies that; only when it cannot does Bareiss elimination over
+    the polynomial ring check it.
     """
     ring = fam.ring
     base = ring.base
@@ -270,7 +340,7 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
         if shift:
             for j in range(fam.ambient_dim):
                 v[j] = ring.shift_down(v[j], shift)
-    if rank_of_rows(ring, vecs) != m:
+    if generic_rank(SpanFamily(fam.ambient_dim, vecs, ring)) != m:
         raise ValueError("family basis drops rank generically (non-flat presentation)")
 
     max_steps = sum(max(ring.degree(e), 0) for v in vecs for e in v) + m + 8
@@ -311,15 +381,26 @@ def family_piece_span_vectors(param: VarietyParam, piece: Piece, ring: PolyRing)
 
 
 def family_span(param: VarietyParam, pieces, ring: PolyRing | None = None) -> SpanFamily:
-    """SpanFamily of a scheme family, keeping a generically independent subset."""
+    """SpanFamily of a scheme family, keeping a generically independent subset.
+
+    Raw spanning vectors are scanned in order, and each is kept when it is
+    generically independent of those kept before it. The specialization
+    certificate accepts a vector while it holds the images of every kept
+    vector and the vector's image grows it; any other vector is decided by
+    Bareiss elimination over the polynomial ring. Both give the same answer
+    wherever the certificate answers, so the kept vectors are the same.
+    """
     if ring is None:
         ring = PolyRing(QQ)
     raw = []
     for p in pieces:
         raw.extend(family_piece_span_vectors(param, p, ring))
+    cert = _RankCertificate(ring, param.dim_W)
     kept: list = []
     for v in raw:
-        if rank_of_rows(ring, kept + [v]) > len(kept):
+        if cert.dim == len(kept) and cert.extends(v):
+            kept.append(v)
+        elif rank_of_rows(ring, kept + [v]) > len(kept):
             kept.append(v)
     return SpanFamily(param.dim_W, kept, ring)
 

@@ -257,8 +257,8 @@ def test_cmd_estimate_k():
     assert doc["estimated_k"] == 2 and doc["declared_k"] == 2
 
 
-def test_custom_method_file(tmp_path):
-    # the coefficient tensor of the first flattening of 2x2x2, as a custom map
+def _custom_flattening_file(tmp_path):
+    """The coefficient tensor of the first flattening of 2x2x2, saved as a custom map."""
     from cactusbarrier.rankmethods import flattening
 
     m = flattening((2, 2, 2), (0,))
@@ -270,6 +270,11 @@ def test_custom_method_file(tmp_path):
         entries.extend(x for row in block for x in row)
     path = tmp_path / "custom.json"
     save_tensor(path, DenseTensor((8, 2, 4), entries))
+    return path
+
+
+def test_custom_method_file(tmp_path):
+    path = _custom_flattening_file(tmp_path)
     code, out = run(["verify", "--variety", "segre:2x2x2", "--scheme", "random:deg=3",
                      "--method", f"custom:file={path}", "--trials", "3", "--seed", "8"])
     assert code == 0
@@ -298,3 +303,61 @@ def test_scheme_spec_seed_freezes_scheme():
     deg1 = [json.loads(l)["degree"] for l in out1.splitlines()[:-1]]
     deg2 = [json.loads(l)["degree"] for l in out2.splitlines()[:-1]]
     assert deg1 == deg2 == [3, 3, 3]
+
+
+def test_custom_method_is_built_once_per_verify(tmp_path, monkeypatch):
+    # one k estimate for the validation method and one for the trials,
+    # however many trials run
+    import cactusbarrier.rankmethods as rankmethods
+
+    path = _custom_flattening_file(tmp_path)
+    calls = []
+    real = rankmethods.estimate_k
+    monkeypatch.setattr(rankmethods, "estimate_k",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    argv = ["verify", "--variety", "segre:2x2x2", "--scheme", "random:deg=3",
+            "--method", f"custom:file={path}", "--seed", "8", "--format", "json"]
+    for trials in (1, 5):
+        calls.clear()
+        code, _ = run(argv + ["--trials", str(trials)])
+        assert code == 0
+        assert len(calls) == 2
+    _, serial = run(argv + ["--trials", "5"])
+    _, pooled = run(argv + ["--trials", "5", "--jobs", "2"])
+    assert serial == pooled
+
+
+def test_reduced_piece_without_point_is_input_error(tmp_path):
+    with pytest.raises(FileFormatError, match="point"):
+        scheme_from_dict({"pieces": [{"type": "reduced"}]})
+    with pytest.raises(FileFormatError, match="length"):
+        scheme_from_dict({"pieces": [{"type": "curvilinear", "base": ["0"], "coeffs": []}]})
+    path = tmp_path / "scheme.json"
+    path.write_text('{"pieces": [{"type": "reduced"}]}')
+    code, _ = run(["verify", "--variety", "veronese:1,2", "--scheme", str(path),
+                   "--method", "catalecticant:i=1", "--trials", "1"])
+    assert code == 2
+
+
+def test_coordinate_vanishing_mod_screening_prime_is_input_error(tmp_path, capsys):
+    path = tmp_path / "scheme.json"
+    path.write_text('{"pieces": [{"type": "reduced", "point": ["1/2147483647"]}]}')
+    argv = ["verify", "--variety", "veronese:1,2", "--scheme", str(path),
+            "--method", "catalecticant:i=1", "--trials", "1"]
+    code, _ = run(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1/2147483647" in err and "--field q" in err
+    code, out = run(argv + ["--field", "q"])
+    assert code == 0 and "1/1 pass" in out
+
+
+def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
+    def broken(variety):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(cli, "ceilings", broken)
+    code, _ = run(["ceiling", "--variety", "segre:2x2x2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal failure" in err

@@ -1,10 +1,20 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cactusbarrier.exactalg import rank_of_rows, subspace_contains, subspaces_equal, span_sum
-from cactusbarrier.fields import QQ, PolyRing
+import cactusbarrier.schemes as schemes
+from cactusbarrier.exactalg import (
+    DEFAULT_PRIME,
+    rank_of_rows,
+    subspace_contains,
+    subspaces_equal,
+    span_sum,
+)
+from cactusbarrier.fields import QQ, PolyRing, PrimeField
 from cactusbarrier.schemes import (
     CurvilinearGerm,
     FiniteScheme,
@@ -14,6 +24,7 @@ from cactusbarrier.schemes import (
     SpanFamily,
     constant_family_pieces,
     family_span,
+    generic_rank,
     limit_of_spans,
     perturbed_family,
     random_scheme,
@@ -264,3 +275,147 @@ def test_validate_scheme_checks_chart_dimension():
     p = parse_variety("segre:2x2")
     with pytest.raises(ValueError):
         validate_scheme(p, FiniteScheme((reduced(0, 0, 0),)))
+
+
+# -- the specialization certificate for generic ranks ----------------------
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _family_outcomes(param, pieces, ring):
+    fam = family_span(param, pieces, ring)
+    return (fam.basis, generic_rank(fam), _outcome(lambda: limit_of_spans(fam).basis))
+
+
+def _basis_outcomes(n, basis, ring):
+    fam = SpanFamily(n, basis, ring)
+    return (generic_rank(fam), _outcome(lambda: limit_of_spans(fam).basis))
+
+
+def _without_certificate(fn):
+    with mock.patch.object(schemes._RankCertificate, "extends", lambda self, vec: False):
+        return fn()
+
+
+def _poly_rank_calls(fn):
+    """fn's result and how many ranks over a polynomial ring it computed."""
+    calls = []
+    real = schemes.rank_of_rows
+
+    def counting(field, rows):
+        calls.append(isinstance(field, PolyRing))
+        return real(field, rows)
+
+    with mock.patch.object(schemes, "rank_of_rows", counting):
+        return fn(), sum(calls)
+
+
+RQ = PolyRing(QQ)
+_polys = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                  max_size=3).map(RQ.from_coeffs)
+
+
+def _pieces(dim_x):
+    point = st.tuples(*[_polys] * dim_x)
+    return st.lists(st.one_of(
+        point.map(ReducedPoint),
+        point.map(FirstNeighborhood),
+        st.tuples(point, point, st.integers(2, 3)).map(
+            lambda a: CurvilinearGerm(Germ(a[0], (a[1],)), a[2])),
+    ), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_certificate_does_not_change_family_results(data):
+    spec = data.draw(st.sampled_from(["veronese:1,3", "veronese:2,2", "segre:2x2"]))
+    param = parse_variety(spec)
+    pieces = data.draw(_pieces(param.dim_X))
+    run = lambda: _family_outcomes(param, pieces, RQ)
+    assert run() == _without_certificate(run)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), data=st.data())
+def test_certificate_does_not_change_basis_results(n, data):
+    # some drawn vectors, then QQ[t]-combinations of them so that generic
+    # dependence with cancellation occurs, in a drawn order
+    basis = data.draw(st.lists(st.lists(_polys, min_size=n, max_size=n),
+                               min_size=1, max_size=3))
+    for mults in data.draw(st.lists(st.lists(_polys, min_size=len(basis),
+                                             max_size=len(basis)), max_size=2)):
+        combo = [RQ.zero] * n
+        for g, v in zip(mults, basis):
+            combo = [RQ.add(c, RQ.mul(g, x)) for c, x in zip(combo, v)]
+        basis.append(combo)
+    basis = data.draw(st.permutations(basis))
+    run = lambda: _basis_outcomes(n, basis, RQ)
+    assert run() == _without_certificate(run)
+
+
+def test_certificate_on_dependence_hidden_from_leading_terms():
+    # v3 = v1 - v2, but the t-leading coefficients of v1, v2, v3 are independent
+    t1 = RQ.from_coeffs([1, 1])
+    basis = [[t1, RQ.zero, RQ.one], [RQ.t(), RQ.one, RQ.zero], [RQ.one, RQ.of(-1), RQ.one]]
+    run = lambda: _basis_outcomes(3, basis, RQ)
+    assert run() == _without_certificate(run) == (
+        2, ("ValueError", "family basis drops rank generically (non-flat presentation)"))
+
+
+def test_certificate_answers_generic_families_alone():
+    p = parse_variety("segre:2x2x2")
+    sch = random_scheme(p, 4, mix="reduced", bound=2, rng=random.Random(30))
+    pieces = perturbed_family(sch, random.Random(31), bound=2, tdeg=2)
+    run = lambda: _family_outcomes(p, pieces, RQ)
+    out, calls = _poly_rank_calls(run)
+    assert calls == 0
+    assert out == _without_certificate(run)
+
+
+def test_certificate_falls_back_on_a_root_at_t0():
+    # [1, 0] and [1, t - T0] are independent over QQ(t) but not at t = T0
+    v = parse_variety("veronese:1,1")
+    shifted = RQ.from_coeffs([-schemes._CERT_T0, 1])
+    pieces = [ReducedPoint((RQ.zero,)), ReducedPoint((shifted,)), ReducedPoint((RQ.t(),))]
+    run = lambda: _family_outcomes(v, pieces, RQ)
+    (kept, rank, lim), calls = _poly_rank_calls(run)
+    assert kept == [[RQ.one, RQ.zero], [RQ.one, shifted]]
+    assert rank == 2 and len(lim) == 2
+    assert calls > 0
+    assert (kept, rank, lim) == _without_certificate(run)
+    basis = [[RQ.one, RQ.zero], [RQ.zero, shifted]]
+    assert _basis_outcomes(2, basis, RQ) == _without_certificate(
+        lambda: _basis_outcomes(2, basis, RQ)) == (2, [[1, 0], [0, -schemes._CERT_T0]])
+
+
+def test_certificate_falls_back_on_a_denominator_divisible_by_p():
+    v = parse_variety("veronese:1,1")
+    small = RQ.from_coeffs([0, Fraction(1, DEFAULT_PRIME)])
+    pieces = [ReducedPoint((RQ.zero,)), ReducedPoint((small,))]
+    run = lambda: _family_outcomes(v, pieces, RQ)
+    (kept, rank, _), calls = _poly_rank_calls(run)
+    assert len(kept) == rank == 2
+    assert calls > 0
+    assert run() == _without_certificate(run)
+
+
+def test_certificate_over_a_prime_field_base():
+    q = 101
+    R = PolyRing(PrimeField(q))
+    p = parse_variety("veronese:1,2")
+    t0 = schemes._CERT_T0 % q
+    pieces = [ReducedPoint((R.zero,)), ReducedPoint((R.t(),)),
+              ReducedPoint((R.from_coeffs([q - t0, 1]),)),
+              CurvilinearGerm(Germ((R.of(5),), ((R.t(),),)), 2)]
+    run = lambda: _family_outcomes(p, pieces, R)
+    (kept, rank, lim), calls = _poly_rank_calls(run)
+    assert len(kept) == rank == len(lim) == 3
+    assert calls > 0
+    assert (kept, rank, lim) == _without_certificate(run)
+    # two generic points are certified without polynomial elimination
+    (kept, _, _), calls = _poly_rank_calls(lambda: _family_outcomes(p, pieces[:2], R))
+    assert len(kept) == 2 and calls == 0
