@@ -21,6 +21,7 @@ from .exactalg import (
     SpanBuilder,
     rank,
     rank_of_rows,
+    sample_combination,
 )
 from .fields import QQ, PrimeField
 from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map
@@ -69,26 +70,22 @@ class BarrierReport:
         return d
 
 
-def _sample_combination(field, vectors: list, bound: int, rng) -> tuple[list, list]:
-    """Nonzero integer combination of raw spanning vectors; returns (coeffs, vector)."""
-    n = len(vectors[0])
-    for _ in range(64):
-        coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
-        if not any(coeffs):
-            continue
-        out = [field.zero] * n
-        for c, v in zip(coeffs, vectors):
-            if c:
-                fc = field.of(c)
-                for j in range(n):
-                    out[j] = field.add(out[j], field.mul(fc, v[j]))
-        if any(not field.is_zero(x) for x in out):
-            return coeffs, out
-    raise RuntimeError("could not sample a nonzero span element")
+def _screen_and_confirm(method: RankMethod, raw: list, f_q: list, cap: int,
+                        prime: int | None, confirm: str) -> tuple:
+    """(rank, span_dim, field name, fp_rank, qq_confirmed) of F = f_q under a confirm policy.
 
-
-def _reduce_vec(field, vec) -> list:
-    return [field.of(x) for x in vec]
+    span_dim is the rank of the sampled-from vectors `raw`, over the field
+    the reported rank comes from.
+    """
+    fp_rank = None
+    if prime is not None:
+        gf = PrimeField(prime)
+        fp_rank = rank(evaluate_map(method.map, [gf.of(x) for x in f_q], gf))
+        if confirm == "never" or (confirm == "tight" and fp_rank < cap):
+            span_dim = rank_of_rows(gf, [[gf.of(x) for x in v] for v in raw])
+            return fp_rank, span_dim, gf.name, fp_rank, False
+    rank_q = rank(evaluate_map(method.map, f_q, QQ))
+    return rank_q, rank_of_rows(QQ, raw), "QQ", fp_rank, True
 
 
 def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMethod,
@@ -114,31 +111,13 @@ def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMetho
                              0, 0, 0, 0, True, "QQ", qq_confirmed=True, seed=seed)
 
     raw_q = scheme_span_vectors(param, scheme, QQ)
-    coeffs, f_q = _sample_combination(QQ, raw_q, bound, rng)
-
-    fp_rank = None
-    if prime is not None:
-        gf = PrimeField(prime)
-        raw_p = [_reduce_vec(gf, v) for v in raw_q]
-        f_p = _reduce_vec(gf, f_q)
-        fp_rank = rank(evaluate_map(method.map, f_p, gf))
-        if confirm == "never":
-            passed = fp_rank <= cap
-            return BarrierReport(param.spec, method.spec, method.k, method.k_source,
-                                 r, rank_of_rows(gf, raw_p), fp_rank, cap, passed,
-                                 gf.name, fp_rank=fp_rank, seed=seed)
-        if confirm == "tight" and fp_rank < cap:
-            passed = True
-            return BarrierReport(param.spec, method.spec, method.k, method.k_source,
-                                 r, rank_of_rows(gf, raw_p), fp_rank, cap, passed,
-                                 gf.name, fp_rank=fp_rank, seed=seed)
-
-    rank_q = rank(evaluate_map(method.map, f_q, QQ))
-    passed = rank_q <= cap
+    coeffs, f_q = sample_combination(QQ, raw_q, bound, rng)
+    rk, span_dim, field, fp_rank, confirmed = _screen_and_confirm(
+        method, raw_q, f_q, cap, prime, confirm)
     return BarrierReport(param.spec, method.spec, method.k, method.k_source,
-                         r, rank_of_rows(QQ, raw_q), rank_q, cap, passed, "QQ",
-                         fp_rank=fp_rank, qq_confirmed=True, seed=seed,
-                         extra={"combination": coeffs})
+                         r, span_dim, rk, cap, rk <= cap, field, fp_rank=fp_rank,
+                         qq_confirmed=confirmed, seed=seed,
+                         extra={"combination": coeffs} if confirmed else {})
 
 
 def minimal_factor_subspace(m: LinearMatrixMap, u: Subspace) -> Subspace:
@@ -182,30 +161,20 @@ def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,
     for scheme in (r1, r2):
         if scheme.degree:
             raw = scheme_span_vectors(param1, scheme, QQ)
-            _, f = _sample_combination(QQ, raw, bound, rng)
+            _, f = sample_combination(QQ, raw, bound, rng)
             parts.append(f)
     if not parts:
         return BarrierReport(param1.spec, method.spec, method.k, method.k_source,
                              0, 0, 0, 0, True, "QQ", qq_confirmed=True, seed=seed,
                              kind="join", extra={"degree1": 0, "degree2": 0})
 
-    _, f_q = _sample_combination(QQ, parts, bound, rng)
-    extra = {"degree1": d1, "degree2": d2}
-    fp_rank = None
-    if prime is not None:
-        gf = PrimeField(prime)
-        fp_rank = rank(evaluate_map(method.map, _reduce_vec(gf, f_q), gf))
-        if confirm == "never" or (confirm == "tight" and fp_rank < cap):
-            span_dim = rank_of_rows(gf, [_reduce_vec(gf, p) for p in parts])
-            return BarrierReport(param1.spec, method.spec, method.k, method.k_source,
-                                 d1 + d2, span_dim, fp_rank, cap, fp_rank <= cap,
-                                 gf.name, fp_rank=fp_rank, seed=seed, kind="join",
-                                 extra=extra)
-    rank_q = rank(evaluate_map(method.map, f_q, QQ))
+    _, f_q = sample_combination(QQ, parts, bound, rng)
+    rk, span_dim, field, fp_rank, confirmed = _screen_and_confirm(
+        method, parts, f_q, cap, prime, confirm)
     return BarrierReport(param1.spec, method.spec, method.k, method.k_source,
-                         d1 + d2, rank_of_rows(QQ, parts), rank_q, cap,
-                         rank_q <= cap, "QQ", fp_rank=fp_rank, qq_confirmed=True,
-                         seed=seed, kind="join", extra=extra)
+                         d1 + d2, span_dim, rk, cap, rk <= cap, field, fp_rank=fp_rank,
+                         qq_confirmed=confirmed, seed=seed, kind="join",
+                         extra={"degree1": d1, "degree2": d2})
 
 
 def grassmann_containment(e: Subspace, param: VarietyParam, scheme: FiniteScheme) -> bool:

@@ -10,15 +10,13 @@ traceback is printed).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import math
 import os
 import random
 import sys
 import traceback
-from fractions import Fraction
+from contextlib import contextmanager
 from multiprocessing import Pool
 
 from .barrier import UnsupportedVarietyError, ceilings, verify_instance
@@ -36,22 +34,17 @@ from .rankmethods import (
     MethodSpecError,
     RankMethod,
     SymmetricForm,
-    catalecticant,
     check_k_consistency,
     estimate_k,
     evaluate_map,
-    flattening,
-    koszul_flattening,
     parse_method,
-    parse_split,
 )
 from .schemes import (
-    LimitComparison,
     SpanFamily,
-    limit_of_spans,
+    compare_limit,
+    family_span,
+    map_coords,
     random_scheme,
-    scheme_span,
-    span_of_limit_vs_limit_of_spans,
     validate_scheme,
 )
 from .varieties import VarietySpecError, parse_variety
@@ -162,26 +155,23 @@ def _verify_trial(payload: dict) -> dict:
     return d
 
 
-def _rationals(obj):
-    """Every Fraction inside nested tuples, in order."""
-    if isinstance(obj, Fraction):
-        yield obj
-    elif isinstance(obj, tuple):
-        for x in obj:
-            yield from _rationals(x)
+@contextmanager
+def _prime_reduction(path):
+    """Report a rational of the file at `path` that has no image mod the prime as an input error."""
+    try:
+        yield
+    except ZeroDivisionError as e:  # raised by PrimeField.of
+        raise CliError(f"{path}: {e}; use --field q") from None
 
 
 def _load_verify_scheme(path, param, prime):
     scheme = load_scheme(path)
     validate_scheme(param, scheme)
     if prime is not None:
-        for i, piece in enumerate(scheme.pieces):
-            for x in _rationals(dataclasses.astuple(piece)):
-                if x.denominator % prime == 0:
-                    raise CliError(
-                        f"{path}: coordinate {x} of piece {i} has a denominator that "
-                        f"vanishes mod the screening prime {prime}; use --field q"
-                    )
+        gf = PrimeField(prime)
+        with _prime_reduction(path):
+            for piece in scheme.pieces:
+                map_coords(piece, gf.of)
     return scheme
 
 
@@ -192,21 +182,20 @@ def cmd_verify(args, out) -> int:
     scheme_kind, scheme_data = _parse_scheme_spec(args.scheme)
     if scheme_kind == "file":
         scheme_data = _load_verify_scheme(scheme_data, param, prime)
-    method = _build_method(args.method, param, random.Random(derive_seed(root, "k")))
+    # one method for the k check and all trials; a custom method estimates k
+    # from its own root-seeded rng, so every trial and every --jobs value sees
+    # the same k
+    method = _build_method(args.method, param, random.Random(derive_seed(root, "custom-k")))
     if args.validate_k:
         check_k_consistency(method, param, args.validate_k, args.bound,
                             random.Random(derive_seed(root, "validate")))
-    # one method for all trials; a custom method estimates k from its own
-    # root-seeded rng, so every trial and every --jobs value sees the same k
-    trial_method = _build_method(args.method, param,
-                                 random.Random(derive_seed(root, "custom-k")))
 
     payloads = [
         {
             "variety": args.variety,
             "scheme_kind": scheme_kind,
             "scheme_data": scheme_data,
-            "method": trial_method,
+            "method": method,
             "index": i,
             "trial_seed": derive_seed(root, i),
             "bound": args.bound,
@@ -260,31 +249,6 @@ def _infer_variety(tensor):
     return parse_variety("segre:" + "x".join(str(d) for d in tensor.shape))
 
 
-def _method_for_tensor(spec: str, tensor, param, rng) -> RankMethod:
-    s = spec.replace(" ", "")
-    if s.startswith("flattening:split="):
-        if not isinstance(tensor, DenseTensor):
-            raise CliError("flattenings need a dense tensor")
-        rows = parse_split(s[len("flattening:split="):], len(tensor.shape))
-        return RankMethod(flattening(tensor.shape, rows), 1,
-                          flattening(tensor.shape, rows).spec)
-    if s.startswith("catalecticant:i="):
-        if not isinstance(tensor, SymmetricForm):
-            raise CliError("catalecticants need a symmetric tensor file")
-        i = int(s[len("catalecticant:i="):])
-        return RankMethod(catalecticant(tensor.nvars, tensor.degree, i), 1,
-                          f"catalecticant:i={i}")
-    if s.startswith("koszul:p="):
-        if not isinstance(tensor, DenseTensor) or len(tensor.shape) != 3:
-            raise CliError("koszul flattenings need a dense 3-mode tensor")
-        p = int(s[len("koszul:p="):])
-        m = koszul_flattening(tensor.shape, p)
-        return RankMethod(m, math.comb(tensor.shape[0] - 1, p), m.spec)
-    if s.startswith("custom:file="):
-        return _build_method(s, param, rng)
-    raise CliError(f"unknown method spec {spec!r}")
-
-
 def cmd_bound(args, out) -> int:
     tensor = load_tensor(args.tensor)
     param = parse_variety(args.variety) if args.variety else _infer_variety(tensor)
@@ -296,12 +260,13 @@ def cmd_bound(args, out) -> int:
     prime = _parse_field(args.field)
     field = QQ if prime is None else PrimeField(prime)
     rng = random.Random(derive_seed(_root_seed(args), "bound"))
-    method = _method_for_tensor(args.method, tensor, param, rng)
-    vec = tensor.to_vector(field)
-    r = rank(evaluate_map(method.map, vec, field))
-    bound_val = -(-r // method.k) if method.k else 0
+    method = _build_method(args.method, param, rng)
     if method.k < 1:
         raise CliError("method constant k is zero on this variety; no bound")
+    with _prime_reduction(args.tensor):
+        vec = tensor.to_vector(field)
+    r = rank(evaluate_map(method.map, vec, field))
+    bound_val = -(-r // method.k)
     result = {
         "variety": param.spec,
         "method": method.spec,
@@ -309,7 +274,7 @@ def cmd_bound(args, out) -> int:
         "k": method.k,
         "k_source": method.k_source,
         "bound": bound_val,
-        "field": field.name if prime is not None else "QQ",
+        "field": field.name,
     }
     ceiling_line = None
     try:
@@ -364,15 +329,12 @@ def cmd_ceiling(args, out) -> int:
 def cmd_limit(args, out) -> int:
     param, (kind, data), limit_scheme = load_family(args.family)
     validate_scheme(param, limit_scheme)
+    ring = PolyRing(QQ)
     if kind == "schemes":
-        cmp = span_of_limit_vs_limit_of_spans(param, data, limit_scheme)
+        fam = family_span(param, data, ring)
     else:
-        fam = SpanFamily(param.dim_W, data, PolyRing(QQ))
-        lim = limit_of_spans(fam)
-        span0 = scheme_span(param, limit_scheme)
-        builder = lim.builder()
-        inclusion = all(builder.contains(v) for v in span0.basis)
-        cmp = LimitComparison(span0.dim, lim.dim, inclusion)
+        fam = SpanFamily(param.dim_W, data, ring)
+    cmp = compare_limit(param, fam, limit_scheme)
     verdict = "inclusion holds" if cmp.inclusion_holds else "INCLUSION FAILS"
     if cmp.inclusion_holds and cmp.strict:
         verdict += " (strict)"

@@ -178,44 +178,28 @@ def rank(m: Matrix) -> int:
     return rank_of_rows(m.field, m.rows)
 
 
-def _rref(field, rows: list, ncols: int):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(a)):
-            if not field.is_zero(a[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.inv(a[r][col])
-        a[r] = [field.mul(inv, x) for x in a[r]]
-        for i in range(len(a)):
-            if i != r and not field.is_zero(a[i][col]):
-                f = a[i][col]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    return a, pivots
+def _pivot_rows(field, rows: list, ncols: int) -> list:
+    """(pivot column, row) pairs of the reduced row echelon form, in no fixed order."""
+    builder = SpanBuilder(field, ncols)
+    for row in rows:
+        builder.add(row)
+    return builder._rows
 
 
 def nullspace(m: Matrix) -> list[list]:
     """Basis of the right kernel {x : m x = 0}."""
     field = m.field
     n = m.ncols
-    a, pivots = _rref(field, m.rows, n)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
+    pivots = _pivot_rows(field, m.rows, n)
+    pivot_set = {pc for pc, _ in pivots}
     basis = []
-    for j in free:
+    for j in range(n):
+        if j in pivot_set:
+            continue
         v = [field.zero] * n
         v[j] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(a[r][j])
+        for pc, row in pivots:
+            v[pc] = field.neg(row[j])
         basis.append(v)
     return basis
 
@@ -223,14 +207,12 @@ def nullspace(m: Matrix) -> list[list]:
 def solve_columns(field, columns: list, target: list):
     """Solve sum_i x_i * columns[i] = target; None when inconsistent."""
     k = len(columns)
-    n = len(target)
-    aug = [[columns[i][r] for i in range(k)] + [target[r]] for r in range(n)]
-    a, pivots = _rref(field, aug, k + 1)
-    if k in pivots:
-        return None
+    aug = [[c[r] for c in columns] + [target[r]] for r in range(len(target))]
     x = [field.zero] * k
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][k]
+    for pc, row in _pivot_rows(field, aug, k + 1):
+        if pc == k:
+            return None
+        x[pc] = row[k]
     return x
 
 
@@ -343,24 +325,35 @@ def span_sum(a: Subspace, b: Subspace) -> Subspace:
     return builder.to_subspace()
 
 
+def sample_combination(field, vectors: list, bound: int, rng) -> tuple[list, list]:
+    """Nonzero integer combination of `vectors` with coefficients in [-bound, bound].
+
+    Returns (coefficients, vector). All-zero draws are skipped, and so is a
+    draw whose combination vanishes, which only dependent vectors allow.
+    """
+    n = len(vectors[0])
+    for _ in range(64):
+        coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
+        if not any(coeffs):
+            continue
+        out = [field.zero] * n
+        for c, v in zip(coeffs, vectors):
+            if c:
+                fc = field.of(c)
+                for j in range(n):
+                    out[j] = field.add(out[j], field.mul(fc, v[j]))
+        if any(not field.is_zero(x) for x in out):
+            return coeffs, out
+    raise RuntimeError("could not sample a nonzero span element")
+
+
 def random_in_span(s: Subspace, bound: int, rng) -> list:
     """Nonzero integer combination of the basis with coefficients in [-bound, bound]."""
     if s.dim == 0:
         raise ValueError("cannot sample from a zero-dimensional subspace")
     if bound < 1:
         raise ValueError("coefficient bound must be at least 1")
-    f = s.field
-    while True:
-        coeffs = [rng.randint(-bound, bound) for _ in range(s.dim)]
-        if any(coeffs):
-            break
-    out = [f.zero] * s.ambient_dim
-    for c, v in zip(coeffs, s.basis):
-        if c:
-            fc = f.of(c)
-            for j in range(s.ambient_dim):
-                out[j] = f.add(out[j], f.mul(fc, v[j]))
-    return out
+    return sample_combination(s.field, s.basis, bound, rng)[1]
 
 
 def solve_membership(s: Subspace, v: list):

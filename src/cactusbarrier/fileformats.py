@@ -40,6 +40,47 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _get(doc, key: str, kind: type = object):
+    """doc[key], checked to be present in a JSON object and of type `kind`."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"expected a JSON object, got {doc!r}")
+    if key not in doc:
+        raise FileFormatError(f"missing key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise FileFormatError(f"{key!r} must be {_JSON_TYPES[kind]}, got {doc[key]!r}")
+    return doc[key]
+
+
+def _int(x) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise FileFormatError(f"not an integer: {x!r}") from None
+
+
+def _coords(value, coord) -> tuple:
+    if not isinstance(value, list):
+        raise FileFormatError(f"coordinates must be a list, got {value!r}")
+    return tuple(coord(x) for x in value)
+
+
+def _check_format(doc, marker: str) -> None:
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != marker:
+        raise FileFormatError(f"missing or unknown format marker {found!r}")
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FileFormatError(f"{path}: invalid JSON: {e}") from None
+
+
 def _nested_entries(shape, entries, path=()):
     if not shape:
         yield path, entries
@@ -52,41 +93,35 @@ def _nested_entries(shape, entries, path=()):
 
 def tensor_from_dict(doc: dict):
     """Parse a tensor document into a DenseTensor or SymmetricForm."""
-    if doc.get("format") != TENSOR_FORMAT:
-        raise FileFormatError(f"missing or unknown format marker {doc.get('format')!r}")
+    _check_format(doc, TENSOR_FORMAT)
     kind = doc.get("kind")
-    if kind == "dense":
-        shape = tuple(int(d) for d in doc["shape"])
+    if kind in ("dense", "sparse"):
+        shape = tuple(_int(d) for d in _get(doc, "shape", list))
         flat = [Fraction(0)] * math.prod(shape)
         strides = [1] * len(shape)
         for i in range(len(shape) - 2, -1, -1):
             strides[i] = strides[i + 1] * shape[i + 1]
-        for path, val in _nested_entries(shape, doc["entries"]):
-            flat[sum(i * s for i, s in zip(path, strides))] = parse_rational(val)
-        return DenseTensor(shape, flat)
-    if kind == "sparse":
-        shape = tuple(int(d) for d in doc["shape"])
-        flat = [Fraction(0)] * math.prod(shape)
-        strides = [1] * len(shape)
-        for i in range(len(shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        for item in doc["entries"]:
-            idx = tuple(int(i) for i in item["idx"])
+        if kind == "dense":
+            for path, val in _nested_entries(shape, _get(doc, "entries")):
+                flat[sum(i * s for i, s in zip(path, strides))] = parse_rational(val)
+            return DenseTensor(shape, flat)
+        for item in _get(doc, "entries", list):
+            idx = tuple(_int(i) for i in _get(item, "idx", list))
             if len(idx) != len(shape) or any(i < 0 or i >= d for i, d in zip(idx, shape)):
                 raise FileFormatError(f"sparse index {idx} outside shape {shape}")
-            flat[sum(i * s for i, s in zip(idx, strides))] += parse_rational(item["value"])
+            flat[sum(i * s for i, s in zip(idx, strides))] += parse_rational(_get(item, "value"))
         return DenseTensor(shape, flat)
     if kind == "symmetric":
-        nvars = int(doc["vars"])
-        degree = int(doc["degree"])
+        nvars = _int(_get(doc, "vars"))
+        degree = _int(_get(doc, "degree"))
         terms = {}
-        for item in doc["terms"]:
-            exps = tuple(int(e) for e in item["monomial"])
+        for item in _get(doc, "terms", list):
+            exps = tuple(_int(e) for e in _get(item, "monomial", list))
             if len(exps) != nvars or sum(exps) != degree or any(e < 0 for e in exps):
                 raise FileFormatError(
                     f"monomial {exps} is not a degree-{degree} exponent tuple over {nvars} variables"
                 )
-            terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(item["coeff"])
+            terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(_get(item, "coeff"))
         return SymmetricForm(nvars, degree, terms)
     raise FileFormatError(f"unknown tensor kind {kind!r}")
 
@@ -120,12 +155,7 @@ def tensor_to_dict(t) -> dict:
 
 
 def load_tensor(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"{path}: invalid JSON: {e}") from None
-    return tensor_from_dict(doc)
+    return tensor_from_dict(_read_json(path))
 
 
 def save_tensor(path, t) -> None:
@@ -151,25 +181,17 @@ def custom_map_from_tensor(t: DenseTensor) -> LinearMatrixMap:
     return LinearMatrixMap(a, b, w, cells, spec="custom")
 
 
-def _point_from_json(coords) -> tuple:
-    if not isinstance(coords, list):
-        raise FileFormatError(f"coordinates must be a list, got {coords!r}")
-    return tuple(parse_rational(x) for x in coords)
-
-
-def piece_from_dict(doc: dict):
-    kind = doc.get("type")
-    try:
-        if kind == "reduced":
-            return ReducedPoint(_point_from_json(doc["point"]))
-        if kind == "curvilinear":
-            base = _point_from_json(doc["base"])
-            coeffs = tuple(_point_from_json(c) for c in doc["coeffs"])
-            return CurvilinearGerm(Germ(base, coeffs), int(doc["length"]))
-        if kind == "neighborhood":
-            return FirstNeighborhood(_point_from_json(doc["point"]))
-    except KeyError as e:
-        raise FileFormatError(f"{kind} piece is missing key {e}") from None
+def piece_from_dict(doc: dict, coord=parse_rational):
+    """Parse one scheme piece; `coord` parses each chart coordinate."""
+    kind = _get(doc, "type")
+    if kind == "reduced":
+        return ReducedPoint(_coords(_get(doc, "point"), coord))
+    if kind == "curvilinear":
+        base = _coords(_get(doc, "base"), coord)
+        coeffs = tuple(_coords(c, coord) for c in _get(doc, "coeffs", list))
+        return CurvilinearGerm(Germ(base, coeffs), _int(_get(doc, "length")))
+    if kind == "neighborhood":
+        return FirstNeighborhood(_coords(_get(doc, "point"), coord))
     raise FileFormatError(f"unknown piece type {kind!r}")
 
 
@@ -189,10 +211,7 @@ def piece_to_dict(piece) -> dict:
 
 
 def scheme_from_dict(doc: dict) -> FiniteScheme:
-    pieces = doc.get("pieces") if isinstance(doc, dict) else None
-    if not isinstance(pieces, list) or not all(isinstance(p, dict) for p in pieces):
-        raise FileFormatError('a scheme needs a "pieces" list of objects')
-    return FiniteScheme(tuple(piece_from_dict(p) for p in pieces))
+    return FiniteScheme(tuple(piece_from_dict(p) for p in _get(doc, "pieces", list)))
 
 
 def scheme_to_dict(scheme: FiniteScheme) -> dict:
@@ -200,31 +219,29 @@ def scheme_to_dict(scheme: FiniteScheme) -> dict:
 
 
 def load_scheme(path) -> FiniteScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"{path}: invalid JSON: {e}") from None
-    return scheme_from_dict(doc)
+    return scheme_from_dict(_read_json(path))
 
 
-def _poly_from_json(ring: PolyRing, coeffs):
-    if not isinstance(coeffs, list):
-        raise FileFormatError(f"polynomial coefficients must be a list, got {coeffs!r}")
-    return ring.from_coeffs([parse_rational(c) for c in coeffs])
+def family_from_dict(doc: dict):
+    """Parse a span family document; returns what load_family returns."""
+    _check_format(doc, FAMILY_FORMAT)
+    param = parse_variety(_get(doc, "variety", str))
+    limit = scheme_from_dict(_get(doc, "limit"))
+    fam = _get(doc, "family", dict)
+    ring = PolyRing(QQ)
 
+    def poly(coeffs):
+        return ring.from_coeffs(_coords(coeffs, parse_rational))
 
-def _family_piece_from_dict(ring: PolyRing, doc: dict):
-    kind = doc.get("type")
-    if kind == "reduced":
-        return ReducedPoint(tuple(_poly_from_json(ring, c) for c in doc["point"]))
-    if kind == "curvilinear":
-        base = tuple(_poly_from_json(ring, c) for c in doc["base"])
-        coeffs = tuple(tuple(_poly_from_json(ring, c) for c in cc) for cc in doc["coeffs"])
-        return CurvilinearGerm(Germ(base, coeffs), int(doc["length"]))
-    if kind == "neighborhood":
-        return FirstNeighborhood(tuple(_poly_from_json(ring, c) for c in doc["point"]))
-    raise FileFormatError(f"unknown piece type {kind!r}")
+    if fam.get("kind") == "schemes":
+        pieces = [piece_from_dict(p, poly) for p in _get(fam, "schemes", list)]
+        return param, ("schemes", pieces), limit
+    if fam.get("kind") == "basis":
+        basis = [list(_coords(vec, poly)) for vec in _get(fam, "basis", list)]
+        if any(len(v) != param.dim_W for v in basis):
+            raise FileFormatError("basis vector length does not match the variety's ambient space")
+        return param, ("basis", basis), limit
+    raise FileFormatError(f"unknown family kind {fam.get('kind')!r}")
 
 
 def load_family(path):
@@ -234,26 +251,4 @@ def load_family(path):
     scheme pieces with polynomial chart data ("schemes" kind) or a list of
     polynomial basis vectors ("basis" kind).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"{path}: invalid JSON: {e}") from None
-    if doc.get("format") != FAMILY_FORMAT:
-        raise FileFormatError(f"missing or unknown format marker {doc.get('format')!r}")
-    try:
-        param = parse_variety(doc["variety"])
-        limit = scheme_from_dict(doc["limit"])
-        fam = doc["family"]
-        ring = PolyRing(QQ)
-        if fam.get("kind") == "schemes":
-            pieces = [_family_piece_from_dict(ring, p) for p in fam["schemes"]]
-            return param, ("schemes", pieces), limit
-        if fam.get("kind") == "basis":
-            basis = [[_poly_from_json(ring, e) for e in vec] for vec in fam["basis"]]
-            if any(len(v) != param.dim_W for v in basis):
-                raise FileFormatError("basis vector length does not match the variety's ambient space")
-            return param, ("basis", basis), limit
-        raise FileFormatError(f"unknown family kind {fam.get('kind')!r}")
-    except KeyError as e:
-        raise FileFormatError(f"family file is missing key {e}") from None
+    return family_from_dict(_read_json(path))

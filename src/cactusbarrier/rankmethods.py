@@ -47,12 +47,6 @@ class LinearMatrixMap:
     w_shape: tuple | None = None
     spec: str | None = None
 
-    def coeff(self, w: int, i: int, j: int) -> Fraction:
-        for (ci, cj, c) in self.cells.get(w, ()):
-            if ci == i and cj == j:
-                return Fraction(c)
-        return Fraction(0)
-
 
 def evaluate_map(m: LinearMatrixMap, vec: list, field=QQ) -> Matrix:
     """The a x b matrix M(F) for a W-vector F over `field`."""

@@ -40,9 +40,8 @@ from .fields import QQ, PolyRing, PrimeField, RationalField
 from .varieties import (
     Germ,
     VarietyParam,
-    evaluate,
+    check_characteristic,
     evaluate_in_ring,
-    jet_vectors,
     jet_vectors_in_ring,
     tangent_vectors_in_ring,
 )
@@ -136,14 +135,32 @@ def validate_scheme(param: VarietyParam, scheme: FiniteScheme) -> None:
                 raise ValueError("curvilinear germ needs a nonzero first-order direction")
 
 
-def piece_span_vectors(param: VarietyParam, piece: Piece, field=QQ) -> list[list]:
-    if isinstance(piece, ReducedPoint):
-        return [evaluate(param, piece.point, field)]
+def map_coords(piece: Piece, fn) -> Piece:
+    """The same piece with `fn` applied to every chart coordinate, base first, then coeffs."""
     if isinstance(piece, CurvilinearGerm):
-        return jet_vectors(param, piece.germ, piece.length, field)
+        base = tuple(fn(x) for x in piece.germ.base)
+        coeffs = tuple(tuple(fn(x) for x in c) for c in piece.germ.coeffs)
+        return CurvilinearGerm(Germ(base, coeffs), piece.length)
+    if isinstance(piece, (ReducedPoint, FirstNeighborhood)):
+        return type(piece)(tuple(fn(x) for x in piece.point))
+    raise TypeError(f"unknown piece type {type(piece).__name__}")
+
+
+def piece_span_vectors(param: VarietyParam, piece: Piece, ring) -> list[list]:
+    """Spanning vectors of one piece whose chart coordinates are elements of `ring`.
+
+    The ring is a field for a scheme, and a polynomial ring in t for a family.
+    """
+    if isinstance(piece, ReducedPoint):
+        return [evaluate_in_ring(param, list(piece.point), ring)]
+    if isinstance(piece, CurvilinearGerm):
+        check_characteristic(ring, param, piece.length)
+        return jet_vectors_in_ring(
+            param, list(piece.germ.base), [list(c) for c in piece.germ.coeffs],
+            piece.length, ring,
+        )
     if isinstance(piece, FirstNeighborhood):
-        coords = [field.of(x) for x in piece.point]
-        return tangent_vectors_in_ring(param, coords, field)
+        return tangent_vectors_in_ring(param, list(piece.point), ring)
     raise TypeError(f"unknown piece type {type(piece).__name__}")
 
 
@@ -152,7 +169,7 @@ def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> 
     validate_scheme(param, scheme)
     out = []
     for p in scheme.pieces:
-        out.extend(piece_span_vectors(param, p, field))
+        out.extend(piece_span_vectors(param, map_coords(p, field.of), field))
     return out
 
 
@@ -366,20 +383,6 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     raise RuntimeError("t-saturation did not stabilize; malformed family")
 
 
-def family_piece_span_vectors(param: VarietyParam, piece: Piece, ring: PolyRing) -> list[list]:
-    """Spanning vectors of one family piece whose chart data are polynomials in t."""
-    if isinstance(piece, ReducedPoint):
-        return [evaluate_in_ring(param, list(piece.point), ring)]
-    if isinstance(piece, CurvilinearGerm):
-        return jet_vectors_in_ring(
-            param, list(piece.germ.base), [list(c) for c in piece.germ.coeffs],
-            piece.length, ring,
-        )
-    if isinstance(piece, FirstNeighborhood):
-        return tangent_vectors_in_ring(param, list(piece.point), ring)
-    raise TypeError(f"unknown piece type {type(piece).__name__}")
-
-
 def family_span(param: VarietyParam, pieces, ring: PolyRing | None = None) -> SpanFamily:
     """SpanFamily of a scheme family, keeping a generically independent subset.
 
@@ -394,7 +397,7 @@ def family_span(param: VarietyParam, pieces, ring: PolyRing | None = None) -> Sp
         ring = PolyRing(QQ)
     raw = []
     for p in pieces:
-        raw.extend(family_piece_span_vectors(param, p, ring))
+        raw.extend(piece_span_vectors(param, p, ring))
     cert = _RankCertificate(ring, param.dim_W)
     kept: list = []
     for v in raw:
@@ -418,6 +421,16 @@ class LimitComparison:
         return self.inclusion_holds and self.dim_span_limit < self.dim_limit_spans
 
 
+def compare_limit(param: VarietyParam, fam: SpanFamily,
+                  limit_scheme: FiniteScheme) -> LimitComparison:
+    """Check that the span of the stated limit lies inside the limit of the family's spans."""
+    lim = limit_of_spans(fam)
+    span0 = scheme_span(param, limit_scheme, fam.ring.base)
+    builder = lim.builder()
+    inclusion = all(builder.contains(v) for v in span0.basis)
+    return LimitComparison(span0.dim, lim.dim, inclusion)
+
+
 def span_of_limit_vs_limit_of_spans(param: VarietyParam, family_pieces,
                                     limit_scheme: FiniteScheme, field=QQ) -> LimitComparison:
     """Check that the span of the stated limit lies inside the limit of the spans.
@@ -425,31 +438,13 @@ def span_of_limit_vs_limit_of_spans(param: VarietyParam, family_pieces,
     The family is a list of pieces whose chart data are polynomials in t; the
     flat limit at t=0 is supplied by the caller, not computed.
     """
-    ring = PolyRing(field)
-    fam = family_span(param, family_pieces, ring)
-    lim = limit_of_spans(fam)
-    span0 = scheme_span(param, limit_scheme, field)
-    builder = lim.builder()
-    inclusion = all(builder.contains(v) for v in span0.basis)
-    return LimitComparison(span0.dim, lim.dim, inclusion)
+    return compare_limit(param, family_span(param, family_pieces, PolyRing(field)), limit_scheme)
 
 
 def constant_family_pieces(pieces, field=QQ) -> list:
     """Lift a rational scheme to a constant-in-t family (each coordinate a constant polynomial)."""
     ring = PolyRing(field)
-    out = []
-    for p in pieces:
-        if isinstance(p, ReducedPoint):
-            out.append(ReducedPoint(tuple(ring.of(x) for x in p.point)))
-        elif isinstance(p, CurvilinearGerm):
-            base = tuple(ring.of(x) for x in p.germ.base)
-            coeffs = tuple(tuple(ring.of(x) for x in c) for c in p.germ.coeffs)
-            out.append(CurvilinearGerm(Germ(base, coeffs), p.length))
-        elif isinstance(p, FirstNeighborhood):
-            out.append(FirstNeighborhood(tuple(ring.of(x) for x in p.point)))
-        else:
-            raise TypeError(f"unknown piece type {type(p).__name__}")
-    return out
+    return [map_coords(p, ring.of) for p in pieces]
 
 
 def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2, field=QQ) -> list:
@@ -463,16 +458,4 @@ def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2, f
     def wiggle(x):
         return ring.from_coeffs([x] + [rng.randint(-bound, bound) for _ in range(tdeg)])
 
-    out = []
-    for p in scheme.pieces:
-        if isinstance(p, ReducedPoint):
-            out.append(ReducedPoint(tuple(wiggle(x) for x in p.point)))
-        elif isinstance(p, CurvilinearGerm):
-            base = tuple(wiggle(x) for x in p.germ.base)
-            coeffs = tuple(tuple(wiggle(x) for x in c) for c in p.germ.coeffs)
-            out.append(CurvilinearGerm(Germ(base, coeffs), p.length))
-        elif isinstance(p, FirstNeighborhood):
-            out.append(FirstNeighborhood(tuple(wiggle(x) for x in p.point)))
-        else:
-            raise TypeError(f"unknown piece type {type(p).__name__}")
-    return out
+    return [map_coords(p, wiggle) for p in scheme.pieces]

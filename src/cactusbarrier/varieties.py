@@ -186,7 +186,7 @@ def evaluate(param: VarietyParam, chart_point, field=QQ) -> list:
     return evaluate_in_ring(param, [field.of(x) for x in chart_point], field)
 
 
-def _check_characteristic(field, param: VarietyParam, jet_length: int) -> None:
+def check_characteristic(field, param: VarietyParam, jet_length: int) -> None:
     if field.char and field.char <= param.max_degree * jet_length:
         raise ValueError(
             f"characteristic {field.char} too small for degree {param.max_degree} "
@@ -212,7 +212,7 @@ def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: i
 
 
 def jet_vectors(param: VarietyParam, germ: Germ, length: int, field=QQ) -> list[list]:
-    _check_characteristic(field, param, length)
+    check_characteristic(field, param, length)
     base = [field.of(x) for x in germ.base]
     coeffs = [[field.of(x) for x in c] for c in germ.coeffs]
     return jet_vectors_in_ring(param, base, coeffs, length, field)
@@ -239,7 +239,7 @@ def tangent_vectors_in_ring(param: VarietyParam, coords: list, ring) -> list[lis
 
 def tangent_frame(param: VarietyParam, chart_point, field=QQ) -> Subspace:
     """Affine tangent space of the cone at a chart point; dim = dim_X + 1 here."""
-    _check_characteristic(field, param, 2)
+    check_characteristic(field, param, 2)
     coords = [field.of(x) for x in chart_point]
     return subspace_from_vectors(
         field, param.dim_W, tangent_vectors_in_ring(param, coords, field)

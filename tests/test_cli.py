@@ -306,7 +306,7 @@ def test_scheme_spec_seed_freezes_scheme():
 
 
 def test_custom_method_is_built_once_per_verify(tmp_path, monkeypatch):
-    # one k estimate for the validation method and one for the trials,
+    # one k estimate, shared by the --validate-k check and every trial,
     # however many trials run
     import cactusbarrier.rankmethods as rankmethods
 
@@ -321,7 +321,7 @@ def test_custom_method_is_built_once_per_verify(tmp_path, monkeypatch):
         calls.clear()
         code, _ = run(argv + ["--trials", str(trials)])
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
     _, serial = run(argv + ["--trials", "5"])
     _, pooled = run(argv + ["--trials", "5", "--jobs", "2"])
     assert serial == pooled
@@ -361,3 +361,52 @@ def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal failure" in err
+
+
+def test_bound_takes_method_and_k_from_the_reported_variety(tmp_path):
+    # the 2x2x2 tensor e0 x (e0 + e3) is a point of segre:2x4: border rank 1
+    path = tmp_path / "point.json"
+    save_tensor(path, DenseTensor((2, 2, 2), [1, 0, 0, 1, 0, 0, 0, 0]))
+    argv = ["bound", "--tensor", str(path), "--variety", "segre:2x4"]
+    # a split of the file's three modes is not a method on segre:2x4
+    code, out = run(argv + ["--method", "flattening:split=12|3"])
+    assert code == 2 and out == ""
+    code, out = run(argv + ["--method", "flattening:split=1|2"])
+    assert code == 0
+    assert "rank M(F) = 1" in out and "border rank >= 1" in out
+
+
+def test_bound_denominator_vanishing_mod_prime_is_input_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    save_tensor(path, DenseTensor((2, 2, 2), ["1/2147483647", 0, 0, 1, 0, 0, 0, 0]))
+    argv = ["bound", "--tensor", str(path), "--method", "flattening:split=1|23"]
+    code, _ = run(argv + ["--field", "p:2147483647"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1/2147483647" in err and "--field q" in err
+    code, out = run(argv)
+    assert code == 0 and "rank M(F) = 1" in out
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("bound", {"format": "tensorfile/1", "kind": "dense", "entries": []}),
+    ("bound", [1, 2]),
+    ("verify", [1, 2]),
+    ("limit", [1, 2]),
+    ("limit", {"format": "spanfamily/1", "variety": "veronese:1,1",
+               "limit": {"pieces": []}, "family": [1]}),
+    ("limit", {"format": "spanfamily/1", "variety": "veronese:1,1",
+               "limit": {"pieces": []},
+               "family": {"kind": "schemes", "schemes": [{"type": "reduced", "point": 5}]}}),
+])
+def test_malformed_input_file_exits_2(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "bound": ["bound", "--tensor", str(path), "--method", "flattening:split=1|23"],
+        "verify": ["verify", "--variety", "segre:2x2x2", "--scheme", str(path),
+                   "--method", "flattening:split=1|23", "--trials", "1"],
+        "limit": ["limit", "--family", str(path)],
+    }[command]
+    code, _ = run(argv)
+    assert code == 2

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
@@ -177,3 +179,83 @@ def test_rank_of_rows_prime_field_matches_default_prime():
     rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     assert rank_of_rows(gf, rows) == 2
     assert rank_of_rows(QQ, [[Fraction(x) for x in r] for r in rows]) == 2
+
+
+# -- sympy oracle for kernels and membership ---------------------------------
+
+_ORACLE_FIELDS = [QQ, PrimeField(7), PrimeField(101), PrimeField(DEFAULT_PRIME)]
+
+
+def _sympy_rank(field, rows, ncols) -> int:
+    from sympy import GF
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not rows:
+        return 0
+    if field == QQ:
+        dom, conv = SQQ, lambda x: SQQ(x.numerator, x.denominator)
+    else:
+        dom = GF(field.p)
+        conv = dom
+    return DomainMatrix([[conv(x) for x in row] for row in rows],
+                        (len(rows), ncols), dom).rank()
+
+
+@st.composite
+def _oracle_matrices(draw):
+    """(field, rows, ncols): small, often tall, and often rank-deficient."""
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    if field == QQ:
+        entry = st.fractions(-3, 3, max_denominator=4)
+    else:
+        entry = st.one_of(st.integers(-3, 3), st.integers(0, field.p - 1)).map(field.of)
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(1, 7))
+    free = draw(st.integers(1, nrows))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=free, max_size=free))
+    while len(rows) < nrows:  # integer combinations of earlier rows
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        rows.append([field.of(sum(field.mul(field.of(c), r[j]) for c, r in zip(coeffs, rows)))
+                     for j in range(ncols)])
+    return field, draw(st.permutations(rows)), ncols
+
+
+def _dot(field, a, b):
+    acc = field.zero
+    for x, y in zip(a, b):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_oracle_matrices())
+def test_nullspace_matches_sympy(case):
+    field, rows, ncols = case
+    basis = nullspace(Matrix(field, rows))
+    assert len(basis) == ncols - _sympy_rank(field, rows, ncols)
+    assert _sympy_rank(field, basis, ncols) == len(basis)
+    for v in basis:
+        assert all(field.is_zero(_dot(field, row, v)) for row in rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_oracle_matrices(), st.data())
+def test_solve_membership_matches_sympy(case, data):
+    field, rows, ncols = case
+    s = subspace_from_vectors(field, ncols, rows)
+    if data.draw(st.booleans()):  # a combination of the rows
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        target = [_dot(field, [field.of(c) for c in coeffs], [r[j] for r in rows])
+                  for j in range(ncols)]
+    else:
+        target = [field.of(x) for x in data.draw(
+            st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))]
+    x = solve_membership(s, target)
+    inside = _sympy_rank(field, s.basis + [target], ncols) == _sympy_rank(field, s.basis, ncols)
+    assert (x is not None) == inside
+    if x is not None:
+        assert len(x) == s.dim
+        for j in range(ncols):
+            assert field.eq(_dot(field, x, [b[j] for b in s.basis]), target[j])
