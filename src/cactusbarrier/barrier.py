@@ -19,12 +19,12 @@ from .exactalg import (
     DEFAULT_PRIME,
     Subspace,
     SpanBuilder,
-    rank,
+    clear_denominators,
     rank_of_rows,
     sample_combination,
 )
 from .fields import QQ, PrimeField
-from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map
+from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image
 from .schemes import FiniteScheme, scheme_span, scheme_span_vectors
 from .varieties import VarietyParam, parse_variety
 
@@ -74,18 +74,19 @@ def _screen_and_confirm(method: RankMethod, raw: list, f_q: list, cap: int,
                         prime: int | None, confirm: str) -> tuple:
     """(rank, span_dim, field name, fp_rank, qq_confirmed) of F = f_q under a confirm policy.
 
-    span_dim is the rank of the sampled-from vectors `raw`, over the field
-    the reported rank comes from.
+    M(F) is evaluated once, as integer rows, and both the screen and the
+    confirmation rank those rows. span_dim is the rank of the sampled-from
+    vectors `raw`, over the field the reported rank comes from.
     """
+    rows = integer_image(method.map, f_q, prime)
     fp_rank = None
     if prime is not None:
         gf = PrimeField(prime)
-        fp_rank = rank(evaluate_map(method.map, [gf.of(x) for x in f_q], gf))
+        fp_rank = rank_of_rows(gf, rows)
         if confirm == "never" or (confirm == "tight" and fp_rank < cap):
-            span_dim = rank_of_rows(gf, [[gf.of(x) for x in v] for v in raw])
+            span_dim = rank_of_rows(gf, [clear_denominators(v, prime) for v in raw])
             return fp_rank, span_dim, gf.name, fp_rank, False
-    rank_q = rank(evaluate_map(method.map, f_q, QQ))
-    return rank_q, rank_of_rows(QQ, raw), "QQ", fp_rank, True
+    return rank_of_rows(QQ, rows), rank_of_rows(QQ, raw), "QQ", fp_rank, True
 
 
 def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMethod,

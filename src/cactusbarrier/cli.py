@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from multiprocessing import Pool
 
 from .barrier import UnsupportedVarietyError, ceilings, verify_instance
-from .exactalg import DEFAULT_PRIME, rank
+from .exactalg import DEFAULT_PRIME, clear_denominators
 from .fields import QQ, PolyRing, PrimeField, is_probable_prime
 from .fileformats import (
     FileFormatError,
@@ -36,7 +36,7 @@ from .rankmethods import (
     SymmetricForm,
     check_k_consistency,
     estimate_k,
-    evaluate_map,
+    map_rank,
     parse_method,
 )
 from .schemes import (
@@ -264,8 +264,8 @@ def cmd_bound(args, out) -> int:
     if method.k < 1:
         raise CliError("method constant k is zero on this variety; no bound")
     with _prime_reduction(args.tensor):
-        vec = tensor.to_vector(field)
-    r = rank(evaluate_map(method.map, vec, field))
+        vec = clear_denominators(tensor.to_vector(), prime)
+    r = map_rank(method.map, vec, field)
     bound_val = -(-r // method.k)
     result = {
         "variety": param.spec,
@@ -384,6 +384,16 @@ def cmd_estimate_k(args, out) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cactus-barrier",
@@ -394,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, field_default):
         p.add_argument("--seed", type=int, default=None,
                        help=f"root seed (default: ${ENV_SEED} or 0)")
-        p.add_argument("--bound", type=int, default=3,
-                       help="coefficient height for random data")
+        p.add_argument("--bound", type=_positive_int, default=3,
+                       help="coefficient height for random data (at least 1)")
         p.add_argument("--field", default=field_default,
                        help="q for rationals or p:PRIME for screening")
         p.add_argument("--format", choices=("text", "json"), default="text")

@@ -1,10 +1,16 @@
 """Exact dense linear algebra: ranks, kernels, subspace arithmetic, span sampling.
 
-Ranks over the rationals go through fraction-free (Bareiss) elimination on
-integer-cleared rows so coefficient growth stays polynomial; prime fields use
-plain elimination. Matrices over a polynomial ring (needed for generic ranks
-of one-parameter families) reuse the Bareiss path, which only requires exact
-division.
+Ranks are taken on plain Python ints wherever the rows allow it. Over the
+rationals, each row is cleared of denominators through `.numerator` and
+`.denominator` and ranked by fraction-free (Bareiss) elimination, so
+coefficient growth stays polynomial; over a prime field, ints are reduced
+mod p by plain elimination. The barrier check hands both routines the same
+integer rows of M(F) (see `rankmethods.integer_image`). Fractions remain
+where elements must be divided: spans and factor subspaces (`SpanBuilder`),
+kernels and membership. Sampling over QQ sums integer numerators over one
+common denominator. Matrices over a polynomial ring (needed for generic
+ranks of one-parameter families) reuse the Bareiss path, which only
+requires exact division.
 """
 
 from __future__ import annotations
@@ -57,31 +63,38 @@ class Matrix:
 
 
 def _rank_int_bareiss(rows: list[list[int]]) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [row[:] for row in rows]
+    # Fraction-free (Bareiss) elimination; overwrites `rows`. A row with a
+    # zero in the pivot column is skipped instead of multiplied through:
+    # level[i] is the pivot that last updated row i (1 if none), so its
+    # Bareiss entries are the stored ones times prev / level[i]. Updating the
+    # row, or rescaling it when it becomes the pivot row, divides by
+    # level[i] exactly.
+    a = rows
+    m = len(a)
+    n = len(a[0]) if a else 0
+    level = [1] * m
     rank = 0
     prev = 1
     for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
             continue
-        if piv != rank:
-            a[piv], a[rank] = a[rank], a[piv]
-        pv = a[rank][col]
+        a[rank], a[piv] = a[piv], a[rank]
+        level[rank], level[piv] = level[piv], level[rank]
+        ar = a[rank]
+        d = level[rank]
+        if d != prev:
+            for j in range(col, n):
+                ar[j] = ar[j] * prev // d
+        pv = ar[col]
         for i in range(rank + 1, m):
             ai = a[i]
-            ar = a[rank]
-            aic = ai[col]
-            for j in range(col + 1, n):
-                ai[j] = (pv * ai[j] - aic * ar[j]) // prev
-            ai[col] = 0
+            c = ai[col]
+            if c:
+                d = level[i]
+                for j in range(col + 1, n):
+                    ai[j] = (pv * ai[j] - c * ar[j]) // d
+                level[i] = pv
         prev = pv
         rank += 1
         if rank == m:
@@ -153,20 +166,43 @@ def _rank_domain_bareiss(rows: list, ring: PolyRing) -> int:
     return rank
 
 
-def _clear_row_denominators(row: list[Fraction]) -> list[int]:
-    lcm = 1
-    for x in row:
-        lcm = math.lcm(lcm, x.denominator)
-    return [int(x * lcm) for x in row]
+def common_denominator(xs, prime: int | None = None) -> int:
+    """Least common denominator of the rationals (or ints) `xs`.
+
+    With `prime`, a denominator that the prime divides raises the
+    ZeroDivisionError of `PrimeField.of`: `xs` has no image mod the prime.
+    """
+    den = math.lcm(*[x.denominator for x in xs])
+    if prime is not None and den % prime == 0:
+        bad = next(x for x in xs if x.denominator % prime == 0)
+        raise ZeroDivisionError(f"denominator of {bad} vanishes mod {prime}")
+    return den
+
+
+def clear_denominators(row: list, prime: int | None = None) -> list[int]:
+    """`row` times its least common denominator, as a new list of ints.
+
+    The scaling keeps the rank of any set of rows over QQ, and mod `prime`
+    too, since the prime cannot divide the denominator (see
+    `common_denominator`).
+    """
+    den = common_denominator(row, prime)
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def rank_of_rows(field, rows: list) -> int:
-    """Exact rank of a list of row vectors over `field`."""
+    """Exact rank of a list of row vectors over `field`.
+
+    Over QQ the rows may hold Fractions or ints; over a prime field, any
+    ints, which are reduced mod p.
+    """
     rows = [row for row in rows if row]
     if not rows:
         return 0
     if isinstance(field, RationalField):
-        return _rank_int_bareiss([_clear_row_denominators([Fraction(x) for x in row]) for row in rows])
+        return _rank_int_bareiss([clear_denominators(row) for row in rows])
     if isinstance(field, PrimeField):
         return _rank_mod_p(rows, field.p)
     if isinstance(field, PolyRing):
@@ -330,18 +366,32 @@ def sample_combination(field, vectors: list, bound: int, rng) -> tuple[list, lis
 
     Returns (coefficients, vector). All-zero draws are skipped, and so is a
     draw whose combination vanishes, which only dependent vectors allow.
+    Over QQ the sums run on integer numerators over one common denominator.
     """
     n = len(vectors[0])
+    if isinstance(field, RationalField):
+        den = common_denominator([x for v in vectors for x in v])
+        ints = [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
+
+        def combine(coeffs):
+            out = [0] * n
+            for c, v in zip(coeffs, ints):
+                if c:
+                    out = [o + c * x for o, x in zip(out, v)]
+            return [Fraction(o, den) for o in out]
+    else:
+        def combine(coeffs):
+            out = [field.zero] * n
+            for c, v in zip(coeffs, vectors):
+                if c:
+                    fc = field.of(c)
+                    out = [field.add(o, field.mul(fc, x)) for o, x in zip(out, v)]
+            return out
     for _ in range(64):
         coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
         if not any(coeffs):
             continue
-        out = [field.zero] * n
-        for c, v in zip(coeffs, vectors):
-            if c:
-                fc = field.of(c)
-                for j in range(n):
-                    out[j] = field.add(out[j], field.mul(fc, v[j]))
+        out = combine(coeffs)
         if any(not field.is_zero(x) for x in out):
             return coeffs, out
     raise RuntimeError("could not sample a nonzero span element")

@@ -9,6 +9,13 @@ Conventions fixed here for determinism: wedge bases are ordered lexicographicall
 with signs from sorted-index insertion, and the pairing between dual monomials
 and coefficients is plain coefficient extraction with no factorial weights, so
 everything stays exact in any characteristic.
+
+Ranks of M(F) are taken on integer rows: `integer_image` evaluates
+M(lambda * mu * F) over Z, with lambda clearing the denominators of F and mu
+those of the map's coefficients (computed once per map). Those rows serve
+the prime-field screen and the rational rank alike. `evaluate_map` keeps
+building M(F) over a field for callers that need field elements, such as
+factor subspaces.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
-from .exactalg import Matrix, rank
-from .fields import QQ
+from .exactalg import Matrix, clear_denominators, common_denominator, rank_of_rows
+from .fields import QQ, PrimeField
 from .varieties import (
     VarietyParam,
     homogeneous_exponents,
@@ -46,6 +54,46 @@ class LinearMatrixMap:
     cells: dict
     w_shape: tuple | None = None
     spec: str | None = None
+
+    @cached_property
+    def integer_cells(self) -> tuple[int, dict]:
+        """(mu, cells with every coefficient times mu, as ints).
+
+        mu is the least common denominator of the coefficients: 1 for the
+        builtin maps, possibly more for a custom map's rational cells.
+        """
+        mu = common_denominator([c for cs in self.cells.values() for _, _, c in cs])
+        return mu, {w: [(i, j, c.numerator * (mu // c.denominator)) for i, j, c in cs]
+                    for w, cs in self.cells.items()}
+
+
+def integer_image(m: LinearMatrixMap, vec: list, prime: int | None = None) -> list[list[int]]:
+    """Rows of M(lambda * mu * F) as ints, for a W-vector F of rationals or ints.
+
+    lambda clears the denominators of F and mu those of the map (see
+    `LinearMatrixMap.integer_cells`). The scaling keeps the rank over QQ,
+    and the rank mod `prime` when the prime divides neither; when it divides
+    one, ZeroDivisionError is raised, as `PrimeField.of` raises it.
+    """
+    if len(vec) != m.w:
+        raise ValueError(f"vector length {len(vec)} does not match W-dimension {m.w}")
+    mu, cells = m.integer_cells
+    if prime is not None and mu % prime == 0:
+        raise ZeroDivisionError(f"a coefficient denominator of {m.spec} vanishes mod {prime}")
+    f = clear_denominators(vec, prime)
+    out = [[0] * m.b for _ in range(m.a)]
+    for w, cs in cells.items():
+        fw = f[w]
+        if fw:
+            for (i, j, c) in cs:
+                out[i][j] += c * fw
+    return out
+
+
+def map_rank(m: LinearMatrixMap, vec: list, field=QQ) -> int:
+    """rank M(F) over QQ or a prime field, taken on the integer image of M."""
+    prime = field.p if isinstance(field, PrimeField) else None
+    return rank_of_rows(field, integer_image(m, vec, prime))
 
 
 def evaluate_map(m: LinearMatrixMap, vec: list, field=QQ) -> Matrix:
@@ -228,7 +276,7 @@ def estimate_k(m: LinearMatrixMap, param: VarietyParam, trials: int, bound: int,
     best = 0
     for _ in range(trials):
         x = random_point(param, bound, rng, field)
-        best = max(best, rank(evaluate_map(m, x, field)))
+        best = max(best, map_rank(m, x, field))
     return best
 
 
@@ -244,7 +292,7 @@ def check_k_consistency(method: RankMethod, param: VarietyParam, trials: int,
     best = 0
     for _ in range(trials):
         x = random_point(param, bound, rng, field)
-        r = rank(evaluate_map(method.map, x, field))
+        r = map_rank(method.map, x, field)
         if r > method.k:
             raise ArithmeticError(
                 f"method {method.spec} claims k={method.k} but a chart point has rank {r}"
@@ -257,7 +305,7 @@ def lower_bound(method: RankMethod, vec: list, field=QQ) -> int:
     """ceil(rank M(F) / k): a lower bound for border rank and border cactus rank."""
     if method.k < 1:
         raise ValueError("method constant k is zero; the method is vacuous here")
-    r = rank(evaluate_map(method.map, vec, field))
+    r = map_rank(method.map, vec, field)
     return -(-r // method.k)
 
 

@@ -327,6 +327,61 @@ def test_custom_method_is_built_once_per_verify(tmp_path, monkeypatch):
     assert serial == pooled
 
 
+@pytest.mark.parametrize("confirm", ["tight", "full"])
+def test_verify_instance_evaluates_map_once(monkeypatch, confirm):
+    # the prime screen and the rational confirmation rank the same integer
+    # rows of M(F); no instance builds M(F) a second time
+    import cactusbarrier.barrier as barrier
+
+    calls = []
+
+    def counting(name):
+        real = getattr(barrier, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("integer_image", "evaluate_map"):
+        monkeypatch.setattr(barrier, name, counting(name))
+    trials = 4
+    code, out = run(["verify", "--variety", "segre:3x3x3", "--scheme", "random:deg=3",
+                     "--method", "koszul:p=1", "--trials", str(trials), "--seed", "11",
+                     "--confirm", confirm, "--format", "json"])
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert len(reports) == trials
+    if confirm == "full":
+        assert all(r["qq_confirmed"] and r["fp_rank"] is not None for r in reports)
+    assert calls == ["integer_image"] * trials
+
+
+_BOUND_COMMANDS = {
+    "bound": ["bound", "--tensor", "{golden}/diag333.json", "--method", "flattening:split=1|23"],
+    "verify": ["verify", "--variety", "segre:2x2x2", "--scheme", "{golden}/scheme_segre222.json",
+               "--method", "koszul:p=1", "--trials", "1"],
+    "ceiling": ["ceiling", "--variety", "segre:2x2x2"],
+    "limit": ["limit", "--family", "{fixtures}/tangent_collision.json"],
+    "estimate-k": ["estimate-k", "--variety", "segre:2x2x2", "--method", "koszul:p=1",
+                   "--trials", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BOUND_COMMANDS))
+def test_bound_below_one_is_usage_error(command, capsys):
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    argv = [a.format(golden=golden, fixtures=FIXTURES) for a in _BOUND_COMMANDS[command]]
+    code, _ = run(argv + ["--bound", "1"])
+    assert code == 0
+    capsys.readouterr()
+    for value in ("0", "-1"):
+        code, out = run(argv + ["--bound", value])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "--bound" in err and f"must be a positive integer, got {value}" in err
+
+
 def test_reduced_piece_without_point_is_input_error(tmp_path):
     with pytest.raises(FileFormatError, match="point"):
         scheme_from_dict({"pieces": [{"type": "reduced"}]})

@@ -10,10 +10,13 @@ from cactusbarrier.exactalg import (
     FieldMismatchError,
     Matrix,
     Subspace,
+    _rank_int_bareiss,
+    clear_denominators,
     nullspace,
     random_in_span,
     rank,
     rank_of_rows,
+    sample_combination,
     solve_membership,
     span_sum,
     subspace_contains,
@@ -259,3 +262,91 @@ def test_solve_membership_matches_sympy(case, data):
         assert len(x) == s.dim
         for j in range(ncols):
             assert field.eq(_dot(field, x, [b[j] for b in s.basis]), target[j])
+
+
+# -- integer rows: Bareiss against sympy, denominator clearing, sampling ------
+
+@st.composite
+def _int_matrices(draw):
+    """Integer rows, often sparse and rank-deficient, with zero rows and columns."""
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(1, 8))
+    free = draw(st.integers(0, nrows))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=free, max_size=free))
+    while len(rows) < nrows:  # zero rows when there is nothing to combine
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_matrices())
+def test_integer_bareiss_matches_sympy(case):
+    rows, ncols = case
+    expected = _sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], ncols)
+    assert _rank_int_bareiss([row[:] for row in rows]) == expected
+    assert rank_of_rows(QQ, rows) == expected
+    # the same rows as Fractions with a common denominator per row
+    scaled = [[Fraction(x, 6 * (i + 1)) for x in row] for i, row in enumerate(rows)]
+    assert rank_of_rows(QQ, scaled) == expected
+
+
+def test_clear_denominators_and_prime_check():
+    row = [Fraction(1, 3), Fraction(-3, 4), 2, Fraction(0)]
+    assert clear_denominators(row) == [4, -9, 24, 0]
+    assert clear_denominators([3, -1]) == [3, -1]
+    assert clear_denominators(row, 5) == [4, -9, 24, 0]
+    with pytest.raises(ZeroDivisionError, match="of -3/4 vanishes mod 2"):
+        clear_denominators(row, 2)
+    with pytest.raises(ZeroDivisionError, match="of 1/3 vanishes mod 3"):
+        clear_denominators(row, 3)
+    # PrimeField.of raises the same error for the same entry
+    with pytest.raises(ZeroDivisionError, match="of -3/4 vanishes mod 2"):
+        PrimeField(2).of(Fraction(-3, 4))
+
+
+def _fraction_sample_combination(field, vectors, bound, rng):
+    """The sampler as it was written over field elements, kept as a reference."""
+    n = len(vectors[0])
+    for _ in range(64):
+        coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
+        if not any(coeffs):
+            continue
+        out = [field.zero] * n
+        for c, v in zip(coeffs, vectors):
+            if c:
+                fc = field.of(c)
+                for j in range(n):
+                    out[j] = field.add(out[j], field.mul(fc, v[j]))
+        if any(not field.is_zero(x) for x in out):
+            return coeffs, out
+    raise RuntimeError("could not sample a nonzero span element")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32),
+       st.data())
+def test_sample_combination_matches_fraction_sums(n, count, bound, seed, data):
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=12))
+    vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                 min_size=count, max_size=count))
+    if data.draw(st.booleans()):  # a dependent pair, so that some draws vanish
+        vectors.append([-x for x in vectors[0]])
+    for field in (QQ, PrimeField(101)):
+        vecs = vectors if field == QQ else [[x.numerator for x in v] for v in vectors]
+        new, ref = random.Random(seed), random.Random(seed)
+        try:
+            expected = _fraction_sample_combination(field, vecs, bound, ref)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                sample_combination(field, vecs, bound, new)
+        else:
+            coeffs, f = sample_combination(field, vecs, bound, new)
+            assert (coeffs, f) == expected
+            assert all(type(x) is type(y) for x, y in zip(f, expected[1]))
+        assert new.getstate() == ref.getstate()

@@ -4,11 +4,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cactusbarrier.exactalg import rank
-from cactusbarrier.fields import PrimeField
+from cactusbarrier.exactalg import DEFAULT_PRIME, rank, rank_of_rows
+from cactusbarrier.fields import QQ, PrimeField
 from cactusbarrier.rankmethods import (
     DenseTensor,
+    LinearMatrixMap,
     MethodSpecError,
     SymmetricForm,
     builtin_methods,
@@ -19,9 +22,11 @@ from cactusbarrier.rankmethods import (
     evaluate_map,
     flattening,
     flattening_method,
+    integer_image,
     koszul_flattening,
     koszul_method,
     lower_bound,
+    map_rank,
     parse_method,
 )
 from cactusbarrier.varieties import parse_variety, random_point
@@ -334,3 +339,66 @@ def test_dense_tensor_validation():
         DenseTensor.diagonal((2, 3), 3)
     with pytest.raises(ValueError):
         SymmetricForm(2, 3, {(1, 1): 1})
+
+
+# -- the integer image of M(F) against evaluate_map over QQ and GF(p) ---------
+
+_BUILTIN_MAPS = [
+    flattening((2, 2, 2), (0,)),
+    flattening((2, 3, 2), (0, 2)),
+    catalecticant(3, 3, 1),
+    catalecticant(2, 4, 2),
+    koszul_flattening((3, 3, 3), 1),
+    koszul_flattening((3, 2, 2), 2),
+]
+
+
+@st.composite
+def _custom_maps(draw):
+    """A small map with rational cells, some with denominators, some integral."""
+    w, a, b = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-3, 3).map(Fraction),
+                      st.fractions(-3, 3, max_denominator=7))
+    cells = {}
+    for wi in range(w):
+        for i in range(a):
+            for j in range(b):
+                c = draw(coeff)
+                if c and draw(st.booleans()):
+                    cells.setdefault(wi, []).append((i, j, c))
+    return LinearMatrixMap(a, b, w, cells, spec="custom")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(_BUILTIN_MAPS), _custom_maps()), st.data())
+def test_integer_image_ranks_match_evaluate_map(m, data):
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-4, 4).map(Fraction),
+                      st.fractions(-4, 4, max_denominator=10))
+    f = data.draw(st.lists(entry, min_size=m.w, max_size=m.w))
+    rows = integer_image(m, f)
+    assert all(type(x) is int for row in rows for x in row)
+    assert rank_of_rows(QQ, rows) == rank(evaluate_map(m, f, QQ)) == map_rank(m, f)
+    for p in (2, 3, 7, DEFAULT_PRIME):
+        gf = PrimeField(p)
+        denominators = [x.denominator for x in f]
+        denominators += [c.denominator for cs in m.cells.values() for _, _, c in cs]
+        if any(d % p == 0 for d in denominators):
+            with pytest.raises(ZeroDivisionError):
+                integer_image(m, f, p)
+            continue
+        expected = rank(evaluate_map(m, [gf.of(x) for x in f], gf))
+        assert rank_of_rows(gf, integer_image(m, f, p)) == expected
+        assert map_rank(m, f, gf) == expected
+
+
+def test_integer_image_scales_by_both_denominators():
+    m = LinearMatrixMap(1, 2, 2, {0: [(0, 0, Fraction(1, 2))], 1: [(0, 1, Fraction(2, 3))]})
+    assert m.integer_cells == (6, {0: [(0, 0, 3)], 1: [(0, 1, 4)]})
+    # lambda = 5 clears F, mu = 6 clears the cells: M(30 F) = [[3, 4]]
+    assert integer_image(m, [Fraction(1, 5), Fraction(1, 5)]) == [[3, 4]]
+    assert integer_image(m, [Fraction(1, 5), Fraction(1, 5)], 7) == [[3, 4]]
+    for p, bad in ((5, "1/5"), (2, "coefficient"), (3, "coefficient")):
+        with pytest.raises(ZeroDivisionError, match=bad):
+            integer_image(m, [Fraction(1, 5), Fraction(1, 5)], p)
+    with pytest.raises(ValueError, match="W-dimension"):
+        integer_image(m, [Fraction(1)])
