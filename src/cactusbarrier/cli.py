@@ -36,6 +36,7 @@ from .rankmethods import (
     SymmetricForm,
     check_k_consistency,
     estimate_k,
+    integer_image,
     map_rank,
     parse_method,
 )
@@ -119,14 +120,21 @@ def _parse_scheme_spec(spec: str):
     raise CliError(f"cannot interpret scheme spec {spec!r}")
 
 
-def _build_method(method_spec: str, param, rng) -> RankMethod:
+def _build_method(method_spec: str, param, rng, prime: int | None = None) -> RankMethod:
+    """The method of `method_spec`; with `prime`, its map must have an image mod the prime."""
     s = method_spec.replace(" ", "")
     if s.startswith("custom:file="):
         path = s[len("custom:file="):]
         t = load_tensor(path)
         if not isinstance(t, DenseTensor):
             raise CliError("custom method file must hold a dense (w, a, b) tensor")
-        cmap = custom_map_from_tensor(t)
+        cmap = custom_map_from_tensor(t, path)
+        if prime is not None:
+            # M(0) has an image mod the prime exactly when every coefficient
+            # does; checked once here rather than failing in every trial. The
+            # error names the file, which is the map's spec.
+            with _prime_reduction():
+                integer_image(cmap, [0] * cmap.w, prime)
         return parse_method("custom:" + path, param, rng=rng, custom_map=cmap)
     return parse_method(s, param)
 
@@ -156,12 +164,16 @@ def _verify_trial(payload: dict) -> dict:
 
 
 @contextmanager
-def _prime_reduction(path):
-    """Report a rational of the file at `path` that has no image mod the prime as an input error."""
+def _prime_reduction(path=None):
+    """Report a rational that has no image mod the prime as an input error.
+
+    `path` names the file the rational came from, unless the error names it.
+    """
     try:
         yield
-    except ZeroDivisionError as e:  # raised by PrimeField.of
-        raise CliError(f"{path}: {e}; use --field q") from None
+    except ZeroDivisionError as e:  # raised by PrimeField.of or integer_image
+        where = f"{path}: " if path else ""
+        raise CliError(f"{where}{e}; use --field q") from None
 
 
 def _load_verify_scheme(path, param, prime):
@@ -185,7 +197,8 @@ def cmd_verify(args, out) -> int:
     # one method for the k check and all trials; a custom method estimates k
     # from its own root-seeded rng, so every trial and every --jobs value sees
     # the same k
-    method = _build_method(args.method, param, random.Random(derive_seed(root, "custom-k")))
+    method = _build_method(args.method, param, random.Random(derive_seed(root, "custom-k")),
+                           prime)
     if args.validate_k:
         check_k_consistency(method, param, args.validate_k, args.bound,
                             random.Random(derive_seed(root, "validate")))
@@ -260,7 +273,7 @@ def cmd_bound(args, out) -> int:
     prime = _parse_field(args.field)
     field = QQ if prime is None else PrimeField(prime)
     rng = random.Random(derive_seed(_root_seed(args), "bound"))
-    method = _build_method(args.method, param, rng)
+    method = _build_method(args.method, param, rng, prime)
     if method.k < 1:
         raise CliError("method constant k is zero on this variety; no bound")
     with _prime_reduction(args.tensor):

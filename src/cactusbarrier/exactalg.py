@@ -5,7 +5,10 @@ rationals, each row is cleared of denominators through `.numerator` and
 `.denominator` and ranked by fraction-free (Bareiss) elimination, so
 coefficient growth stays polynomial; over a prime field, ints are reduced
 mod p by plain elimination. The barrier check hands both routines the same
-integer rows of M(F) (see `rankmethods.integer_image`). Fractions remain
+integer rows of M(F) (see `rankmethods.integer_image`). Span vectors of
+integral chart points arrive as ints as well (chart evaluation and jets run
+over `fields.ZZ`); every routine here that takes QQ vectors accepts ints and
+Fractions alike. Fractions remain for rational scheme-file coordinates and
 where elements must be divided: spans and factor subspaces (`SpanBuilder`),
 kernels and membership. Sampling over QQ sums integer numerators over one
 common denominator. Matrices over a polynomial ring (needed for generic

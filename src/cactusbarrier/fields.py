@@ -1,9 +1,16 @@
-"""Exact scalar arithmetic: rationals, prime fields, dense univariate polynomials.
+"""Exact scalar arithmetic: integers, rationals, prime fields, dense univariate polynomials.
 
 Every computation in this package runs over one of these coefficient
 structures; nothing is floating point. Ring objects carry the operations,
 element values are plain Python data (Fraction, int, tuple), which keeps
 them hashable and trivially immutable.
+
+`ZZ` is a ring, not a field: it only adds, subtracts and multiplies. Chart
+evaluation and jets need nothing more, so `chart_ring` runs them on plain
+ints whenever the target field is QQ and every chart coordinate is integral;
+an int equals the Fraction it stands for, so the resulting vectors are the
+same rationals. Rational coordinates keep Fractions, and prime fields keep
+their own arithmetic.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class RationalField:
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        return Fraction(a) / b
 
     def is_zero(self, a) -> bool:
         return not a
@@ -87,6 +94,62 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+class IntegerRing:
+    """The integers as a ring (no division); elements are ints."""
+
+    char = 0
+    name = "ZZ"
+    zero = 0
+    one = 1
+
+    def of(self, x) -> int:
+        if isinstance(x, int):
+            return int(x)
+        q = x if isinstance(x, Fraction) else Fraction(x)
+        if q.denominator != 1:
+            raise ValueError(f"{x} is not an integer")
+        return q.numerator
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerRing)
+
+    def __hash__(self):
+        return hash("ZZ")
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = IntegerRing()
+
+
+def chart_ring(field, coords):
+    """The ring to evaluate chart coordinates `coords` in, for results over `field`.
+
+    ZZ when `field` is QQ and every coordinate is integral, else `field`.
+    """
+    if isinstance(field, RationalField) and all(
+        getattr(x, "denominator", None) == 1 for x in coords
+    ):
+        return ZZ
+    return field
 
 
 class PrimeField:

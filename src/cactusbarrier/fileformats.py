@@ -164,8 +164,12 @@ def save_tensor(path, t) -> None:
         fh.write("\n")
 
 
-def custom_map_from_tensor(t: DenseTensor) -> LinearMatrixMap:
-    """Interpret a dense 3-mode tensor of shape (w, a, b) as a coefficient map."""
+def custom_map_from_tensor(t: DenseTensor, name: str) -> LinearMatrixMap:
+    """Interpret a dense 3-mode tensor of shape (w, a, b) as a coefficient map.
+
+    `name` (the file it came from) becomes the map's spec, so errors about
+    the map name the file.
+    """
     if len(t.shape) != 3:
         raise FileFormatError("a custom method file must hold a (w, a, b) coefficient tensor")
     w, a, b = t.shape
@@ -178,7 +182,7 @@ def custom_map_from_tensor(t: DenseTensor) -> LinearMatrixMap:
                 pos += 1
                 if c:
                     cells.setdefault(wi, []).append((i, j, c))
-    return LinearMatrixMap(a, b, w, cells, spec="custom")
+    return LinearMatrixMap(a, b, w, cells, spec=name)
 
 
 def piece_from_dict(doc: dict, coord=parse_rational):

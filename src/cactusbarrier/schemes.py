@@ -5,6 +5,12 @@ and first infinitesimal neighborhoods. These three families have unambiguous
 span computations and already realize the span-degeneration phenomena this
 package verifies; arbitrary zero-dimensional ideals are out of scope.
 
+Span vectors of a piece whose chart coordinates are all integral are computed
+over ZZ (see `fields.chart_ring`): points, jets and tangent frames are sums of
+products of coordinates, so the ints equal the rational vectors entry by
+entry. Pieces with rational coordinates, prime fields and polynomial families
+keep their own arithmetic; spans, kernels and limits stay over the field.
+
 Flat limits are never computed here. A one-parameter family carries its own
 explicitly stated limit, and the code checks that the span of the stated limit
 sits inside the limit of the family's spans, which it computes exactly by
@@ -36,7 +42,7 @@ from .exactalg import (
     rank_of_rows,
     subspace_from_vectors,
 )
-from .fields import QQ, PolyRing, PrimeField, RationalField
+from .fields import QQ, PolyRing, PrimeField, RationalField, chart_ring
 from .varieties import (
     Germ,
     VarietyParam,
@@ -62,6 +68,10 @@ class ReducedPoint:
         return self.point
 
     @property
+    def coords(self) -> tuple:
+        return self.point
+
+    @property
     def degree(self) -> int:
         return 1
 
@@ -78,6 +88,10 @@ class CurvilinearGerm:
         return self.germ.base
 
     @property
+    def coords(self) -> tuple:
+        return self.germ.base + tuple(x for c in self.germ.coeffs for x in c)
+
+    @property
     def degree(self) -> int:
         return self.length
 
@@ -90,6 +104,10 @@ class FirstNeighborhood:
 
     @property
     def support(self) -> tuple:
+        return self.point
+
+    @property
+    def coords(self) -> tuple:
         return self.point
 
     @property
@@ -149,7 +167,8 @@ def map_coords(piece: Piece, fn) -> Piece:
 def piece_span_vectors(param: VarietyParam, piece: Piece, ring) -> list[list]:
     """Spanning vectors of one piece whose chart coordinates are elements of `ring`.
 
-    The ring is a field for a scheme, and a polynomial ring in t for a family.
+    The ring is ZZ or a field for a scheme, and a polynomial ring in t for a
+    family.
     """
     if isinstance(piece, ReducedPoint):
         return [evaluate_in_ring(param, list(piece.point), ring)]
@@ -165,11 +184,15 @@ def piece_span_vectors(param: VarietyParam, piece: Piece, ring) -> list[list]:
 
 
 def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> list[list]:
-    """Raw spanning vectors of the scheme, concatenated piece by piece."""
+    """Raw spanning vectors of the scheme, concatenated piece by piece.
+
+    Over QQ, a piece with integral coordinates gives int vectors.
+    """
     validate_scheme(param, scheme)
     out = []
     for p in scheme.pieces:
-        out.extend(piece_span_vectors(param, map_coords(p, field.of), field))
+        ring = chart_ring(field, p.coords)
+        out.extend(piece_span_vectors(param, map_coords(p, ring.of), ring))
     return out
 
 

@@ -8,7 +8,10 @@ entry is always 1, which keeps chart images away from zero.
 
 Jets of curve germs are computed by truncated polynomial composition, never by
 differentiating and dividing by factorials, so they stay correct over prime
-fields (subject to the characteristic guard below).
+fields (subject to the characteristic guard below). The same composition runs
+over the ring ZZ: only sums and products occur, so `evaluate` (and through it
+`random_point`) works on plain ints at integral chart points over QQ, and
+keeps Fractions for rational ones (see `fields.chart_ring`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 from itertools import product
 
 from .exactalg import Subspace, subspace_from_vectors
-from .fields import QQ, PolyRing
+from .fields import QQ, PolyRing, chart_ring
 
 
 class VarietySpecError(ValueError):
@@ -182,8 +185,12 @@ def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
 
 
 def evaluate(param: VarietyParam, chart_point, field=QQ) -> list:
-    """Affine-cone point of the chart map; its leading coordinate is always 1."""
-    return evaluate_in_ring(param, [field.of(x) for x in chart_point], field)
+    """Affine-cone point of the chart map; its leading coordinate is always 1.
+
+    Over QQ an integral chart point gives ints, which equal the rationals.
+    """
+    ring = chart_ring(field, chart_point)
+    return evaluate_in_ring(param, [ring.of(x) for x in chart_point], ring)
 
 
 def check_characteristic(field, param: VarietyParam, jet_length: int) -> None:

@@ -443,6 +443,30 @@ def test_bound_denominator_vanishing_mod_prime_is_input_error(tmp_path, capsys):
     assert code == 0 and "rank M(F) = 1" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "bound"])
+def test_custom_map_denominator_vanishing_mod_prime_is_input_error(tmp_path, capsys, command):
+    # the first flattening of 2x2x2 with one coefficient 1/P, under the prime P
+    path = _custom_flattening_file(tmp_path)
+    t = load_tensor(path)
+    save_tensor(path, DenseTensor(t.shape, ["1/2147483647"] + list(t.entries[1:])))
+    tensor = tmp_path / "t.json"
+    save_tensor(tensor, DenseTensor((2, 2, 2), [1, 0, 0, 1, 0, 0, 0, 0]))
+    argv = {
+        "verify": ["verify", "--variety", "segre:2x2x2", "--scheme", "random:deg=3",
+                   "--trials", "2", "--seed", "8"],
+        "bound": ["bound", "--tensor", str(tensor)],
+    }[command] + ["--method", f"custom:file={path}"]
+    # verify screens under the default prime; bound is given it
+    code, out = run(argv if command == "verify" else argv + ["--field", "p:2147483647"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"a coefficient denominator of {path} vanishes mod 2147483647" in err
+    assert "--field q" in err
+    code, out = run(argv + ["--field", "q"])
+    assert code == 0
+
+
 @pytest.mark.parametrize("command, doc", [
     ("bound", {"format": "tensorfile/1", "kind": "dense", "entries": []}),
     ("bound", [1, 2]),

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cactusbarrier.fields import QQ, PolyRing, PrimeField, is_probable_prime
+from cactusbarrier.fields import QQ, ZZ, PolyRing, PrimeField, chart_ring, is_probable_prime
 
 
 def test_primality():
@@ -21,6 +21,46 @@ def test_rational_field_basics():
     assert QQ.is_zero(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
+
+
+def test_rational_division_is_exact_on_ints():
+    assert QQ.div(1, 2) == Fraction(1, 2)
+    assert isinstance(QQ.div(1, 2), Fraction)
+    assert isinstance(QQ.div(4, 2), Fraction) and QQ.div(4, 2) == 2
+    assert QQ.div(Fraction(1, 3), 2) == Fraction(1, 6)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_integer_ring_basics():
+    assert ZZ.char == 0 and ZZ.zero == 0 and ZZ.one == 1
+    assert ZZ.of(Fraction(6, 3)) == 2 and type(ZZ.of(Fraction(6, 3))) is int
+    assert ZZ.of(-5) == -5 and ZZ.of("7") == 7
+    for bad in (Fraction(1, 2), "1/2", Fraction(-7, 3)):
+        with pytest.raises(ValueError):
+            ZZ.of(bad)
+    assert ZZ.add(2, 3) == 5 and ZZ.sub(2, 3) == -1
+    assert ZZ.mul(-4, 3) == -12 and ZZ.neg(4) == -4
+    assert ZZ.is_zero(0) and not ZZ.is_zero(-1)
+    assert ZZ != QQ and QQ != ZZ and hash(ZZ) != hash(QQ)
+    assert ZZ == ZZ and ZZ != PrimeField(7)
+    assert PolyRing(ZZ) != PolyRing(QQ)
+
+
+def test_chart_ring_picks_integers_only_for_integral_rationals():
+    assert chart_ring(QQ, [Fraction(3), -2, Fraction(0)]) is ZZ
+    assert chart_ring(QQ, []) is ZZ
+    assert chart_ring(QQ, [Fraction(3), Fraction(1, 2)]) is QQ
+    assert chart_ring(QQ, ["3"]) is QQ  # parsed by the field, as before
+    gf = PrimeField(101)
+    assert chart_ring(gf, [Fraction(3), 4]) is gf
+
+
+def test_jets_over_integers_match_rationals():
+    R, S = PolyRing(ZZ, trunc=4), PolyRing(QQ, trunc=4)
+    a, b = R.from_coeffs([2, -1, 3]), S.from_coeffs([2, -1, 3])
+    assert R.mul(R.mul(a, a), a) == S.mul(S.mul(b, b), b)
+    assert all(type(c) is int for c in R.mul(a, a))
 
 
 def test_prime_field_arithmetic():

@@ -29,6 +29,7 @@ from cactusbarrier.schemes import (
     perturbed_family,
     random_scheme,
     scheme_span,
+    scheme_span_vectors,
     span_of_limit_vs_limit_of_spans,
     validate_scheme,
 )
@@ -419,3 +420,63 @@ def test_certificate_over_a_prime_field_base():
     # two generic points are certified without polynomial elimination
     (kept, _, _), calls = _poly_rank_calls(lambda: _family_outcomes(p, pieces[:2], R))
     assert len(kept) == 2 and calls == 0
+
+
+# -- span vectors over ZZ for integral chart points -------------------------
+
+CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,3",
+                      "segre-veronese:(1,2)x(2,1)")
+
+
+def _fraction_path(param, scheme, field):
+    """Span vectors with every coordinate taken into `field` first, as before ZZ."""
+    return [v for p in scheme.pieces
+            for v in schemes.piece_span_vectors(param, schemes.map_coords(p, field.of), field)]
+
+
+@st.composite
+def _random_schemes(draw):
+    param = parse_variety(draw(st.sampled_from(CAMPAIGN_VARIETIES)))
+    mix = draw(st.sampled_from(["reduced", "curv", "nbhd", "mixed"]))
+    if mix == "nbhd":
+        deg = (param.dim_X + 1) * draw(st.integers(1, 2))
+    else:
+        deg = draw(st.integers(2 if mix == "curv" else 1, 6))
+    seed = draw(st.integers(0, 2**32))
+    return param, random_scheme(param, deg, mix=mix, bound=3, rng=random.Random(seed))
+
+
+def _entries_equal(a, b):
+    return len(a) == len(b) and all(len(u) == len(v) and all(x == y for x, y in zip(u, v))
+                                    for u, v in zip(a, b))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_random_schemes())
+def test_integral_span_vectors_equal_the_fraction_path(case):
+    param, s = case
+    out = scheme_span_vectors(param, s, QQ)
+    assert _entries_equal(out, _fraction_path(param, s, QQ))
+    assert all(type(x) is int for v in out for x in v)
+    gf = PrimeField(101)
+    assert scheme_span_vectors(param, s, gf) == _fraction_path(param, s, gf)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_random_schemes(), den=st.integers(2, 7), which=st.integers(0, 7))
+def test_rational_span_vectors_equal_the_fraction_path(case, den, which):
+    # pieces picked by the bits of `which` get coordinates x/den; the rest stay
+    # integral, so both rings meet in one scheme
+    param, s = case
+    pieces = tuple(schemes.map_coords(p, lambda x: Fraction(x, den)) if which >> i & 1 else p
+                   for i, p in enumerate(s.pieces))
+    s = FiniteScheme(pieces)
+    out = scheme_span_vectors(param, s, QQ)
+    assert _entries_equal(out, _fraction_path(param, s, QQ))
+    pos = 0
+    for p in s.pieces:
+        n = len(schemes.piece_span_vectors(param, schemes.map_coords(p, QQ.of), QQ))
+        integral = all(x.denominator == 1 for x in p.coords)
+        assert all((type(x) is int) == integral for v in out[pos:pos + n] for x in v)
+        pos += n
+    assert pos == len(out)

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cactusbarrier.exactalg import rank, subspace_contains
-from cactusbarrier.fields import PrimeField
+from cactusbarrier.fields import QQ, PrimeField
 from cactusbarrier.varieties import (
     Germ,
     VarietySpecError,
     evaluate,
+    evaluate_in_ring,
     jet_span,
     jet_vectors,
     monomial_exponents,
@@ -182,3 +185,35 @@ def test_jet_span_requires_immersed_germ():
     p = parse_variety("veronese:1,2")
     with pytest.raises(ValueError):
         jet_span(p, Germ((Fraction(0),), ((Fraction(0),),)), 2)
+
+
+# -- chart evaluation over ZZ for integral chart points ---------------------
+
+CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,3",
+                      "segre-veronese:(1,2)x(2,1)")
+
+
+def _fraction_path(param, point, field):
+    return evaluate_in_ring(param, [field.of(x) for x in point], field)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(CAMPAIGN_VARIETIES), seed=st.integers(0, 2**32),
+       bound=st.integers(0, 5), den=st.integers(1, 7))
+def test_evaluate_and_random_point_equal_the_fraction_path(spec, seed, bound, den):
+    p = parse_variety(spec)
+    gf = PrimeField(101)
+    for field in (QQ, gf):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        v = random_point(p, bound, rng, field)
+        point = random_chart_point(p, bound, ref_rng)
+        ref = _fraction_path(p, point, field)
+        assert len(v) == len(ref) and all(x == y for x, y in zip(v, ref))
+        assert rng.getstate() == ref_rng.getstate()
+        if field == QQ:
+            assert all(type(x) is int for x in v)
+        scaled = [x / den for x in point]
+        w = evaluate(p, scaled, field)
+        assert w == _fraction_path(p, scaled, field)
+        if field == QQ and den > 1 and any(x.denominator > 1 for x in scaled):
+            assert all(type(x) is Fraction for x in w)
