@@ -10,14 +10,12 @@ traceback is printed).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
 import sys
 import traceback
 from contextlib import contextmanager
-from multiprocessing import Pool
 
 from .barrier import UnsupportedVarietyError, ceilings, verify_instance
 from .exactalg import DEFAULT_PRIME, clear_denominators
@@ -59,6 +57,8 @@ class CliError(Exception):
 
 def derive_seed(root: int, *parts) -> int:
     """Deterministic per-trial seed: first 8 bytes of sha256 over root and parts."""
+    import hashlib  # imported here: only verify, bound and estimate-k derive seeds
+
     text = ":".join([str(root)] + [str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
@@ -218,6 +218,8 @@ def cmd_verify(args, out) -> int:
         for i in range(args.trials)
     ]
     if args.jobs > 1 and payloads:
+        from multiprocessing import Pool  # imported here: a serial run never pays for it
+
         with Pool(args.jobs) as pool:
             results = pool.map(_verify_trial, payloads)
     else:
@@ -414,13 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field_default):
+    def common(p, field_default=None):
+        # only bound and verify read --field, so only they accept it
         p.add_argument("--seed", type=int, default=None,
                        help=f"root seed (default: ${ENV_SEED} or 0)")
         p.add_argument("--bound", type=_positive_int, default=3,
                        help="coefficient height for random data (at least 1)")
-        p.add_argument("--field", default=field_default,
-                       help="q for rationals or p:PRIME for screening")
+        if field_default is not None:
+            p.add_argument("--field", default=field_default,
+                           help="q for rationals or p:PRIME for screening")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bound", help="lower-bound the border rank of a tensor file")
@@ -435,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes for the trials (at least 1)")
     p.add_argument("--confirm", choices=("full", "tight", "never"), default="tight",
                    help="rational confirmation policy after prime screening")
     p.add_argument("--validate-k", type=int, default=20, metavar="N",
@@ -445,19 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ceiling", help="report ceiling constants for a variety")
     p.add_argument("--variety", required=True)
-    common(p, "q")
+    common(p)
     p.set_defaults(func=cmd_ceiling)
 
     p = sub.add_parser("limit", help="compare span of a stated limit with the limit of spans")
     p.add_argument("--family", required=True)
-    common(p, "q")
+    common(p)
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("estimate-k", help="estimate the method constant by sampling")
     p.add_argument("--variety", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--trials", type=int, default=200)
-    common(p, "q")
+    common(p)
     p.set_defaults(func=cmd_estimate_k)
 
     return parser

@@ -7,10 +7,11 @@ them hashable and trivially immutable.
 
 `ZZ` is a ring, not a field: it only adds, subtracts and multiplies. Chart
 evaluation and jets need nothing more, so `chart_ring` runs them on plain
-ints whenever the target field is QQ and every chart coordinate is integral;
-an int equals the Fraction it stands for, so the resulting vectors are the
-same rationals. Rational coordinates keep Fractions, and prime fields keep
-their own arithmetic.
+ints whenever the target field is QQ and every chart coordinate is integral,
+and on ZZ[t] whenever the target is an untruncated QQ[t] and every
+coefficient of every coordinate is integral. An int equals the Fraction it
+stands for, so the resulting vectors are the same rationals. Rational
+coordinates keep Fractions, and prime fields keep their own arithmetic.
 """
 
 from __future__ import annotations
@@ -143,8 +144,15 @@ ZZ = IntegerRing()
 def chart_ring(field, coords):
     """The ring to evaluate chart coordinates `coords` in, for results over `field`.
 
-    ZZ when `field` is QQ and every coordinate is integral, else `field`.
+    ZZ when `field` is QQ and every coordinate is integral; ZZ[t] when
+    `field` is an untruncated QQ[t] and every coefficient of every coordinate
+    (a polynomial in t) is integral; else `field`. Vectors over the returned
+    ring are vectors over `field`, entry for entry.
     """
+    if isinstance(field, PolyRing):
+        if field.trunc is None and chart_ring(field.base, [c for x in coords for c in x]) is ZZ:
+            return PolyRing(ZZ)
+        return field
     if isinstance(field, RationalField) and all(
         getattr(x, "denominator", None) == 1 for x in coords
     ):
@@ -240,9 +248,6 @@ class PolyRing:
         c = self.base.of(x)
         return () if self.base.is_zero(c) else (c,)
 
-    def const(self, c):
-        return () if self.base.is_zero(c) else (c,)
-
     def from_coeffs(self, coeffs) -> tuple:
         return self._norm([self.base.of(c) for c in coeffs])
 
@@ -266,6 +271,10 @@ class PolyRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def scale(self, c, a):
+        """c * a for a nonzero base element c; the base has no zero divisors."""
+        return tuple(self.base.mul(c, x) for x in a)
 
     def mul(self, a, b):
         if not a or not b:

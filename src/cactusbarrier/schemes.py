@@ -6,10 +6,16 @@ span computations and already realize the span-degeneration phenomena this
 package verifies; arbitrary zero-dimensional ideals are out of scope.
 
 Span vectors of a piece whose chart coordinates are all integral are computed
-over ZZ (see `fields.chart_ring`): points, jets and tangent frames are sums of
-products of coordinates, so the ints equal the rational vectors entry by
-entry. Pieces with rational coordinates, prime fields and polynomial families
-keep their own arithmetic; spans, kernels and limits stay over the field.
+over ZZ, and those of a family piece whose coordinates are polynomials with
+integral coefficients over ZZ[t] (see `fields.chart_ring`; schemes and
+families share one per-piece loop): points, jets and tangent frames are sums
+of products of coordinates, so the ints equal the rational vectors entry by
+entry. Pieces with rational coordinates, prime fields, GF(q)[t] families and
+truncated rings keep their own arithmetic. The dimension of the stated
+limit's span and its inclusion in the limit of the spans are two ranks
+(`rank_of_rows`, on integer rows over QQ), and the t-saturation clears each
+kernel combination to integers, so integral families stay on ints. Over QQ,
+Fractions remain in the kernels and for rational coordinates.
 
 Flat limits are never computed here. A one-parameter family carries its own
 explicitly stated limit, and the code checks that the span of the stated limit
@@ -38,6 +44,7 @@ from .exactalg import (
     Matrix,
     SpanBuilder,
     Subspace,
+    clear_denominators,
     nullspace,
     rank_of_rows,
     subspace_from_vectors,
@@ -183,17 +190,26 @@ def piece_span_vectors(param: VarietyParam, piece: Piece, ring) -> list[list]:
     raise TypeError(f"unknown piece type {type(piece).__name__}")
 
 
+def _span_vectors(param: VarietyParam, pieces, field) -> list[list]:
+    """Spanning vectors of the pieces over `field`, each piece in its `chart_ring`.
+
+    `field` is a field for a scheme and a polynomial ring in t for a family.
+    """
+    out = []
+    for p in pieces:
+        ring = chart_ring(field, p.coords)
+        coerce = ring.from_coeffs if isinstance(ring, PolyRing) else ring.of
+        out.extend(piece_span_vectors(param, map_coords(p, coerce), ring))
+    return out
+
+
 def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> list[list]:
     """Raw spanning vectors of the scheme, concatenated piece by piece.
 
     Over QQ, a piece with integral coordinates gives int vectors.
     """
     validate_scheme(param, scheme)
-    out = []
-    for p in scheme.pieces:
-        ring = chart_ring(field, p.coords)
-        out.extend(piece_span_vectors(param, map_coords(p, ring.of), ring))
-    return out
+    return _span_vectors(param, scheme.pieces, field)
 
 
 def scheme_span(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> Subspace:
@@ -364,7 +380,9 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
 
     The basis must have full generic rank. A full-rank specialization at
     t = T0 certifies that; only when it cannot does Bareiss elimination over
-    the polynomial ring check it.
+    the polynomial ring check it. Over QQ[t], each dependent combination is
+    cleared to integers first, so it is a nonzero multiple of the rational
+    one: the steps and the limit are the same, and int vectors stay ints.
     """
     ring = fam.ring
     base = ring.base
@@ -387,17 +405,18 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     for _ in range(max_steps):
         at0 = [[ring.eval_at_zero(e) for e in v] for v in vecs]
         if rank_of_rows(base, at0) == m:
-            return subspace_from_vectors(base, fam.ambient_dim, at0)
+            return Subspace(base, fam.ambient_dim, at0)
         kernel = nullspace(Matrix(base, [[at0[i][j] for i in range(m)] for j in range(fam.ambient_dim)]))
         combo = kernel[0]
+        if isinstance(base, RationalField):
+            combo = clear_denominators(combo)
         target = max(i for i, c in enumerate(combo) if not base.is_zero(c))
         new = [ring.zero] * fam.ambient_dim
         for i, c in enumerate(combo):
             if base.is_zero(c):
                 continue
-            pc = ring.const(c)
             for j in range(fam.ambient_dim):
-                new[j] = ring.add(new[j], ring.mul(pc, vecs[i][j]))
+                new[j] = ring.add(new[j], ring.scale(c, vecs[i][j]))
         vals = [ring.valuation(e) for e in new if not ring.is_zero(e)]
         if not vals:
             raise ValueError("family basis drops rank generically (non-flat presentation)")
@@ -415,12 +434,13 @@ def family_span(param: VarietyParam, pieces, ring: PolyRing | None = None) -> Sp
     vector and the vector's image grows it; any other vector is decided by
     Bareiss elimination over the polynomial ring. Both give the same answer
     wherever the certificate answers, so the kept vectors are the same.
+
+    Over QQ[t], a piece whose coordinates have integral coefficients gives
+    vectors of int polynomials (see `fields.chart_ring`).
     """
     if ring is None:
         ring = PolyRing(QQ)
-    raw = []
-    for p in pieces:
-        raw.extend(piece_span_vectors(param, p, ring))
+    raw = _span_vectors(param, pieces, ring)
     cert = _RankCertificate(ring, param.dim_W)
     kept: list = []
     for v in raw:
@@ -446,12 +466,17 @@ class LimitComparison:
 
 def compare_limit(param: VarietyParam, fam: SpanFamily,
                   limit_scheme: FiniteScheme) -> LimitComparison:
-    """Check that the span of the stated limit lies inside the limit of the family's spans."""
+    """Check that the span of the stated limit lies inside the limit of the family's spans.
+
+    Both answers are ranks: the limit's basis is independent, so the span of
+    the stated limit lies inside it exactly when adding the limit scheme's
+    vectors leaves the rank at its dimension.
+    """
     lim = limit_of_spans(fam)
-    span0 = scheme_span(param, limit_scheme, fam.ring.base)
-    builder = lim.builder()
-    inclusion = all(builder.contains(v) for v in span0.basis)
-    return LimitComparison(span0.dim, lim.dim, inclusion)
+    base = fam.ring.base
+    raw0 = scheme_span_vectors(param, limit_scheme, base)
+    inclusion = rank_of_rows(base, lim.basis + raw0) == lim.dim
+    return LimitComparison(rank_of_rows(base, raw0), lim.dim, inclusion)
 
 
 def span_of_limit_vs_limit_of_spans(param: VarietyParam, family_pieces,

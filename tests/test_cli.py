@@ -2,6 +2,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -489,3 +491,40 @@ def test_malformed_input_file_exits_2(tmp_path, command, doc):
     }[command]
     code, _ = run(argv)
     assert code == 2
+
+
+def test_limit_and_ceiling_import_neither_multiprocessing_nor_hashlib():
+    # both are imported on demand: multiprocessing only for --jobs > 1 and
+    # hashlib only when a seed is derived
+    script = (
+        "import io, sys\n"
+        "import cactusbarrier.cli as cli\n"
+        f"assert cli.main(['limit', '--family', {os.path.join(FIXTURES, 'collinear_collision.json')!r}],"
+        " io.StringIO()) == 0\n"
+        "assert cli.main(['ceiling', '--variety', 'segre:3x3x3'], io.StringIO()) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'hashlib') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_jobs_below_one_is_usage_error(value, capsys):
+    code, out = run(["verify", "--variety", "segre:2x2x2", "--scheme", "random:deg=2",
+                     "--method", "koszul:p=1", "--trials", "2", "--jobs", value])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "--jobs" in err and f"must be a positive integer, got {value}" in err
+
+
+@pytest.mark.parametrize("command", ["ceiling", "limit", "estimate-k"])
+def test_field_is_rejected_where_it_is_not_read(command, capsys):
+    argv = [a.format(fixtures=FIXTURES) for a in _BOUND_COMMANDS[command]]
+    for field in ("p:101", "q", "nonsense"):
+        code, out = run(argv + ["--field", field])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --field" in capsys.readouterr().err

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 import cactusbarrier.schemes as schemes
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
+    Matrix,
+    nullspace,
     rank_of_rows,
+    subspace_from_vectors,
     subspace_contains,
     subspaces_equal,
     span_sum,
@@ -19,6 +22,7 @@ from cactusbarrier.schemes import (
     CurvilinearGerm,
     FiniteScheme,
     FirstNeighborhood,
+    LimitComparison,
     OverlappingSupportsError,
     ReducedPoint,
     SpanFamily,
@@ -30,6 +34,7 @@ from cactusbarrier.schemes import (
     random_scheme,
     scheme_span,
     scheme_span_vectors,
+    compare_limit,
     span_of_limit_vs_limit_of_spans,
     validate_scheme,
 )
@@ -480,3 +485,183 @@ def test_rational_span_vectors_equal_the_fraction_path(case, den, which):
         assert all((type(x) is int) == integral for v in out[pos:pos + n] for x in v)
         pos += n
     assert pos == len(out)
+
+
+# -- family span vectors over ZZ[t] and the fraction-free limit ---------------
+
+FAMILY_VARIETIES = CAMPAIGN_VARIETIES + ("veronese:1,3",)
+
+
+def _collision(param, k, den, rng, ring=RQ):
+    """k points gamma(lam t), lam = 0..k-1, colliding into the length-k jet of gamma.
+
+    gamma's coefficients have denominator `den`, so for den > 1 every point
+    but the constant one has rational coordinates.
+    """
+    n = param.dim_X
+    base = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+    coeffs = [tuple(Fraction(rng.choice((-2, -1, 1, 2)), den) for _ in range(n))
+              for _ in range(k)]
+    pieces = [ReducedPoint(tuple(
+        ring.from_coeffs([base[j]] + [c[j] * lam ** (i + 1) for i, c in enumerate(coeffs)])
+        for j in range(n))) for lam in range(k)]
+    return pieces, FiniteScheme((CurvilinearGerm(Germ(base, tuple(coeffs[:k - 1])), k),))
+
+
+@st.composite
+def _families(draw, rational):
+    """(param, family pieces, stated limit): collisions, perturbed and constant families.
+
+    With `rational`, a collision gets coefficients over a denominator and
+    the pieces picked by a drawn bit mask get rational constant terms, so
+    integral and rational pieces meet in one family.
+    """
+    param = parse_variety(draw(st.sampled_from(FAMILY_VARIETIES)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    den = draw(st.integers(2, 7)) if rational else 1
+    kind = draw(st.sampled_from(["collision", "perturbed", "constant"]))
+    if kind == "collision":
+        pieces, limit = _collision(param, draw(st.integers(2, 5)), den, rng)
+        return param, pieces, limit
+    limit = random_scheme(param, draw(st.integers(1, 4)), mix="mixed", bound=2, rng=rng)
+    if rational:
+        which = draw(st.integers(1, 15))
+        limit = FiniteScheme(tuple(
+            schemes.map_coords(p, lambda x: x / den) if which >> i & 1 else p
+            for i, p in enumerate(limit.pieces)))
+    if kind == "constant":
+        return param, constant_family_pieces(limit.pieces), limit
+    return param, perturbed_family(limit, rng, bound=2, tdeg=2), limit
+
+
+def _fraction_family_path(fn):
+    """fn() with every piece taken into its target ring itself, as before ZZ[t]."""
+    with mock.patch.object(schemes, "chart_ring", lambda field, coords: field):
+        return fn()
+
+
+def _nullspace_calls(fn):
+    calls = []
+    real = schemes.nullspace
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    with mock.patch.object(schemes, "nullspace", counting):
+        return fn(), len(calls)
+
+
+def _limit_by_products(fam):
+    """The t-saturation as it was: rational combinations, formed by polynomial products.
+
+    Returns the limit subspace and the number of saturation steps.
+    """
+    ring, base, n = fam.ring, fam.ring.base, fam.ambient_dim
+    vecs = []
+    for v in fam.basis:
+        shift = min(ring.valuation(e) for e in v if e)
+        vecs.append([ring.shift_down(e, shift) for e in v])
+    steps = 0
+    while True:
+        at0 = [[ring.eval_at_zero(e) for e in v] for v in vecs]
+        if rank_of_rows(base, at0) == len(vecs):
+            return subspace_from_vectors(base, n, at0), steps
+        steps += 1
+        combo = nullspace(Matrix(base, [list(col) for col in zip(*at0)]))[0]
+        target = max(i for i, c in enumerate(combo) if not base.is_zero(c))
+        new = [ring.zero] * n
+        for c, v in zip(combo, vecs):
+            if not base.is_zero(c):
+                new = [ring.add(a, ring.mul(ring.from_elems([c]), e)) for a, e in zip(new, v)]
+        shift = min(ring.valuation(e) for e in new if e)
+        vecs[target] = [ring.shift_down(e, shift) for e in new]
+
+
+def _membership_compare(param, fam, limit_scheme):
+    """compare_limit as it was: the stated limit's span, then membership in the limit."""
+    lim = limit_of_spans(fam)
+    span0 = scheme_span(param, limit_scheme, fam.ring.base)
+    builder = lim.builder()
+    return LimitComparison(span0.dim, lim.dim, all(builder.contains(v) for v in span0.basis))
+
+
+def _integral(piece):
+    return all(c.denominator == 1 for x in piece.coords for c in x)
+
+
+def _is_int_poly_vector(v):
+    return all(type(c) is int for e in v for c in e)
+
+
+def _nonzero_entries_are_ints(vectors):
+    # a zero entry at t = 0 is QQ's zero, the constant term of the zero polynomial
+    return all(type(x) is int for v in vectors for x in v if x)
+
+
+def _check_against_fraction_path(param, pieces, limit, ring=RQ):
+    run = lambda: family_span(param, pieces, ring)
+    fam, old = run(), _fraction_family_path(run)
+    assert fam.ring == old.ring == ring
+    assert _entries_equal(fam.basis, old.basis)
+    # kept vectors are a subsequence of the raw ones; tag each with its piece
+    raw = [(v, _integral(p)) for p in pieces for v in schemes._span_vectors(param, [p], ring)]
+    tags = iter(raw)
+    for v in fam.basis:
+        integral = next(i for r, i in tags if r == v)
+        if isinstance(ring.base, PrimeField):
+            continue
+        assert _is_int_poly_vector(v) == integral
+        assert integral or all(type(c) is Fraction for e in v for c in e)
+    assert generic_rank(fam) == generic_rank(old)
+
+    lim, calls = _nullspace_calls(lambda: limit_of_spans(fam))
+    old_lim, old_calls = _fraction_family_path(
+        lambda: _nullspace_calls(lambda: limit_of_spans(old)))
+    by_products, steps = _limit_by_products(old)
+    assert calls == old_calls == steps
+    assert lim.dim == len(fam.basis)
+    assert subspaces_equal(lim, old_lim) and subspaces_equal(lim, by_products)
+
+    # a stated limit that is not the family's, where the inclusion can fail
+    other = random_scheme(param, 2, mix="reduced", bound=3, rng=random.Random(len(fam.basis)))
+    for stated in (limit, other):
+        cmp = compare_limit(param, fam, stated)
+        assert cmp == _fraction_family_path(lambda: compare_limit(param, old, stated))
+        assert cmp == _membership_compare(param, old, stated)
+    assert compare_limit(param, fam, limit).inclusion_holds
+    return fam, calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_families(rational=False))
+def test_integral_families_run_on_int_polynomials(case):
+    param, pieces, limit = case
+    fam, _ = _check_against_fraction_path(param, pieces, limit)
+    assert all(_is_int_poly_vector(v) for v in fam.basis)
+    assert _nonzero_entries_are_ints(limit_of_spans(fam).basis)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_families(rational=True))
+def test_mixed_families_equal_the_fraction_path(case):
+    _check_against_fraction_path(*case)
+
+
+def test_integral_collisions_saturate_on_ints():
+    p = parse_variety("veronese:2,3")
+    pieces, limit = _collision(p, 5, 1, random.Random(7))
+    fam, calls = _check_against_fraction_path(p, pieces, limit)
+    assert calls > 0
+    assert _nonzero_entries_are_ints(limit_of_spans(fam).basis)
+    assert compare_limit(p, fam, limit) == LimitComparison(5, 5, True)
+
+
+def test_prime_field_families_keep_their_path():
+    gf = PrimeField(101)
+    ring = PolyRing(gf)
+    p = parse_variety("segre-veronese:(1,2)x(2,1)")
+    pieces, limit = _collision(p, 4, 1, random.Random(3), ring)
+    fam, calls = _check_against_fraction_path(p, pieces, limit, ring)
+    assert calls > 0
+    assert all(0 <= c < 101 for v in fam.basis for e in v for c in e)
