@@ -416,12 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field_default=None):
-        # only bound and verify read --field, so only they accept it
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"root seed (default: ${ENV_SEED} or 0)")
-        p.add_argument("--bound", type=_positive_int, default=3,
-                       help="coefficient height for random data (at least 1)")
+    def common(p, seed=False, bound=False, field_default=None):
+        # a command accepts only the options it reads: --seed where it draws
+        # random data, --bound where that data has a coefficient height, and
+        # --field in bound and verify
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help=f"root seed (default: ${ENV_SEED} or 0)")
+        if bound:
+            p.add_argument("--bound", type=_positive_int, default=3,
+                           help="coefficient height for random data (at least 1)")
         if field_default is not None:
             p.add_argument("--field", default=field_default,
                            help="q for rationals or p:PRIME for screening")
@@ -431,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--variety", default=None)
-    common(p, "q")
+    common(p, seed=True, field_default="q")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", help="run barrier verification campaigns")
@@ -445,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational confirmation policy after prime screening")
     p.add_argument("--validate-k", type=int, default=20, metavar="N",
                    help="pre-campaign k-consistency samples (0 to skip)")
-    common(p, f"p:{DEFAULT_PRIME}")
+    common(p, seed=True, bound=True, field_default=f"p:{DEFAULT_PRIME}")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ceiling", help="report ceiling constants for a variety")
@@ -462,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variety", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--trials", type=int, default=200)
-    common(p)
+    common(p, seed=True, bound=True)
     p.set_defaults(func=cmd_estimate_k)
 
     return parser

@@ -11,9 +11,9 @@ over `fields.ZZ`); every routine here that takes QQ vectors accepts ints and
 Fractions alike. Fractions remain for rational scheme-file coordinates and
 where elements must be divided: spans and factor subspaces (`SpanBuilder`),
 kernels and membership. Sampling over QQ sums integer numerators over one
-common denominator. Matrices over a polynomial ring (needed for generic
-ranks of one-parameter families) reuse the Bareiss path, which only
-requires exact division.
+common denominator. Ranks over a polynomial ring (generic ranks of
+one-parameter families) are the largest of enough specializations of t to
+integers, each ranked by one of the two routines above.
 """
 
 from __future__ import annotations
@@ -137,38 +137,6 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _rank_domain_bareiss(rows: list, ring: PolyRing) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [row[:] for row in rows]
-    rank = 0
-    prev = ring.one
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if not ring.is_zero(a[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[piv], a[rank] = a[rank], a[piv]
-        pv = a[rank][col]
-        for i in range(rank + 1, m):
-            aic = a[i][col]
-            for j in range(col + 1, n):
-                num = ring.sub(ring.mul(pv, a[i][j]), ring.mul(aic, a[rank][j]))
-                a[i][j] = ring.exact_div(num, prev)
-            a[i][col] = ring.zero
-        prev = pv
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def common_denominator(xs, prime: int | None = None) -> int:
     """Least common denominator of the rationals (or ints) `xs`.
 
@@ -195,11 +163,28 @@ def clear_denominators(row: list, prime: int | None = None) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def rank_of_rows(field, rows: list) -> int:
     """Exact rank of a list of row vectors over `field`.
 
     Over QQ the rows may hold Fractions or ints; over a prime field, any
     ints, which are reduced mod p.
+
+    Over an untruncated polynomial ring R[t], the rank is the one over the
+    fraction field of R[t] (the generic rank), taken from specializations.
+    Let d be the largest entry degree and D = min(#rows, #cols) * d. Every
+    r x r minor is a polynomial of degree at most r * d <= D, and a nonzero
+    polynomial of degree at most D is nonzero at one of any D + 1 points.
+    Specializing never raises a rank, so the largest rank over R among
+    t = 1, ..., D + 1 is the generic rank. Over GF(q)[t] those points must
+    be distinct mod q, so q < D + 1 raises ValueError; a truncated ring is
+    not a domain and raises TypeError.
     """
     rows = [row for row in rows if row]
     if not rows:
@@ -209,7 +194,20 @@ def rank_of_rows(field, rows: list) -> int:
     if isinstance(field, PrimeField):
         return _rank_mod_p(rows, field.p)
     if isinstance(field, PolyRing):
-        return _rank_domain_bareiss(rows, field)
+        if field.trunc is not None:
+            raise TypeError(f"{field!r} truncated below degree {field.trunc} is not a domain")
+        full = min(len(rows), len(rows[0]))
+        points = full * max(max(len(e) for row in rows for e in row) - 1, 0) + 1
+        if isinstance(field.base, PrimeField) and field.base.p < points:
+            raise ValueError(f"{field.base!r} has fewer than the {points} points "
+                             "a generic rank of these rows needs")
+        best = 0
+        for x in range(1, points + 1):
+            at_x = [[_horner(e, x) for e in row] for row in rows]
+            best = max(best, rank_of_rows(field.base, at_x))
+            if best == full:
+                break
+        return best
     raise TypeError(f"no rank routine for {field!r}")
 
 

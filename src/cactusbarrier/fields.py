@@ -73,16 +73,8 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(a.denominator, a.numerator)
 
-    def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
-
     def is_zero(self, a) -> bool:
         return not a
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -200,14 +192,8 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -298,9 +284,6 @@ class PolyRing:
     def is_zero(self, a) -> bool:
         return not a
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def coeff(self, a, m: int):
         return a[m] if m < len(a) else self.base.zero
 
@@ -315,32 +298,6 @@ class PolyRing:
 
     def shift_down(self, a, v: int):
         return a[v:] if v else a
-
-    def eval_at_zero(self, a):
-        return a[0] if a else self.base.zero
-
-    def exact_div(self, a, b):
-        """Quotient a/b when the division is exact; base must be a field."""
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not a:
-            return ()
-        if len(a) < len(b):
-            raise ArithmeticError("division is not exact")
-        rem = list(a)
-        db, lead = len(b) - 1, b[-1]
-        q = [self.base.zero] * (len(a) - len(b) + 1)
-        for k in range(len(a) - len(b), -1, -1):
-            c = rem[k + db]
-            if self.base.is_zero(c):
-                continue
-            f = self.base.div(c, lead)
-            q[k] = f
-            for j in range(db + 1):
-                rem[k + j] = self.base.sub(rem[k + j], self.base.mul(f, b[j]))
-        if any(not self.base.is_zero(c) for c in rem):
-            raise ArithmeticError("division is not exact")
-        return self._norm(q)
 
     def __eq__(self, other):
         return (

@@ -22,16 +22,11 @@ explicitly stated limit, and the code checks that the span of the stated limit
 sits inside the limit of the family's spans, which it computes exactly by
 t-saturation over the polynomial ring.
 
-Generic independence over the polynomial ring is certified by one
-specialization before any polynomial elimination runs. Vectors over QQ[t] are
-mapped to GF(2^31 - 1) with t -> T0 (over GF(q)[t], to GF(q) itself), and their
-images are eliminated there. The map is a ring homomorphism on every entry
-whose denominators are prime to p, so each m x m minor of the image is the
-image of the same minor over the polynomial ring: full rank of the image
-proves full generic rank. The certificate can only answer "independent";
-whenever it cannot (the image is dependent, or a denominator vanishes mod p),
-exact Bareiss elimination over the polynomial ring decides, so every result is
-the one that elimination alone would give.
+Generic ranks over the polynomial ring (which vectors `family_span` keeps,
+and whether a family basis is flat) are the largest rank among the
+specializations t = 1, ..., D + 1, where D bounds the degree of every minor
+(see `exactalg.rank_of_rows`). Each specialization is ranked on integer rows
+over QQ, or mod q over GF(q), so no polynomial elimination runs.
 """
 
 from __future__ import annotations
@@ -40,16 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
-    DEFAULT_PRIME,
     Matrix,
-    SpanBuilder,
     Subspace,
     clear_denominators,
     nullspace,
     rank_of_rows,
     subspace_from_vectors,
 )
-from .fields import QQ, PolyRing, PrimeField, RationalField, chart_ring
+from .fields import QQ, PolyRing, RationalField, chart_ring
 from .varieties import (
     Germ,
     VarietyParam,
@@ -314,60 +307,11 @@ class SpanFamily:
     ring: PolyRing
 
 
-# The certificate sends t to T0; any value keeps it exact, and a nonzero one
-# avoids t = 0, where flat families drop rank by design.
-_CERT_T0 = 1_000_003
-_CERT_FIELD = PrimeField(DEFAULT_PRIME)
-
-
-class _RankCertificate:
-    """Grows the images of polynomial vectors under t -> T0 in a prime field.
-
-    `extends(v)` is True only when the image of v is independent of the images
-    accepted so far, which proves that v is independent of the corresponding
-    polynomial vectors over the fraction field. False proves nothing.
-    """
-
-    def __init__(self, ring: PolyRing, ambient_dim: int):
-        field = _CERT_FIELD if isinstance(ring.base, RationalField) else ring.base
-        # truncation is not a ring homomorphism, so a truncated ring gets no
-        # certificate
-        if isinstance(field, PrimeField) and ring.trunc is None:
-            self._builder = SpanBuilder(field, ambient_dim)
-            self._t0 = field.of(_CERT_T0)
-        else:
-            self._builder = None
-
-    @property
-    def dim(self) -> int:
-        return self._builder.dim if self._builder else 0
-
-    def extends(self, vec: list) -> bool:
-        if self._builder is None:
-            return False
-        f = self._builder.field
-        image = []
-        for e in vec:
-            acc = 0
-            for c in reversed(e):
-                try:
-                    c = f.of(c)
-                except ZeroDivisionError:  # a denominator vanishes mod p
-                    return False
-                acc = (acc * self._t0 + c) % f.p
-            image.append(acc)
-        return self._builder.add(image)
-
-
 def generic_rank(fam: SpanFamily) -> int:
     """Rank of the basis over the fraction field of the polynomial ring.
 
-    A full-rank specialization at t = T0 certifies rank len(basis) without
-    polynomial elimination; otherwise Bareiss over the ring decides.
+    See `rank_of_rows`: the largest rank among enough specializations of t.
     """
-    cert = _RankCertificate(fam.ring, fam.ambient_dim)
-    if all(cert.extends(v) for v in fam.basis):
-        return len(fam.basis)
     return rank_of_rows(fam.ring, fam.basis)
 
 
@@ -378,9 +322,8 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     combination by its quotient by the largest possible power of t; repeat.
     The output dimension equals the generic rank of the family.
 
-    The basis must have full generic rank. A full-rank specialization at
-    t = T0 certifies that; only when it cannot does Bareiss elimination over
-    the polynomial ring check it. Over QQ[t], each dependent combination is
+    The basis must have full generic rank (see `generic_rank`), or
+    ValueError is raised. Over QQ[t], each dependent combination is
     cleared to integers first, so it is a nonzero multiple of the rational
     one: the steps and the limit are the same, and int vectors stay ints.
     """
@@ -403,7 +346,8 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
 
     max_steps = sum(max(ring.degree(e), 0) for v in vecs for e in v) + m + 8
     for _ in range(max_steps):
-        at0 = [[ring.eval_at_zero(e) for e in v] for v in vecs]
+        # constant terms; 0 is the zero of QQ and of GF(q) alike
+        at0 = [[e[0] if e else 0 for e in v] for v in vecs]
         if rank_of_rows(base, at0) == m:
             return Subspace(base, fam.ambient_dim, at0)
         kernel = nullspace(Matrix(base, [[at0[i][j] for i in range(m)] for j in range(fam.ambient_dim)]))
@@ -429,24 +373,17 @@ def family_span(param: VarietyParam, pieces, ring: PolyRing | None = None) -> Sp
     """SpanFamily of a scheme family, keeping a generically independent subset.
 
     Raw spanning vectors are scanned in order, and each is kept when it is
-    generically independent of those kept before it. The specialization
-    certificate accepts a vector while it holds the images of every kept
-    vector and the vector's image grows it; any other vector is decided by
-    Bareiss elimination over the polynomial ring. Both give the same answer
-    wherever the certificate answers, so the kept vectors are the same.
+    generically independent of those kept before it: when appending it
+    raises the generic rank (`rank_of_rows` over the polynomial ring).
 
     Over QQ[t], a piece whose coordinates have integral coefficients gives
     vectors of int polynomials (see `fields.chart_ring`).
     """
     if ring is None:
         ring = PolyRing(QQ)
-    raw = _span_vectors(param, pieces, ring)
-    cert = _RankCertificate(ring, param.dim_W)
     kept: list = []
-    for v in raw:
-        if cert.dim == len(kept) and cert.extends(v):
-            kept.append(v)
-        elif rank_of_rows(ring, kept + [v]) > len(kept):
+    for v in _span_vectors(param, pieces, ring):
+        if rank_of_rows(ring, kept + [v]) > len(kept):
             kept.append(v)
     return SpanFamily(param.dim_W, kept, ring)
 

@@ -359,7 +359,7 @@ def test_verify_instance_evaluates_map_once(monkeypatch, confirm):
     assert calls == ["integer_image"] * trials
 
 
-_BOUND_COMMANDS = {
+_COMMANDS = {
     "bound": ["bound", "--tensor", "{golden}/diag333.json", "--method", "flattening:split=1|23"],
     "verify": ["verify", "--variety", "segre:2x2x2", "--scheme", "{golden}/scheme_segre222.json",
                "--method", "koszul:p=1", "--trials", "1"],
@@ -370,10 +370,14 @@ _BOUND_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_BOUND_COMMANDS))
-def test_bound_below_one_is_usage_error(command, capsys):
+def _argv(command):
     golden = os.path.join(os.path.dirname(__file__), "golden")
-    argv = [a.format(golden=golden, fixtures=FIXTURES) for a in _BOUND_COMMANDS[command]]
+    return [a.format(golden=golden, fixtures=FIXTURES) for a in _COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", ["estimate-k", "verify"])
+def test_bound_below_one_is_usage_error(command, capsys):
+    argv = _argv(command)
     code, _ = run(argv + ["--bound", "1"])
     assert code == 0
     capsys.readouterr()
@@ -523,8 +527,18 @@ def test_verify_jobs_below_one_is_usage_error(value, capsys):
 
 @pytest.mark.parametrize("command", ["ceiling", "limit", "estimate-k"])
 def test_field_is_rejected_where_it_is_not_read(command, capsys):
-    argv = [a.format(fixtures=FIXTURES) for a in _BOUND_COMMANDS[command]]
+    argv = _argv(command)
     for field in ("p:101", "q", "nonsense"):
         code, out = run(argv + ["--field", field])
         assert code == 2 and out == ""
         assert "unrecognized arguments: --field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(c, o, id=f"{c}{o}") for c, o in (
+        ("bound", "--bound"), ("ceiling", "--seed"), ("ceiling", "--bound"),
+        ("limit", "--seed"), ("limit", "--bound"))])
+def test_seed_and_bound_are_rejected_where_they_are_not_read(command, option, capsys):
+    code, out = run(_argv(command) + [option, "3"])
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cactusbarrier.exactalg as exactalg
 import cactusbarrier.schemes as schemes
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
@@ -283,7 +284,7 @@ def test_validate_scheme_checks_chart_dimension():
         validate_scheme(p, FiniteScheme((reduced(0, 0, 0),)))
 
 
-# -- the specialization certificate for generic ranks ----------------------
+# -- generic ranks over R[t] by specialization ------------------------------
 
 def _outcome(fn):
     try:
@@ -294,7 +295,7 @@ def _outcome(fn):
 
 def _family_outcomes(param, pieces, ring):
     fam = family_span(param, pieces, ring)
-    return (fam.basis, generic_rank(fam), _outcome(lambda: limit_of_spans(fam).basis))
+    return (fam.basis, generic_rank(fam), limit_of_spans(fam).basis)
 
 
 def _basis_outcomes(n, basis, ring):
@@ -302,31 +303,51 @@ def _basis_outcomes(n, basis, ring):
     return (generic_rank(fam), _outcome(lambda: limit_of_spans(fam).basis))
 
 
-def _without_certificate(fn):
-    with mock.patch.object(schemes._RankCertificate, "extends", lambda self, vec: False):
-        return fn()
+def _sympy_generic_rank(ring, rows):
+    """Rank over QQ(t) or GF(q)(t), by sympy's DomainMatrix."""
+    from sympy import GF, Rational, symbols
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not rows:
+        return 0
+    t = symbols("t")
+    dom = (SQQ if ring.base == QQ else GF(ring.base.p)).frac_field(t)
+
+    def conv(e):
+        return dom.from_sympy(sum(Rational(c.numerator, c.denominator) * t**i
+                                  for i, c in enumerate(e)))
+
+    return DomainMatrix([[conv(e) for e in row] for row in rows],
+                        (len(rows), len(rows[0])), dom).rank()
 
 
-def _poly_rank_calls(fn):
-    """fn's result and how many ranks over a polynomial ring it computed."""
-    calls = []
-    real = schemes.rank_of_rows
+def _specializations(fn):
+    """fn's result, how many ranks over a polynomial ring it computed, and
+    how many specializations those ranks took."""
+    poly, base = [], []
+    real = exactalg.rank_of_rows
 
-    def counting(field, rows):
-        calls.append(isinstance(field, PolyRing))
-        return real(field, rows)
+    def counting(calls):
+        def rank(field, rows):
+            calls.append(field)
+            return real(field, rows)
+        return rank
 
-    with mock.patch.object(schemes, "rank_of_rows", counting):
-        return fn(), sum(calls)
+    with mock.patch.object(schemes, "rank_of_rows", counting(poly)), \
+            mock.patch.object(exactalg, "rank_of_rows", counting(base)):
+        out = fn()
+    return out, sum(isinstance(f, PolyRing) for f in poly), len(base)
 
 
 RQ = PolyRing(QQ)
+R101 = PolyRing(PrimeField(101))
 _polys = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
                   max_size=3).map(RQ.from_coeffs)
 
 
-def _pieces(dim_x):
-    point = st.tuples(*[_polys] * dim_x)
+def _pieces(dim_x, ring):
+    point = st.tuples(*[_polys.map(ring.from_coeffs)] * dim_x)
     return st.lists(st.one_of(
         point.map(ReducedPoint),
         point.map(FirstNeighborhood),
@@ -337,94 +358,113 @@ def _pieces(dim_x):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_certificate_does_not_change_family_results(data):
+def test_family_span_matches_a_sympy_greedy_selection(data):
     spec = data.draw(st.sampled_from(["veronese:1,3", "veronese:2,2", "segre:2x2"]))
     param = parse_variety(spec)
-    pieces = data.draw(_pieces(param.dim_X))
-    run = lambda: _family_outcomes(param, pieces, RQ)
-    assert run() == _without_certificate(run)
+    ring = data.draw(st.sampled_from([RQ, R101]))
+    pieces = data.draw(_pieces(param.dim_X, ring))
+    kept = []
+    for v in schemes._span_vectors(param, pieces, ring):
+        if _sympy_generic_rank(ring, kept + [v]) > len(kept):
+            kept.append(v)
+    basis, rank, lim = _family_outcomes(param, pieces, ring)
+    assert basis == kept
+    assert rank == len(lim) == len(kept)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.integers(1, 4), data=st.data())
-def test_certificate_does_not_change_basis_results(n, data):
-    # some drawn vectors, then QQ[t]-combinations of them so that generic
+@given(n=st.integers(1, 4), ring=st.sampled_from([RQ, R101]), data=st.data())
+def test_poly_rank_matches_sympy(n, ring, data):
+    # some drawn vectors, then R[t]-combinations of them so that generic
     # dependence with cancellation occurs, in a drawn order
-    basis = data.draw(st.lists(st.lists(_polys, min_size=n, max_size=n),
+    polys = _polys.map(ring.from_coeffs)
+    basis = data.draw(st.lists(st.lists(polys, min_size=n, max_size=n),
                                min_size=1, max_size=3))
-    for mults in data.draw(st.lists(st.lists(_polys, min_size=len(basis),
+    for mults in data.draw(st.lists(st.lists(polys, min_size=len(basis),
                                              max_size=len(basis)), max_size=2)):
-        combo = [RQ.zero] * n
+        combo = [ring.zero] * n
         for g, v in zip(mults, basis):
-            combo = [RQ.add(c, RQ.mul(g, x)) for c, x in zip(combo, v)]
+            combo = [ring.add(c, ring.mul(g, x)) for c, x in zip(combo, v)]
         basis.append(combo)
     basis = data.draw(st.permutations(basis))
-    run = lambda: _basis_outcomes(n, basis, RQ)
-    assert run() == _without_certificate(run)
+    expected = _sympy_generic_rank(ring, basis)
+    assert rank_of_rows(ring, basis) == expected
+    rank, lim = _basis_outcomes(n, basis, ring)
+    assert rank == expected
+    if expected < len(basis):
+        assert lim[0] == "ValueError"
+    else:
+        assert isinstance(lim, list) and len(lim) == expected
 
 
-def test_certificate_on_dependence_hidden_from_leading_terms():
+def test_poly_rank_needs_all_d_plus_one_points():
+    # rank 2 over QQ(t), but f * g vanishes at t = 1, ..., 4 = D (entry
+    # degree 2, two rows): only the last point t = D + 1 shows the rank
+    f = RQ.mul(RQ.from_coeffs([-1, 1]), RQ.from_coeffs([-2, 1]))
+    g = RQ.mul(RQ.from_coeffs([-3, 1]), RQ.from_coeffs([-4, 1]))
+    rows = [[f, RQ.zero], [RQ.zero, g]]
+    assert _sympy_generic_rank(RQ, rows) == 2
+    assert rank_of_rows(RQ, rows) == 2
+    assert generic_rank(SpanFamily(2, rows, RQ)) == 2
+    # over GF(5), t = 5 is t = 0, still a fifth distinct point; GF(3) has too few
+    R5 = PolyRing(PrimeField(5))
+    assert rank_of_rows(R5, [[R5.from_coeffs(e) for e in row] for row in rows]) == 2
+    R3 = PolyRing(PrimeField(3))
+    with pytest.raises(ValueError, match="points"):
+        rank_of_rows(R3, [[R3.from_coeffs([1, 0, 1]), R3.zero], [R3.zero, R3.one]])
+
+
+def test_generic_rank_on_dependence_hidden_from_leading_terms():
     # v3 = v1 - v2, but the t-leading coefficients of v1, v2, v3 are independent
     t1 = RQ.from_coeffs([1, 1])
     basis = [[t1, RQ.zero, RQ.one], [RQ.t(), RQ.one, RQ.zero], [RQ.one, RQ.of(-1), RQ.one]]
-    run = lambda: _basis_outcomes(3, basis, RQ)
-    assert run() == _without_certificate(run) == (
+    assert _sympy_generic_rank(RQ, basis) == 2
+    assert _basis_outcomes(3, basis, RQ) == (
         2, ("ValueError", "family basis drops rank generically (non-flat presentation)"))
 
 
-def test_certificate_answers_generic_families_alone():
+def test_independent_rows_need_one_specialization():
     p = parse_variety("segre:2x2x2")
     sch = random_scheme(p, 4, mix="reduced", bound=2, rng=random.Random(30))
     pieces = perturbed_family(sch, random.Random(31), bound=2, tdeg=2)
-    run = lambda: _family_outcomes(p, pieces, RQ)
-    out, calls = _poly_rank_calls(run)
-    assert calls == 0
-    assert out == _without_certificate(run)
+    (kept, rank, lim), poly, points = _specializations(
+        lambda: _family_outcomes(p, pieces, RQ))
+    assert len(kept) == rank == len(lim) == 4
+    # four kept vectors, generic_rank, and the flatness check of limit_of_spans
+    assert poly == points == 6
+    # dependent rows take every point: the second row is t times the first
+    rows = [[RQ.one, RQ.t()], [RQ.t(), RQ.mul(RQ.t(), RQ.t())]]
+    rank, poly, points = _specializations(lambda: generic_rank(SpanFamily(2, rows, RQ)))
+    assert (rank, poly, points) == (1, 1, 2 * 2 + 1)
 
 
-def test_certificate_falls_back_on_a_root_at_t0():
-    # [1, 0] and [1, t - T0] are independent over QQ(t) but not at t = T0
-    v = parse_variety("veronese:1,1")
-    shifted = RQ.from_coeffs([-schemes._CERT_T0, 1])
-    pieces = [ReducedPoint((RQ.zero,)), ReducedPoint((shifted,)), ReducedPoint((RQ.t(),))]
-    run = lambda: _family_outcomes(v, pieces, RQ)
-    (kept, rank, lim), calls = _poly_rank_calls(run)
-    assert kept == [[RQ.one, RQ.zero], [RQ.one, shifted]]
-    assert rank == 2 and len(lim) == 2
-    assert calls > 0
-    assert (kept, rank, lim) == _without_certificate(run)
-    basis = [[RQ.one, RQ.zero], [RQ.zero, shifted]]
-    assert _basis_outcomes(2, basis, RQ) == _without_certificate(
-        lambda: _basis_outcomes(2, basis, RQ)) == (2, [[1, 0], [0, -schemes._CERT_T0]])
-
-
-def test_certificate_falls_back_on_a_denominator_divisible_by_p():
+def test_generic_rank_with_a_denominator_divisible_by_2_31_minus_1():
     v = parse_variety("veronese:1,1")
     small = RQ.from_coeffs([0, Fraction(1, DEFAULT_PRIME)])
     pieces = [ReducedPoint((RQ.zero,)), ReducedPoint((small,))]
-    run = lambda: _family_outcomes(v, pieces, RQ)
-    (kept, rank, _), calls = _poly_rank_calls(run)
-    assert len(kept) == rank == 2
-    assert calls > 0
-    assert run() == _without_certificate(run)
+    kept, rank, lim = _family_outcomes(v, pieces, RQ)
+    assert len(kept) == rank == len(lim) == 2
+    assert _sympy_generic_rank(RQ, kept) == 2
 
 
-def test_certificate_over_a_prime_field_base():
+def test_poly_rank_over_a_prime_field_base():
     q = 101
     R = PolyRing(PrimeField(q))
     p = parse_variety("veronese:1,2")
-    t0 = schemes._CERT_T0 % q
     pieces = [ReducedPoint((R.zero,)), ReducedPoint((R.t(),)),
-              ReducedPoint((R.from_coeffs([q - t0, 1]),)),
+              ReducedPoint((R.from_coeffs([q - 3, 1]),)),
               CurvilinearGerm(Germ((R.of(5),), ((R.t(),),)), 2)]
-    run = lambda: _family_outcomes(p, pieces, R)
-    (kept, rank, lim), calls = _poly_rank_calls(run)
+    kept, rank, lim = _family_outcomes(p, pieces, R)
     assert len(kept) == rank == len(lim) == 3
-    assert calls > 0
-    assert (kept, rank, lim) == _without_certificate(run)
-    # two generic points are certified without polynomial elimination
-    (kept, _, _), calls = _poly_rank_calls(lambda: _family_outcomes(p, pieces[:2], R))
-    assert len(kept) == 2 and calls == 0
+    assert _sympy_generic_rank(R, kept) == 3
+    # D = 2 * 51 needs 103 points, more than GF(101) has; one row needs 52
+    big = R.from_coeffs([0] * 51 + [1])
+    with pytest.raises(ValueError, match="points"):
+        rank_of_rows(R, [[big, R.zero], [R.zero, R.one]])
+    assert rank_of_rows(R, [[big, R.zero]]) == 1
+    # a truncated ring has zero divisors, so it has no generic rank
+    with pytest.raises(TypeError):
+        rank_of_rows(PolyRing(QQ, trunc=3), [[RQ.one]])
 
 
 # -- span vectors over ZZ for integral chart points -------------------------
@@ -564,7 +604,7 @@ def _limit_by_products(fam):
         vecs.append([ring.shift_down(e, shift) for e in v])
     steps = 0
     while True:
-        at0 = [[ring.eval_at_zero(e) for e in v] for v in vecs]
+        at0 = [[e[0] if e else base.zero for e in v] for v in vecs]
         if rank_of_rows(base, at0) == len(vecs):
             return subspace_from_vectors(base, n, at0), steps
         steps += 1
@@ -594,9 +634,8 @@ def _is_int_poly_vector(v):
     return all(type(c) is int for e in v for c in e)
 
 
-def _nonzero_entries_are_ints(vectors):
-    # a zero entry at t = 0 is QQ's zero, the constant term of the zero polynomial
-    return all(type(x) is int for v in vectors for x in v if x)
+def _entries_are_ints(vectors):
+    return all(type(x) is int for v in vectors for x in v)
 
 
 def _check_against_fraction_path(param, pieces, limit, ring=RQ):
@@ -639,7 +678,7 @@ def test_integral_families_run_on_int_polynomials(case):
     param, pieces, limit = case
     fam, _ = _check_against_fraction_path(param, pieces, limit)
     assert all(_is_int_poly_vector(v) for v in fam.basis)
-    assert _nonzero_entries_are_ints(limit_of_spans(fam).basis)
+    assert _entries_are_ints(limit_of_spans(fam).basis)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -653,7 +692,7 @@ def test_integral_collisions_saturate_on_ints():
     pieces, limit = _collision(p, 5, 1, random.Random(7))
     fam, calls = _check_against_fraction_path(p, pieces, limit)
     assert calls > 0
-    assert _nonzero_entries_are_ints(limit_of_spans(fam).basis)
+    assert _entries_are_ints(limit_of_spans(fam).basis)
     assert compare_limit(p, fam, limit) == LimitComparison(5, 5, True)
 
 
