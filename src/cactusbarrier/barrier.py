@@ -2,8 +2,10 @@
 
 The verified statement is always the same: for F in the span of a finite
 subscheme of degree r on a smooth chart variety, rank M(F) <= k * r for any
-linear matrix map whose rank on chart points is at most k. Instances are
-screened over a large prime field and confirmed over the rationals; a confirmed
+linear matrix map whose rank on chart points is at most k. Each instance
+ranks M(F) once, by one fraction-free elimination over the integers, which
+gives both the rational rank and the rank over a large prime field (the
+screen); the confirm policy decides which is reported. A confirmed
 violation is a build-stopping bug, never a discovery, since only smooth
 varieties are in scope here.
 
@@ -21,6 +23,7 @@ from .exactalg import (
     SpanBuilder,
     clear_denominators,
     rank_of_rows,
+    rank_qq_and_mod_p,
     sample_combination,
 )
 from .fields import QQ, PrimeField
@@ -74,19 +77,22 @@ def _screen_and_confirm(method: RankMethod, raw: list, f_q: list, cap: int,
                         prime: int | None, confirm: str) -> tuple:
     """(rank, span_dim, field name, fp_rank, qq_confirmed) of F = f_q under a confirm policy.
 
-    M(F) is evaluated once, as integer rows, and both the screen and the
-    confirmation rank those rows. span_dim is the rank of the sampled-from
+    M(F) is evaluated once, as integer rows, and ranked once: with a prime,
+    `rank_qq_and_mod_p` gives the rational rank and the screen's rank mod
+    the prime from one elimination. The policy only decides which of the two
+    is reported; an unconfirmed record reports the screen, as it would
+    without the rational rank. span_dim is the rank of the sampled-from
     vectors `raw`, over the field the reported rank comes from.
     """
     rows = integer_image(method.map, f_q, prime)
-    fp_rank = None
-    if prime is not None:
+    if prime is None:
+        return rank_of_rows(QQ, rows), rank_of_rows(QQ, raw), "QQ", None, True
+    rk, fp_rank = rank_qq_and_mod_p(rows, prime)
+    if confirm == "never" or (confirm == "tight" and fp_rank < cap):
         gf = PrimeField(prime)
-        fp_rank = rank_of_rows(gf, rows)
-        if confirm == "never" or (confirm == "tight" and fp_rank < cap):
-            span_dim = rank_of_rows(gf, [clear_denominators(v, prime) for v in raw])
-            return fp_rank, span_dim, gf.name, fp_rank, False
-    return rank_of_rows(QQ, rows), rank_of_rows(QQ, raw), "QQ", fp_rank, True
+        span_dim = rank_of_rows(gf, [clear_denominators(v, prime) for v in raw])
+        return fp_rank, span_dim, gf.name, fp_rank, False
+    return rk, rank_of_rows(QQ, raw), "QQ", fp_rank, True
 
 
 def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMethod,
@@ -94,10 +100,11 @@ def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMetho
                     bound: int = 5, seed: int | None = None) -> BarrierReport:
     """Sample F in the span of the scheme and check rank M(F) <= k * degree.
 
-    ``confirm`` controls the rational pass after prime-field screening:
-    "full" always recomputes over the rationals, "tight" only when the
-    screened rank reaches or exceeds the bound, "never" reports the screened
-    numbers as-is. With ``prime=None`` everything runs over the rationals.
+    ``confirm`` decides which rank is reported; both come from one
+    elimination. "full" always reports the rational numbers, "tight" only
+    when the screened rank reaches or exceeds the bound, "never" reports the
+    screened numbers as-is. With ``prime=None`` everything runs over the
+    rationals.
     """
     if confirm not in ("full", "tight", "never"):
         raise ValueError(f"unknown confirm policy {confirm!r}")

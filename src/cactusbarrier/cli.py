@@ -399,14 +399,20 @@ def cmd_estimate_k(args, out) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,12 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variety", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_nonnegative_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the trials (at least 1)")
-    p.add_argument("--confirm", choices=("full", "tight", "never"), default="tight",
-                   help="rational confirmation policy after prime screening")
-    p.add_argument("--validate-k", type=int, default=20, metavar="N",
+    p.add_argument("--confirm", choices=("full", "tight", "never"), default="full",
+                   help="which rank to report: full (default) always the rational "
+                        "one, tight the rational one only where the prime-field "
+                        "rank reaches k*r, never the prime-field one; one "
+                        "elimination gives both")
+    p.add_argument("--validate-k", type=_nonnegative_int, default=20, metavar="N",
                    help="pre-campaign k-consistency samples (0 to skip)")
     common(p, seed=True, bound=True, field_default=f"p:{DEFAULT_PRIME}")
     p.set_defaults(func=cmd_verify)

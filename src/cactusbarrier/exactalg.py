@@ -4,8 +4,10 @@ Ranks are taken on plain Python ints wherever the rows allow it. Over the
 rationals, each row is cleared of denominators through `.numerator` and
 `.denominator` and ranked by fraction-free (Bareiss) elimination, so
 coefficient growth stays polynomial; over a prime field, ints are reduced
-mod p by plain elimination. The barrier check hands both routines the same
-integer rows of M(F) (see `rankmethods.integer_image`). Span vectors of
+mod p by plain elimination. The barrier check ranks the integer rows of
+M(F) (see `rankmethods.integer_image`) once, by `rank_qq_and_mod_p`: the
+last Bareiss pivot is a nonzero r x r minor, r the rational rank, and when
+the prime does not divide it the rank mod p is r as well. Span vectors of
 integral chart points arrive as ints as well (chart evaluation and jets run
 over `fields.ZZ`); every routine here that takes QQ vectors accepts ints and
 Fractions alike. Fractions remain for rational scheme-file coordinates and
@@ -65,13 +67,15 @@ class Matrix:
         return Matrix(self.field, [list(col) for col in zip(*self.rows)] if self.rows else [])
 
 
-def _rank_int_bareiss(rows: list[list[int]]) -> int:
-    # Fraction-free (Bareiss) elimination; overwrites `rows`. A row with a
-    # zero in the pivot column is skipped instead of multiplied through:
-    # level[i] is the pivot that last updated row i (1 if none), so its
-    # Bareiss entries are the stored ones times prev / level[i]. Updating the
-    # row, or rescaling it when it becomes the pivot row, divides by
-    # level[i] exactly.
+def _rank_int_bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    # Fraction-free (Bareiss) elimination; overwrites `rows` and returns
+    # (rank, last pivot). A row with a zero in the pivot column is skipped
+    # instead of multiplied through: level[i] is the pivot that last updated
+    # row i (1 if none), so its Bareiss entries are the stored ones times
+    # prev / level[i]. Updating the row, or rescaling it when it becomes the
+    # pivot row, divides by level[i] exactly; so every pivot is a true
+    # Bareiss entry, and by Sylvester's identity the last one is, up to
+    # sign, the rank x rank minor on the pivot rows and columns (1 at rank 0).
     a = rows
     m = len(a)
     n = len(a[0]) if a else 0
@@ -102,7 +106,7 @@ def _rank_int_bareiss(rows: list[list[int]]) -> int:
         rank += 1
         if rank == m:
             break
-    return rank
+    return rank, prev
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -190,7 +194,7 @@ def rank_of_rows(field, rows: list) -> int:
     if not rows:
         return 0
     if isinstance(field, RationalField):
-        return _rank_int_bareiss([clear_denominators(row) for row in rows])
+        return _rank_int_bareiss([clear_denominators(row) for row in rows])[0]
     if isinstance(field, PrimeField):
         return _rank_mod_p(rows, field.p)
     if isinstance(field, PolyRing):
@@ -209,6 +213,24 @@ def rank_of_rows(field, rows: list) -> int:
                 break
         return best
     raise TypeError(f"no rank routine for {field!r}")
+
+
+def rank_qq_and_mod_p(rows: list, p: int) -> tuple[int, int]:
+    """(rank over QQ, rank mod the prime p) of rows of ints or Fractions, by one elimination.
+
+    The rows are cleared of denominators as in `rank_of_rows` over QQ (p may
+    not divide one; see `common_denominator`) and ranked by Bareiss
+    elimination, whose last pivot is an r x r minor of the rows, r the
+    rational rank. If p does not divide that minor, the rank mod p is at
+    least r; it is never more than the rational rank, since a minor that is
+    nonzero mod p is nonzero. So it is r, and only when p divides the minor
+    are the rows ranked again, mod p.
+    """
+    rows = [clear_denominators(row, p) for row in rows if row]
+    r, minor = _rank_int_bareiss([row[:] for row in rows])
+    if minor % p:
+        return r, r
+    return r, rank_of_rows(PrimeField(p), rows)
 
 
 def rank(m: Matrix) -> int:

@@ -19,8 +19,8 @@ from cactusbarrier.barrier import (
     verify_instance,
     verify_join_decomposition,
 )
-from cactusbarrier.exactalg import DEFAULT_PRIME, rank
-from cactusbarrier.fields import QQ
+from cactusbarrier.exactalg import DEFAULT_PRIME, rank, rank_of_rows
+from cactusbarrier.fields import QQ, PrimeField
 from cactusbarrier.rankmethods import (
     DenseTensor,
     SymmetricForm,
@@ -29,6 +29,7 @@ from cactusbarrier.rankmethods import (
     check_k_consistency,
     evaluate_map,
     flattening,
+    integer_image,
     koszul_flattening,
     lower_bound,
 )
@@ -40,6 +41,7 @@ from cactusbarrier.schemes import (
     perturbed_family,
     random_scheme,
     scheme_span,
+    scheme_span_vectors,
     span_of_limit_vs_limit_of_spans,
 )
 from cactusbarrier.varieties import homogeneous_exponents, parse_variety, random_point
@@ -64,10 +66,17 @@ def announce(criterion: int, label: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def barrier_campaign():
-    """Shared instances: (report, factor_dim, k, degree) per verified case."""
+    """Shared instances: (report, factor_dim, k, degree) per verified case.
+
+    "fp_ranks" holds, per instance, the rank of M(F) over GF(p) from elimination
+    mod p, with F rebuilt from the report's combination of the span vectors:
+    a cross-check independent of the reported fp_rank, which is read off the
+    rational elimination.
+    """
     start = time.monotonic()
     rng = random.Random(20260810)
     results = []
+    fp_ranks = []
     piece_kinds = set()
     for spec in VARIETIES:
         param = parse_variety(spec)
@@ -78,13 +87,19 @@ def barrier_campaign():
             scheme = random_scheme(param, r, mix="mixed", bound=3, rng=rng)
             piece_kinds.update(type(p).__name__ for p in scheme.pieces)
             span = scheme_span(param, scheme)
+            raw = scheme_span_vectors(param, scheme, QQ)
             for method in methods:
                 rep = verify_instance(param, scheme, method, rng,
                                       prime=DEFAULT_PRIME, confirm="full")
                 factor_dim = minimal_factor_subspace(method.map, span).dim
                 results.append((rep, factor_dim, method.k, scheme.degree))
+                f = [sum(c * v[j] for c, v in zip(rep.extra["combination"], raw))
+                     for j in range(param.dim_W)]
+                fp_ranks.append(rank_of_rows(PrimeField(DEFAULT_PRIME),
+                                             integer_image(method.map, f, DEFAULT_PRIME)))
     elapsed = time.monotonic() - start
-    return {"results": results, "elapsed": elapsed, "piece_kinds": piece_kinds}
+    return {"results": results, "fp_ranks": fp_ranks, "elapsed": elapsed,
+            "piece_kinds": piece_kinds}
 
 
 def test_criterion_1_barrier_suite(barrier_campaign):
@@ -327,6 +342,10 @@ def test_criterion_8_exactness_cross_check(barrier_campaign):
     frac = len(disagreements) / len(screened) if screened else 0.0
     direction_ok = all(rep.fp_rank < rep.rank and rep.rank <= rep.bound
                        for rep in disagreements)
-    ok = frac < 0.01 and direction_ok and len(screened) == len(reps)
+    fp_ranks = barrier_campaign["fp_ranks"]
+    mismatched = [i for i, (rep, fp) in enumerate(zip(reps, fp_ranks)) if rep.fp_rank != fp]
+    ok = (frac < 0.01 and direction_ok and len(screened) == len(reps)
+          and len(fp_ranks) == len(reps) and not mismatched)
     announce(8, "prime screening vs rational confirmation agreement", ok,
-             f"{len(disagreements)}/{len(screened)} disagreements ({frac:.2%})")
+             f"{len(disagreements)}/{len(screened)} disagreements ({frac:.2%}); "
+             f"fp_rank equals elimination mod p on {len(reps) - len(mismatched)}/{len(reps)}")

@@ -525,6 +525,59 @@ def test_verify_jobs_below_one_is_usage_error(value, capsys):
     assert "--jobs" in err and f"must be a positive integer, got {value}" in err
 
 
+@pytest.mark.parametrize("option", ["--trials", "--validate-k"])
+def test_verify_negative_count_is_usage_error(option, capsys):
+    # --trials 0 and --validate-k 0 stay valid: an empty campaign, no k check
+    argv = ["verify", "--variety", "segre:2x2x2", "--scheme", "random:deg=2",
+            "--method", "koszul:p=1", "--trials", "1"]
+    code, out = run(argv + [option, "-3"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert option in err and "must be a non-negative integer, got -3" in err
+    code, out = run(argv + [option, "0"])
+    assert code == 0 and out
+
+
+def test_default_verify_ranks_each_instance_once(monkeypatch):
+    # the default policy reports the rational rank of every instance, and one
+    # integer elimination of M(F) gives it together with the GF(p) screen
+    import cactusbarrier.barrier as barrier
+    import cactusbarrier.exactalg as exactalg
+
+    images, eliminated, mod_p = [], [], []
+
+    def recording(log, real):
+        def wrapper(rows, *args):
+            log.append([list(row) for row in rows])
+            return real(rows, *args)
+        return wrapper
+
+    real_image = barrier.integer_image
+
+    def image(*args):
+        rows = real_image(*args)
+        images.append([list(row) for row in rows])
+        return rows
+
+    monkeypatch.setattr(barrier, "integer_image", image)
+    monkeypatch.setattr(exactalg, "_rank_int_bareiss",
+                        recording(eliminated, exactalg._rank_int_bareiss))
+    monkeypatch.setattr(exactalg, "_rank_mod_p", recording(mod_p, exactalg._rank_mod_p))
+    trials = 4
+    code, out = run(["verify", "--variety", "segre:4x4x4", "--scheme", "random:deg=5",
+                     "--method", "koszul:p=1", "--trials", str(trials), "--seed", "3",
+                     "--validate-k", "0", "--format", "json"])
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert len(reports) == len(images) == trials
+    assert all(r["qq_confirmed"] and r["field"] == "QQ" and r["fp_rank"] == r["rank"]
+               for r in reports)
+    # the screen ranks below k*r here, where --confirm tight reports GF(p)
+    assert any(r["rank"] < r["bound"] for r in reports)
+    assert [rows for rows in eliminated if rows in images] == images
+    assert not [rows for rows in mod_p if rows in images]
+
+
 @pytest.mark.parametrize("command", ["ceiling", "limit", "estimate-k"])
 def test_field_is_rejected_where_it_is_not_read(command, capsys):
     argv = _argv(command)

@@ -11,11 +11,13 @@ from cactusbarrier.exactalg import (
     Matrix,
     Subspace,
     _rank_int_bareiss,
+    _rank_mod_p,
     clear_denominators,
     nullspace,
     random_in_span,
     rank,
     rank_of_rows,
+    rank_qq_and_mod_p,
     sample_combination,
     solve_membership,
     span_sum,
@@ -289,11 +291,45 @@ def _int_matrices(draw):
 def test_integer_bareiss_matches_sympy(case):
     rows, ncols = case
     expected = _sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], ncols)
-    assert _rank_int_bareiss([row[:] for row in rows]) == expected
+    assert _rank_int_bareiss([row[:] for row in rows])[0] == expected
     assert rank_of_rows(QQ, rows) == expected
     # the same rows as Fractions with a common denominator per row
     scaled = [[Fraction(x, 6 * (i + 1)) for x in row] for i, row in enumerate(rows)]
     assert rank_of_rows(QQ, scaled) == expected
+
+
+def test_rank_qq_and_mod_p_pins():
+    p = 7
+    assert rank_qq_and_mod_p([[p]], p) == (1, 0)
+    # the first pivot p vanishes mod p, so the rows are ranked again mod p
+    assert rank_qq_and_mod_p([[p], [1]], p) == (1, 1)
+    # the first pivot is 1; the last, the minor p, vanishes mod p
+    assert rank_qq_and_mod_p([[1, 0], [0, p]], p) == (2, 1)
+    assert rank_qq_and_mod_p([[Fraction(1, 3), 2], [1, 6]], p) == (1, 1)
+    assert rank_qq_and_mod_p([], p) == (0, 0)
+    assert rank_qq_and_mod_p([[0, 0]], p) == (0, 0)
+    with pytest.raises(ZeroDivisionError, match="vanishes mod 7"):
+        rank_qq_and_mod_p([[Fraction(1, 14), 1]], p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_matrices(), st.sampled_from([2, 3, 5, 7]))
+def test_rank_qq_and_mod_p_matches_sympy_and_elimination_mod_p(case, p):
+    from sympy import Matrix as SMatrix
+
+    rows, ncols = case
+    expected = (_sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], ncols),
+                _rank_mod_p(rows, p))
+    assert expected[1] == _sympy_rank(PrimeField(p), [[x % p for x in row] for row in rows],
+                                      ncols)
+    assert rank_qq_and_mod_p(rows, p) == expected
+    # the same rows over a denominator that p does not divide
+    assert rank_qq_and_mod_p([[Fraction(x, 11) for x in row] for row in rows], p) == expected
+    # the last pivot is a nonzero minor: the determinant, on a square matrix of full rank
+    r, minor = _rank_int_bareiss([row[:] for row in rows])
+    assert minor != 0
+    if r == len(rows) == ncols:
+        assert abs(minor) == abs(SMatrix(rows).det())
 
 
 def test_clear_denominators_and_prime_check():

@@ -8,6 +8,9 @@ keeps every stream. To re-record after an intended change of output, run
 from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the streams whose exit code or bytes changed, and prints
+`changed`, `unchanged` or `new` for each case.
 """
 
 import io
@@ -44,6 +47,16 @@ if __name__ == "__main__":
     os.chdir(GOLDEN)
     for case in CASES:
         code, stream = run_case(case)
-        (GOLDEN / f"{case['name']}.out").write_bytes(stream)
-        (GOLDEN / f"{case['name']}.exit").write_text(f"{code}\n", encoding="utf-8")
-        print(f"{case['name']}: exit {code}, {len(stream)} bytes")
+        out_path = GOLDEN / f"{case['name']}.out"
+        exit_path = GOLDEN / f"{case['name']}.exit"
+        exit_text = f"{code}\n"
+        if not (out_path.exists() and exit_path.exists()):
+            status = "new"
+        elif out_path.read_bytes() == stream and exit_path.read_text() == exit_text:
+            status = "unchanged"
+        else:
+            status = "changed"
+        if status != "unchanged":
+            out_path.write_bytes(stream)
+            exit_path.write_text(exit_text, encoding="utf-8")
+        print(f"{case['name']}: {status}, exit {code}, {len(stream)} bytes")
