@@ -39,6 +39,7 @@ from .rankmethods import (
     parse_method,
 )
 from .schemes import (
+    FiniteScheme,
     SpanFamily,
     compare_limit,
     family_span,
@@ -344,8 +345,14 @@ def cmd_ceiling(args, out) -> int:
 def cmd_limit(args, out) -> int:
     param, (kind, data), limit_scheme = load_family(args.family)
     validate_scheme(param, limit_scheme)
+    if not data:
+        raise CliError("the family is empty")
     ring = PolyRing(QQ)
     if kind == "schemes":
+        family = FiniteScheme(tuple(data))  # a flat family: valid, of its limit's degree
+        validate_scheme(param, family)
+        if family.degree != limit_scheme.degree:
+            raise CliError(f"family degree {family.degree} != limit degree {limit_scheme.degree}")
         fam = family_span(param, data, ring)
     else:
         fam = SpanFamily(param.dim_W, data, ring)

@@ -10,12 +10,13 @@ last Bareiss pivot is a nonzero r x r minor, r the rational rank, and when
 the prime does not divide it the rank mod p is r as well. Span vectors of
 integral chart points arrive as ints as well (chart evaluation and jets run
 over `fields.ZZ`); every routine here that takes QQ vectors accepts ints and
-Fractions alike. Fractions remain for rational scheme-file coordinates and
-where elements must be divided: spans and factor subspaces (`SpanBuilder`),
-kernels and membership. Sampling over QQ sums integer numerators over one
-common denominator. Ranks over a polynomial ring (generic ranks of
-one-parameter families) are the largest of enough specializations of t to
-integers, each ranked by one of the two routines above.
+Fractions alike. Each t-saturation step takes its relation from one
+fraction-free elimination (`first_relation`). Fractions remain for rational
+scheme-file coordinates and where elements must be divided: spans and factor
+subspaces (`SpanBuilder`), `nullspace` and membership. Sampling over QQ sums
+integer numerators over one common denominator. Ranks over a polynomial ring
+(generic ranks of one-parameter families) are the largest of enough integer
+specializations of t, each ranked by one of the two routines above.
 """
 
 from __future__ import annotations
@@ -231,6 +232,52 @@ def rank_qq_and_mod_p(rows: list, p: int) -> tuple[int, int]:
     if minor % p:
         return r, r
     return r, rank_of_rows(PrimeField(p), rows)
+
+
+def first_relation(field, rows: list):
+    """The relation on the first row that lies in the span of the rows before it; None if independent.
+
+    Rows are scanned into a fraction-free echelon, each followed by its
+    combination of the input rows. Over QQ a row is cleared of denominators,
+    reduced against each kept row r by e * v - x * r (e the pivot of r, x the
+    entry of v there) and divided by its gcd; over GF(q) this runs mod q.
+    When row i reduces to zero, rows 0..i-1 are independent, so the relation
+    on rows 0..i is unique up to scale. It is returned over all rows, zero
+    beyond i, as the primitive integer vector with c_i > 0 over QQ and with
+    c_i = 1 over GF(q). That is `clear_denominators(nullspace(M)[0])`, resp.
+    `nullspace(M)[0]`, for M the transpose of rows 0..i: the first kernel
+    vector has a 1 at the first free column, which is row i.
+    """
+    q = field.p if isinstance(field, PrimeField) else None
+    if q is None and not isinstance(field, RationalField):
+        raise TypeError(f"no relation routine for {field!r}")
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    kept = []  # (pivot column, row followed by its combination)
+    for i, row in enumerate(rows):
+        if q is None:
+            den = math.lcm(*[x.denominator for x in row])
+            w = [x.numerator * (den // x.denominator) for x in row] + [0] * m
+        else:
+            den, w = 1, [x % q for x in row] + [0] * m
+        w[n + i] = den
+        for pc, r in kept:
+            x = w[pc]
+            if x:
+                w = [r[pc] * a - x * b for a, b in zip(w, r)]
+                if q:
+                    w = [a % q for a in w]
+                elif (g := math.gcd(*w)) > 1:
+                    w = [a // g for a in w]
+        pc = next((j for j in range(n) if w[j]), None)
+        if pc is None:
+            c = w[n:]  # primitive after the gcd divisions (e_i for a zero row)
+            if q:
+                inv = pow(c[i], -1, q)
+                return [a * inv % q for a in c]
+            return c if c[i] > 0 else [-a for a in c]
+        kept.append((pc, w))
+    return None
 
 
 def rank(m: Matrix) -> int:

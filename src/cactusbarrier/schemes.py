@@ -13,9 +13,9 @@ of products of coordinates, so the ints equal the rational vectors entry by
 entry. Pieces with rational coordinates, prime fields, GF(q)[t] families and
 truncated rings keep their own arithmetic. The dimension of the stated
 limit's span and its inclusion in the limit of the spans are two ranks
-(`rank_of_rows`, on integer rows over QQ), and the t-saturation clears each
-kernel combination to integers, so integral families stay on ints. Over QQ,
-Fractions remain in the kernels and for rational coordinates.
+(`rank_of_rows`, on integer rows over QQ), and each t-saturation step takes
+a primitive integer relation from one fraction-free elimination
+(`first_relation`), so Fractions remain only for rational coordinates.
 
 Flat limits are never computed here. A one-parameter family carries its own
 explicitly stated limit, and the code checks that the span of the stated limit
@@ -34,15 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import (
-    Matrix,
-    Subspace,
-    clear_denominators,
-    nullspace,
-    rank_of_rows,
-    subspace_from_vectors,
-)
-from .fields import QQ, PolyRing, RationalField, chart_ring
+from .exactalg import Subspace, first_relation, rank_of_rows, subspace_from_vectors
+from .fields import QQ, PolyRing, chart_ring
 from .varieties import (
     Germ,
     VarietyParam,
@@ -318,14 +311,15 @@ def generic_rank(fam: SpanFamily) -> int:
 def limit_of_spans(fam: SpanFamily) -> Subspace:
     """The t->0 limit of the family of spans, computed by exact t-saturation.
 
-    Iteratively: evaluate at t=0; while the rank drops, replace a dependent
-    combination by its quotient by the largest possible power of t; repeat.
-    The output dimension equals the generic rank of the family.
+    Iteratively: evaluate at t=0; while a row there depends on those before
+    it, replace the first such row by its relation (`first_relation`, one
+    elimination per step) divided by the largest possible power of t;
+    repeat. The output dimension equals the generic rank of the family.
 
     The basis must have full generic rank (see `generic_rank`), or
-    ValueError is raised. Over QQ[t], each dependent combination is
-    cleared to integers first, so it is a nonzero multiple of the rational
-    one: the steps and the limit are the same, and int vectors stay ints.
+    ValueError is raised. Over QQ[t] the relation is the primitive integer
+    one, a nonzero multiple of the rational kernel vector, so the steps and
+    the limit are the same, and int vectors stay ints.
     """
     ring = fam.ring
     base = ring.base
@@ -348,16 +342,13 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     for _ in range(max_steps):
         # constant terms; 0 is the zero of QQ and of GF(q) alike
         at0 = [[e[0] if e else 0 for e in v] for v in vecs]
-        if rank_of_rows(base, at0) == m:
+        combo = first_relation(base, at0)
+        if combo is None:
             return Subspace(base, fam.ambient_dim, at0)
-        kernel = nullspace(Matrix(base, [[at0[i][j] for i in range(m)] for j in range(fam.ambient_dim)]))
-        combo = kernel[0]
-        if isinstance(base, RationalField):
-            combo = clear_denominators(combo)
-        target = max(i for i, c in enumerate(combo) if not base.is_zero(c))
+        target = max(i for i, c in enumerate(combo) if c)
         new = [ring.zero] * fam.ambient_dim
         for i, c in enumerate(combo):
-            if base.is_zero(c):
+            if not c:
                 continue
             for j in range(fam.ambient_dim):
                 new[j] = ring.add(new[j], ring.scale(c, vecs[i][j]))

@@ -251,6 +251,36 @@ def test_cmd_limit_malformed_family(tmp_path):
     assert code == 2
 
 
+def _family_doc(kind, members, limit):
+    return {"format": "spanfamily/1", "variety": "veronese:1,2",
+            "family": {"kind": kind, kind: members}, "limit": {"pieces": limit}}
+
+
+_TWO_POINTS = [{"type": "reduced", "point": ["0"]}, {"type": "reduced", "point": ["1"]}]
+
+
+@pytest.mark.parametrize("doc", [
+    # one length-1 germ, stated to tend to a length-2 germ
+    _family_doc("schemes", [{"type": "curvilinear", "base": [["0"]], "coeffs": [], "length": 1}],
+                [{"type": "curvilinear", "base": ["0"], "coeffs": [["1"]], "length": 2}]),
+    _family_doc("schemes", [], _TWO_POINTS),
+    # two reduced points with the same support polynomial
+    _family_doc("schemes", [{"type": "reduced", "point": [["0", "1"]]}] * 2, _TWO_POINTS),
+    # two points stated to tend to three
+    _family_doc("schemes", [{"type": "reduced", "point": [["0"]]},
+                            {"type": "reduced", "point": [["1", "1"]]}],
+                _TWO_POINTS + [{"type": "reduced", "point": ["2"]}]),
+    _family_doc("basis", [], _TWO_POINTS),
+], ids=["germ_of_length_1", "no_schemes", "shared_support", "degree_mismatch", "empty_basis"])
+def test_cmd_limit_rejects_a_family_that_cannot_have_its_limit(tmp_path, doc):
+    # none of these is a flat family with the stated limit, so the inclusion
+    # says nothing about them: an input error, never a violation (exit 1)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["limit", "--family", str(path)])
+    assert code == 2 and out == ""
+
+
 def test_cmd_estimate_k():
     code, out = run(["estimate-k", "--variety", "segre:3x3x3", "--method", "koszul:p=1",
                      "--trials", "30", "--seed", "5", "--format", "json"])

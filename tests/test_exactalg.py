@@ -13,6 +13,7 @@ from cactusbarrier.exactalg import (
     _rank_int_bareiss,
     _rank_mod_p,
     clear_denominators,
+    first_relation,
     nullspace,
     random_in_span,
     rank,
@@ -25,7 +26,7 @@ from cactusbarrier.exactalg import (
     subspace_from_vectors,
     subspaces_equal,
 )
-from cactusbarrier.fields import QQ, PrimeField
+from cactusbarrier.fields import QQ, PolyRing, PrimeField
 
 
 def qvec(*xs):
@@ -330,6 +331,80 @@ def test_rank_qq_and_mod_p_matches_sympy_and_elimination_mod_p(case, p):
     assert minor != 0
     if r == len(rows) == ncols:
         assert abs(minor) == abs(SMatrix(rows).det())
+
+
+def test_first_relation_pins():
+    assert first_relation(QQ, [[1, 0], [0, 1]]) is None
+    assert first_relation(QQ, []) is None
+    assert first_relation(QQ, [[0, 0], [1, 2]]) == [1, 0]
+    assert first_relation(QQ, [[1, 2], [2, 4]]) == [-2, 1]
+    # rows 0, 1, 2 already depend; row 3 is never reached
+    assert first_relation(QQ, [[1, 0], [0, 1], [1, 1], [5, 5]]) == [-1, -1, 1, 0]
+    # Fraction rows: the primitive integer relation, last coefficient positive
+    half = [Fraction(1, 2), Fraction(1, 3)]
+    assert first_relation(QQ, [half, [3, 2]]) == [-6, 1]
+    assert first_relation(QQ, [[3, 2], half]) == [-1, 6]
+    assert first_relation(QQ, [[Fraction(2, 3), 1], [Fraction(1, 3), Fraction(1, 2)]]) == [-1, 2]
+    # the gcd division keeps the combination primitive through several updates
+    assert first_relation(QQ, [[2, 4, 0], [0, 6, 3], [2, 10, 3]]) == [-1, -1, 1]
+    # over GF(7): row 1 is 3 * row 0, so the relation is (-3, 1) = (4, 1)
+    assert first_relation(PrimeField(7), [[1, 2], [3, 6]]) == [4, 1]
+    assert first_relation(PrimeField(7), [[2, 1], [1, 3], [3, 4]]) == [6, 6, 1]
+    with pytest.raises(TypeError):
+        first_relation(PolyRing(QQ), [[(1,)]])
+
+
+@st.composite
+def _relation_cases(draw):
+    """(field, rows, ncols) over QQ (ints and Fractions) or GF(q) for small q.
+
+    Rows are drawn one at a time as free, zero, repeated or combined from
+    earlier rows, in tall and wide shapes.
+    """
+    q = draw(st.sampled_from([None, 2, 3, 5, 7]))
+    field = QQ if q is None else PrimeField(q)
+    if q is None:
+        entry = st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=6))
+    else:
+        entry = st.integers(0, q - 1)
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 8))
+    rows = []
+    while len(rows) < nrows:
+        kind = draw(st.sampled_from(["free", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "free" or not rows:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([field.of(sum(c * r[j] for c, r in zip(coeffs, rows)))
+                         for j in range(ncols)])
+    return field, rows, ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_relation_cases())
+def test_first_relation_matches_the_kernel_of_the_first_dependent_prefix(case):
+    field, rows, ncols = case
+    rel = first_relation(field, rows)
+    if rel is None:
+        assert _sympy_rank(field, rows, ncols) == len(rows)
+        return
+    assert _sympy_rank(field, rows, ncols) < len(rows)
+    i = next(k for k in range(len(rows)) if _sympy_rank(field, rows[:k + 1], ncols) == k)
+    assert len(rel) == len(rows)
+    assert rel[i] and not any(rel[i + 1:])
+    for j in range(ncols):
+        assert field.is_zero(field.of(sum(c * row[j] for c, row in zip(rel, rows))))
+    prefix = Matrix.from_rows(field, [list(col) for col in zip(*rows[:i + 1])])
+    kernel = nullspace(prefix)[0]
+    if field == QQ:
+        kernel = clear_denominators(kernel)
+        assert all(type(c) is int for c in rel)
+    assert rel[:i + 1] == kernel
 
 
 def test_clear_denominators_and_prime_check():

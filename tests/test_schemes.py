@@ -11,6 +11,7 @@ import cactusbarrier.schemes as schemes
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
     Matrix,
+    clear_denominators,
     nullspace,
     rank_of_rows,
     subspace_from_vectors,
@@ -580,22 +581,26 @@ def _fraction_family_path(fn):
         return fn()
 
 
-def _nullspace_calls(fn):
-    calls = []
-    real = schemes.nullspace
+def _relation_calls(fn):
+    """fn(), the `first_relation` calls it made in `schemes`, and how many found a relation."""
+    found = []
+    real = schemes.first_relation
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting(field, rows):
+        rel = real(field, rows)
+        found.append(rel is not None)
+        return rel
 
-    with mock.patch.object(schemes, "nullspace", counting):
-        return fn(), len(calls)
+    with mock.patch.object(schemes, "first_relation", counting):
+        return fn(), len(found), sum(found)
 
 
-def _limit_by_products(fam):
+def _limit_by_products(fam, clear=False):
     """The t-saturation as it was: rational combinations, formed by polynomial products.
 
-    Returns the limit subspace and the number of saturation steps.
+    With `clear`, each combination is cleared to integers first, the step
+    rule before `first_relation`. Returns the t = 0 rows at the end, which
+    are a basis of the limit, and the number of saturation steps.
     """
     ring, base, n = fam.ring, fam.ring.base, fam.ambient_dim
     vecs = []
@@ -606,9 +611,11 @@ def _limit_by_products(fam):
     while True:
         at0 = [[e[0] if e else base.zero for e in v] for v in vecs]
         if rank_of_rows(base, at0) == len(vecs):
-            return subspace_from_vectors(base, n, at0), steps
+            return at0, steps
         steps += 1
         combo = nullspace(Matrix(base, [list(col) for col in zip(*at0)]))[0]
+        if clear and not isinstance(base, PrimeField):
+            combo = clear_denominators(combo)
         target = max(i for i, c in enumerate(combo) if not base.is_zero(c))
         new = [ring.zero] * n
         for c, v in zip(combo, vecs):
@@ -654,13 +661,16 @@ def _check_against_fraction_path(param, pieces, limit, ring=RQ):
         assert integral or all(type(c) is Fraction for e in v for c in e)
     assert generic_rank(fam) == generic_rank(old)
 
-    lim, calls = _nullspace_calls(lambda: limit_of_spans(fam))
-    old_lim, old_calls = _fraction_family_path(
-        lambda: _nullspace_calls(lambda: limit_of_spans(old)))
+    lim, ncalls, calls = _relation_calls(lambda: limit_of_spans(fam))
+    old_lim, _, old_calls = _fraction_family_path(
+        lambda: _relation_calls(lambda: limit_of_spans(old)))
     by_products, steps = _limit_by_products(old)
-    assert calls == old_calls == steps
+    by_kernel, kernel_steps = _limit_by_products(fam, clear=True)
+    assert calls == old_calls == steps == kernel_steps
+    assert ncalls == calls + 1  # one relation per step, and one for the final rows
     assert lim.dim == len(fam.basis)
-    assert subspaces_equal(lim, old_lim) and subspaces_equal(lim, by_products)
+    assert _entries_equal(lim.basis, by_kernel) and _entries_equal(lim.basis, old_lim.basis)
+    assert subspaces_equal(lim, subspace_from_vectors(ring.base, fam.ambient_dim, by_products))
 
     # a stated limit that is not the family's, where the inclusion can fail
     other = random_scheme(param, 2, mix="reduced", bound=3, rng=random.Random(len(fam.basis)))
@@ -694,6 +704,13 @@ def test_integral_collisions_saturate_on_ints():
     assert calls > 0
     assert _entries_are_ints(limit_of_spans(fam).basis)
     assert compare_limit(p, fam, limit) == LimitComparison(5, 5, True)
+    # no rank of the t = 0 rows: the only rank left is the flatness check over QQ[t]
+    ranked = []
+    real = schemes.rank_of_rows
+    with mock.patch.object(schemes, "rank_of_rows",
+                           lambda field, rows: ranked.append(field) or real(field, rows)):
+        limit_of_spans(fam)
+    assert ranked == [RQ]
 
 
 def test_prime_field_families_keep_their_path():
