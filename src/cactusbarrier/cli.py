@@ -10,6 +10,7 @@ traceback is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -145,7 +146,7 @@ def _emit(line: str, out) -> None:
 
 
 def _verify_trial(payload: dict) -> dict:
-    param = parse_variety(payload["variety"])
+    param = payload["param"]
     rng = random.Random(payload["trial_seed"])
     kind, data = payload["scheme_kind"], payload["scheme_data"]
     if kind == "random":
@@ -206,7 +207,7 @@ def cmd_verify(args, out) -> int:
 
     payloads = [
         {
-            "variety": args.variety,
+            "param": param,
             "scheme_kind": scheme_kind,
             "scheme_data": scheme_data,
             "method": method,
@@ -422,7 +423,15 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Every `main` call parses into a fresh Namespace, so calls share no
+    state. The parser holds the `cmd_*` functions themselves; what they call
+    (`_verify_trial`, `ceilings`, ...) is still looked up in this module at
+    call time, so patching those names takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="cactus-barrier",
         description="Exact rank-method bounds and scheme-span barrier verification",
@@ -490,9 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .fields import QQ, PolyRing
@@ -17,6 +18,10 @@ from .varieties import Germ, parse_variety
 
 TENSOR_FORMAT = "tensorfile/1"
 FAMILY_FORMAT = "spanfamily/1"
+
+# a signed ASCII integer; Fraction(int(s)) equals Fraction(s) on it and
+# skips the general rational regex
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class FileFormatError(ValueError):
@@ -30,7 +35,7 @@ def parse_rational(s) -> Fraction:
         return Fraction(s)
     if isinstance(s, str):
         try:
-            return Fraction(s)
+            return Fraction(int(s)) if _INTEGER.fullmatch(s) else Fraction(s)
         except (ValueError, ZeroDivisionError) as e:
             raise FileFormatError(f"cannot parse rational {s!r}: {e}") from None
     raise FileFormatError(f"not a rational: {s!r}")

@@ -129,6 +129,13 @@ def degree(scheme: FiniteScheme) -> int:
     return scheme.degree
 
 
+def _format_support(support: tuple) -> str:
+    """A support as the file formats write it: 1/2, and a polynomial as its coefficient list."""
+    return "(" + ", ".join(
+        "[" + ", ".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
+        for x in support) + ")"
+
+
 def validate_scheme(param: VarietyParam, scheme: FiniteScheme) -> None:
     seen = set()
     for p in scheme.pieces:
@@ -137,7 +144,8 @@ def validate_scheme(param: VarietyParam, scheme: FiniteScheme) -> None:
                 f"piece support length {len(p.support)} does not match dim_X={param.dim_X}"
             )
         if p.support in seen:
-            raise OverlappingSupportsError(f"two pieces share the support {p.support}")
+            raise OverlappingSupportsError(
+                f"two pieces share the support {_format_support(p.support)}")
         seen.add(p.support)
         if isinstance(p, CurvilinearGerm):
             if p.length < 2:

@@ -281,6 +281,25 @@ def test_cmd_limit_rejects_a_family_that_cannot_have_its_limit(tmp_path, doc):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv, doc, support", [
+    (["limit", "--family"],
+     _family_doc("schemes", [{"type": "reduced", "point": [["0", "1"]]}] * 2, _TWO_POINTS),
+     "([0, 1])"),
+    (["verify", "--variety", "segre:2x2", "--method", "flattening:split=1|2", "--trials", "1",
+      "--scheme"],
+     {"pieces": [{"type": "reduced", "point": ["1/2", "0"]}] * 2},
+     "(1/2, 0)"),
+], ids=["limit_family", "verify_scheme_file"])
+def test_shared_support_is_printed_as_in_the_file_format(tmp_path, capsys, argv, doc, support):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(argv + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: two pieces share the support {support}\n"
+    assert "Fraction(" not in err
+
+
 def test_cmd_estimate_k():
     code, out = run(["estimate-k", "--variety", "segre:3x3x3", "--method", "koszul:p=1",
                      "--trials", "30", "--seed", "5", "--format", "json"])
@@ -325,6 +344,24 @@ def test_env_seed_default(monkeypatch):
     monkeypatch.delenv(cli.ENV_SEED)
     _, out_flag = run(argv + ["--seed", "77"])
     assert out_env == out_flag
+
+
+def test_parser_is_shared_and_each_call_gets_fresh_defaults(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["verify", "--variety", "segre:2x2x2", "--scheme", "random:deg=2",
+            "--method", "flattening:split=1|23", "--trials", "2", "--format", "json"]
+    code, out_5 = run(argv + ["--seed", "5"])
+    assert code == 0
+    monkeypatch.setenv(cli.ENV_SEED, "77")
+    code, out_env = run(argv)  # no --seed: the earlier call's 5 must not linger
+    assert code == 0
+    monkeypatch.delenv(cli.ENV_SEED)
+    _, out_77 = run(argv + ["--seed", "77"])
+    assert out_env == out_77 != out_5
+    # a usage error leaves nothing behind for the next call
+    assert run(argv + ["--trials", "-1"])[0] == 2
+    assert run(["ceiling", "--variety", "segre:2x2x2", "--bogus"])[0] == 2
+    assert run(argv)[0] == 0
 
 
 def test_scheme_spec_seed_freezes_scheme():

@@ -3,15 +3,23 @@
 FileFormatError is a ValueError, so each malformed file reaches the command
 line as an input error (exit 2), never as a traceback. Documents are drawn at
 random and by mutating valid ones; integers stay small so that no drawn shape
-asks for a large tensor.
+asks for a large tensor. `parse_rational` is checked against `Fraction(s)`.
 """
 
 import copy
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactusbarrier.fileformats import family_from_dict, scheme_from_dict, tensor_from_dict
+from cactusbarrier.fileformats import (
+    FileFormatError,
+    family_from_dict,
+    parse_rational,
+    scheme_from_dict,
+    tensor_from_dict,
+)
 
 PARSERS = (tensor_from_dict, scheme_from_dict, family_from_dict)
 
@@ -105,3 +113,38 @@ def test_mutated_documents_parse_or_raise_value_error(valid, data):
         else:
             container[key] = data.draw(_json)
     _parses_or_rejects(doc)
+
+
+def _fraction_outcome(s):
+    """What parse_rational gives for a string by `Fraction(s)` alone: a value or an error text."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as e:
+        return f"cannot parse rational {s!r}: {e}"
+
+
+def _outcome(s):
+    try:
+        value = parse_rational(s)
+    except FileFormatError as e:
+        return str(e)
+    assert type(value) is Fraction
+    return value
+
+
+_integer_strings = st.builds(
+    lambda sign, zeros, n: sign + "0" * zeros + str(n),
+    st.sampled_from(["", "+", "-"]), st.integers(0, 3), st.integers(0, 10 ** 40 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_integer_strings,
+                 st.text(alphabet="0123456789+-/._e \u0663", max_size=6)))
+def test_parse_rational_matches_fraction(s):
+    assert _outcome(s) == _fraction_outcome(s)
+
+
+@pytest.mark.parametrize("s", [" 3", "3/4", "1e3", "0.5", "1_000", "\u0663", "", "3/0", "abc",
+                               "-007", "+" + "9" * 40])
+def test_parse_rational_cases(s):
+    assert _outcome(s) == _fraction_outcome(s)

@@ -439,6 +439,27 @@ def test_independent_rows_need_one_specialization():
     assert (rank, poly, points) == (1, 1, 2 * 2 + 1)
 
 
+def test_family_span_cost_on_generically_dependent_vectors():
+    # points (i t, 0) on segre:2x2 give (1, 0, i t, 0): the third raw vector
+    # is 2 v1 - v0, dependent below dim W = 4, so no full-column stop applies
+    p = parse_variety("segre:2x2")
+    pieces = [ReducedPoint((RQ.from_coeffs([0, i]), RQ.zero)) for i in range(3)]
+    calls = []
+    real = exactalg._rank_int_bareiss
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    with mock.patch.object(exactalg, "_rank_int_bareiss", counting):
+        fam = family_span(p, pieces, RQ)
+    assert len(fam.basis) == 2
+    # one elimination for each independent vector, which reaches full rank at
+    # t = 1; the dependent one takes all D + 1 = 3 * 1 + 1 points, each
+    # re-eliminating the kept rows with it
+    assert calls == [1, 2] + [3] * 4
+
+
 def test_generic_rank_with_a_denominator_divisible_by_2_31_minus_1():
     v = parse_variety("veronese:1,1")
     small = RQ.from_coeffs([0, Fraction(1, DEFAULT_PRIME)])
