@@ -4,10 +4,10 @@ The verified statement is always the same: for F in the span of a finite
 subscheme of degree r on a smooth chart variety, rank M(F) <= k * r for any
 linear matrix map whose rank on chart points is at most k. Each instance
 ranks M(F) once, by one fraction-free elimination over the integers, which
-gives both the rational rank and the rank over a large prime field (the
-screen); the confirm policy decides which is reported. A confirmed
-violation is a build-stopping bug, never a discovery, since only smooth
-varieties are in scope here.
+gives the rational rank that every report states and, as `fp_rank`, the
+rank over a large prime field (the screen). So every report is confirmed
+over QQ, and a violation is a build-stopping bug, never a discovery, since
+only smooth varieties are in scope here.
 
 The ceiling calculator reports the closed-form degrees at which scheme spans
 fill the ambient space, which cap every bound any such method can certify.
@@ -21,12 +21,11 @@ from .exactalg import (
     DEFAULT_PRIME,
     Subspace,
     SpanBuilder,
-    clear_denominators,
     rank_of_rows,
     rank_qq_and_mod_p,
     sample_combination,
 )
-from .fields import QQ, PrimeField
+from .fields import QQ
 from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image
 from .schemes import FiniteScheme, scheme_span, scheme_span_vectors
 from .varieties import VarietyParam, parse_variety
@@ -45,9 +44,9 @@ class BarrierReport:
     rank: int
     bound: int
     passed: bool
-    field: str
+    field: str = "QQ"
     fp_rank: int | None = None
-    qq_confirmed: bool = False
+    qq_confirmed: bool = True
     seed: int | None = None
     kind: str = "instance"
     extra: dict = dc_field(default_factory=dict)
@@ -73,26 +72,19 @@ class BarrierReport:
         return d
 
 
-def _screen_and_confirm(method: RankMethod, raw: list, f_q: list, cap: int,
-                        prime: int | None, confirm: str) -> tuple:
-    """(rank, span_dim, field name, fp_rank, qq_confirmed) of F = f_q under a confirm policy.
+def _screen_and_confirm(method: RankMethod, raw: list, f_q: list, prime: int | None) -> tuple:
+    """(rank M(F), rank of `raw`, fp_rank) for F = f_q; both ranks are rational.
 
     M(F) is evaluated once, as integer rows, and ranked once: with a prime,
-    `rank_qq_and_mod_p` gives the rational rank and the screen's rank mod
-    the prime from one elimination. The policy only decides which of the two
-    is reported; an unconfirmed record reports the screen, as it would
-    without the rational rank. span_dim is the rank of the sampled-from
-    vectors `raw`, over the field the reported rank comes from.
+    `rank_qq_and_mod_p` also gives the screen's rank mod the prime, fp_rank
+    (never above the rational rank); without one, fp_rank is None.
     """
     rows = integer_image(method.map, f_q, prime)
     if prime is None:
-        return rank_of_rows(QQ, rows), rank_of_rows(QQ, raw), "QQ", None, True
-    rk, fp_rank = rank_qq_and_mod_p(rows, prime)
-    if confirm == "never" or (confirm == "tight" and fp_rank < cap):
-        gf = PrimeField(prime)
-        span_dim = rank_of_rows(gf, [clear_denominators(v, prime) for v in raw])
-        return fp_rank, span_dim, gf.name, fp_rank, False
-    return rk, rank_of_rows(QQ, raw), "QQ", fp_rank, True
+        rk, fp_rank = rank_of_rows(QQ, rows), None
+    else:
+        rk, fp_rank = rank_qq_and_mod_p(rows, prime)
+    return rk, rank_of_rows(QQ, raw), fp_rank
 
 
 def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMethod,
@@ -100,14 +92,13 @@ def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMetho
                     bound: int = 5, seed: int | None = None) -> BarrierReport:
     """Sample F in the span of the scheme and check rank M(F) <= k * degree.
 
-    ``confirm`` decides which rank is reported; both come from one
-    elimination. "full" always reports the rational numbers, "tight" only
-    when the screened rank reaches or exceeds the bound, "never" reports the
-    screened numbers as-is. With ``prime=None`` everything runs over the
-    rationals.
+    The report states the rational rank of M(F) and, as ``fp_rank``, its
+    rank mod ``prime`` from the same elimination (None with ``prime=None``).
+    ``confirm`` accepts only "full": every report is confirmed over QQ, and
+    any other value raises ValueError before ``rng`` is drawn from.
     """
-    if confirm not in ("full", "tight", "never"):
-        raise ValueError(f"unknown confirm policy {confirm!r}")
+    if confirm != "full":
+        raise ValueError(f"confirm={confirm!r}: every rank is confirmed, only 'full' remains")
     if method.map.w != param.dim_W:
         raise ValueError(
             f"method acts on W of dimension {method.map.w}, variety has {param.dim_W}"
@@ -116,16 +107,14 @@ def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMetho
     cap = method.k * r
     if r == 0:
         return BarrierReport(param.spec, method.spec, method.k, method.k_source,
-                             0, 0, 0, 0, True, "QQ", qq_confirmed=True, seed=seed)
+                             0, 0, 0, 0, True, seed=seed)
 
     raw_q = scheme_span_vectors(param, scheme, QQ)
     coeffs, f_q = sample_combination(QQ, raw_q, bound, rng)
-    rk, span_dim, field, fp_rank, confirmed = _screen_and_confirm(
-        method, raw_q, f_q, cap, prime, confirm)
+    rk, span_dim, fp_rank = _screen_and_confirm(method, raw_q, f_q, prime)
     return BarrierReport(param.spec, method.spec, method.k, method.k_source,
-                         r, span_dim, rk, cap, rk <= cap, field, fp_rank=fp_rank,
-                         qq_confirmed=confirmed, seed=seed,
-                         extra={"combination": coeffs} if confirmed else {})
+                         r, span_dim, rk, cap, rk <= cap, fp_rank=fp_rank, seed=seed,
+                         extra={"combination": coeffs})
 
 
 def minimal_factor_subspace(m: LinearMatrixMap, u: Subspace) -> Subspace:
@@ -156,7 +145,10 @@ def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,
     The two schemes play the role of pieces on disjoint (regions of) varieties;
     the empty scheme is allowed on either side, matching the conventions that
     degree zero contributes nothing and a join with nothing is the other side.
+    ``prime`` and ``confirm`` act as in `verify_instance`.
     """
+    if confirm != "full":
+        raise ValueError(f"confirm={confirm!r}: every rank is confirmed, only 'full' remains")
     if param1.spec != param2.spec or param1.dim_W != param2.dim_W:
         raise ValueError("join verification needs two copies of the same chart variety")
     overlap = set(r1.supports()) & set(r2.supports())
@@ -172,17 +164,14 @@ def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,
             _, f = sample_combination(QQ, raw, bound, rng)
             parts.append(f)
     if not parts:
-        return BarrierReport(param1.spec, method.spec, method.k, method.k_source,
-                             0, 0, 0, 0, True, "QQ", qq_confirmed=True, seed=seed,
-                             kind="join", extra={"degree1": 0, "degree2": 0})
+        return BarrierReport(param1.spec, method.spec, method.k, method.k_source, 0, 0, 0, 0,
+                             True, seed=seed, kind="join", extra={"degree1": 0, "degree2": 0})
 
     _, f_q = sample_combination(QQ, parts, bound, rng)
-    rk, span_dim, field, fp_rank, confirmed = _screen_and_confirm(
-        method, parts, f_q, cap, prime, confirm)
+    rk, span_dim, fp_rank = _screen_and_confirm(method, parts, f_q, prime)
     return BarrierReport(param1.spec, method.spec, method.k, method.k_source,
-                         d1 + d2, span_dim, rk, cap, rk <= cap, field, fp_rank=fp_rank,
-                         qq_confirmed=confirmed, seed=seed, kind="join",
-                         extra={"degree1": d1, "degree2": d2})
+                         d1 + d2, span_dim, rk, cap, rk <= cap, fp_rank=fp_rank,
+                         seed=seed, kind="join", extra={"degree1": d1, "degree2": d2})
 
 
 def grassmann_containment(e: Subspace, param: VarietyParam, scheme: FiniteScheme) -> bool:

@@ -157,8 +157,8 @@ def _verify_trial(payload: dict) -> dict:
     else:
         scheme = data
     report = verify_instance(param, scheme, payload["method"], rng,
-                             prime=payload["prime"], confirm=payload["confirm"],
-                             bound=payload["bound"], seed=payload["trial_seed"])
+                             prime=payload["prime"], bound=payload["bound"],
+                             seed=payload["trial_seed"])
     d = report.to_dict()
     d["trial"] = payload["index"]
     d.pop("combination", None)
@@ -215,7 +215,6 @@ def cmd_verify(args, out) -> int:
             "trial_seed": derive_seed(root, i),
             "bound": args.bound,
             "prime": prime,
-            "confirm": args.confirm,
         }
         for i in range(args.trials)
     ]
@@ -227,8 +226,7 @@ def cmd_verify(args, out) -> int:
     else:
         results = [_verify_trial(p) for p in payloads]
 
-    failures = [r for r in results if not r["passed"]]
-    confirmed_failures = [r for r in failures if r["qq_confirmed"]]
+    failures = [r for r in results if not r["passed"]]  # each confirmed over QQ
     for r in results:
         if args.format == "json":
             _emit(json.dumps(r), out)
@@ -245,7 +243,7 @@ def cmd_verify(args, out) -> int:
         "trials": len(results),
         "passed": len(results) - len(failures),
         "failed": len(failures),
-        "qq_confirmed_failures": len(confirmed_failures),
+        "qq_confirmed_failures": len(failures),
     }
     if args.format == "json":
         _emit(json.dumps(summary), out)
@@ -255,7 +253,7 @@ def cmd_verify(args, out) -> int:
             f"{summary['qq_confirmed_failures']} confirmed failures",
             out,
         )
-    return 1 if confirmed_failures else 0
+    return 1 if failures else 0
 
 
 def _infer_variety(tensor):
@@ -345,7 +343,6 @@ def cmd_ceiling(args, out) -> int:
 
 def cmd_limit(args, out) -> int:
     param, (kind, data), limit_scheme = load_family(args.family)
-    validate_scheme(param, limit_scheme)
     if not data:
         raise CliError("the family is empty")
     ring = PolyRing(QQ)
@@ -467,11 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_nonnegative_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the trials (at least 1)")
-    p.add_argument("--confirm", choices=("full", "tight", "never"), default="full",
-                   help="which rank to report: full (default) always the rational "
-                        "one, tight the rational one only where the prime-field "
-                        "rank reaches k*r, never the prime-field one; one "
-                        "elimination gives both")
     p.add_argument("--validate-k", type=_nonnegative_int, default=20, metavar="N",
                    help="pre-campaign k-consistency samples (0 to skip)")
     common(p, seed=True, bound=True, field_default=f"p:{DEFAULT_PRIME}")
@@ -490,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-k", help="estimate the method constant by sampling")
     p.add_argument("--variety", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     common(p, seed=True, bound=True)
     p.set_defaults(func=cmd_estimate_k)
 

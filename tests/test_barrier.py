@@ -77,19 +77,31 @@ def test_verify_instance_empty_scheme():
 
 
 def test_verify_instance_confirm_policies():
+    # one policy remains: every report states the rational rank, with the
+    # GF(p) rank of the same elimination as fp_rank; others are refused
     p = parse_variety("segre:2x2x2")
-    rng = random.Random(53)
-    sch = random_scheme(p, 3, mix="mixed", bound=3, rng=rng)
+    sch = random_scheme(p, 3, mix="mixed", bound=3, rng=random.Random(53))
+    r1 = FiniteScheme((ReducedPoint((fr(0), fr(0), fr(0))),))
+    r2 = FiniteScheme((ReducedPoint((fr(1), fr(0), fr(1))),))
     meth = flattening_method(p, (0,))
-    full = verify_instance(p, sch, meth, random.Random(1), confirm="full")
-    assert full.qq_confirmed and full.field == "QQ" and full.fp_rank is not None
-    screen = verify_instance(p, sch, meth, random.Random(1), confirm="never")
-    assert not screen.qq_confirmed and screen.field.startswith("GF(")
-    assert screen.rank == screen.fp_rank
-    rational_only = verify_instance(p, sch, meth, random.Random(1), prime=None)
-    assert rational_only.qq_confirmed and rational_only.fp_rank is None
-    # a confirmed report never records a prime-field-only rank
-    assert full.field == "QQ" and full.qq_confirmed
+    runs = {
+        "instance": lambda rng, **kw: verify_instance(p, sch, meth, rng, **kw),
+        "join": lambda rng, **kw: verify_join_decomposition(p, p, r1, r2, meth, rng, **kw),
+    }
+    for name, run in runs.items():
+        for policy in ("tight", "never"):
+            rng = random.Random(1)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="confirm"):
+                run(rng, confirm=policy)
+            assert rng.getstate() == state, (name, policy)
+        rep = run(random.Random(1))
+        assert rep.field == "QQ" and rep.qq_confirmed, name
+        assert rep.fp_rank is not None and rep.fp_rank <= rep.rank, name
+        assert run(random.Random(1), confirm="full").to_dict() == rep.to_dict(), name
+        rational_only = run(random.Random(1), prime=None)
+        assert rational_only.qq_confirmed and rational_only.fp_rank is None, name
+        assert rational_only.rank == rep.rank, name
 
 
 def test_verify_instance_mismatched_method():

@@ -1,7 +1,9 @@
 import io
 import json
 import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -140,7 +142,7 @@ def test_cmd_verify_degree_above_ambient_still_passes():
 def test_cmd_verify_full_confirmation_and_jobs():
     argv = ["verify", "--variety", "veronese:2,3", "--scheme", "random:deg=4",
             "--method", "catalecticant:i=1", "--trials", "6", "--seed", "4",
-            "--confirm", "full", "--format", "json"]
+            "--format", "json"]
     code1, out1 = run(argv)
     code2, out2 = run(argv + ["--jobs", "2"])
     assert code1 == code2 == 0
@@ -257,6 +259,10 @@ def _family_doc(kind, members, limit):
 
 
 _TWO_POINTS = [{"type": "reduced", "point": ["0"]}, {"type": "reduced", "point": ["1"]}]
+# a valid family of two points whose stated limit has both at the support (0)
+_LIMIT_SHARES_SUPPORT = _family_doc("schemes", [{"type": "reduced", "point": [["0"]]},
+                                                {"type": "reduced", "point": [["1", "1"]]}],
+                                    [{"type": "reduced", "point": ["0"]}] * 2)
 
 
 @pytest.mark.parametrize("doc", [
@@ -271,7 +277,9 @@ _TWO_POINTS = [{"type": "reduced", "point": ["0"]}, {"type": "reduced", "point":
                             {"type": "reduced", "point": [["1", "1"]]}],
                 _TWO_POINTS + [{"type": "reduced", "point": ["2"]}]),
     _family_doc("basis", [], _TWO_POINTS),
-], ids=["germ_of_length_1", "no_schemes", "shared_support", "degree_mismatch", "empty_basis"])
+    _LIMIT_SHARES_SUPPORT,
+], ids=["germ_of_length_1", "no_schemes", "shared_support", "degree_mismatch", "empty_basis",
+        "invalid_limit"])
 def test_cmd_limit_rejects_a_family_that_cannot_have_its_limit(tmp_path, doc):
     # none of these is a flat family with the stated limit, so the inclusion
     # says nothing about them: an input error, never a violation (exit 1)
@@ -285,11 +293,13 @@ def test_cmd_limit_rejects_a_family_that_cannot_have_its_limit(tmp_path, doc):
     (["limit", "--family"],
      _family_doc("schemes", [{"type": "reduced", "point": [["0", "1"]]}] * 2, _TWO_POINTS),
      "([0, 1])"),
+    (["limit", "--family"],
+     _LIMIT_SHARES_SUPPORT, "(0)"),
     (["verify", "--variety", "segre:2x2", "--method", "flattening:split=1|2", "--trials", "1",
       "--scheme"],
      {"pieces": [{"type": "reduced", "point": ["1/2", "0"]}] * 2},
      "(1/2, 0)"),
-], ids=["limit_family", "verify_scheme_file"])
+], ids=["limit_family", "limit_stated_limit", "verify_scheme_file"])
 def test_shared_support_is_printed_as_in_the_file_format(tmp_path, capsys, argv, doc, support):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -396,10 +406,9 @@ def test_custom_method_is_built_once_per_verify(tmp_path, monkeypatch):
     assert serial == pooled
 
 
-@pytest.mark.parametrize("confirm", ["tight", "full"])
-def test_verify_instance_evaluates_map_once(monkeypatch, confirm):
-    # the prime screen and the rational confirmation rank the same integer
-    # rows of M(F); no instance builds M(F) a second time
+def test_verify_instance_evaluates_map_once(monkeypatch):
+    # the prime screen and the rational rank come from the same integer rows
+    # of M(F); no instance builds M(F) a second time
     import cactusbarrier.barrier as barrier
 
     calls = []
@@ -417,12 +426,11 @@ def test_verify_instance_evaluates_map_once(monkeypatch, confirm):
     trials = 4
     code, out = run(["verify", "--variety", "segre:3x3x3", "--scheme", "random:deg=3",
                      "--method", "koszul:p=1", "--trials", str(trials), "--seed", "11",
-                     "--confirm", confirm, "--format", "json"])
+                     "--format", "json"])
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()[:-1]]
     assert len(reports) == trials
-    if confirm == "full":
-        assert all(r["qq_confirmed"] and r["fp_rank"] is not None for r in reports)
+    assert all(r["qq_confirmed"] and r["fp_rank"] is not None for r in reports)
     assert calls == ["integer_image"] * trials
 
 
@@ -585,11 +593,12 @@ def test_limit_and_ceiling_import_neither_multiprocessing_nor_hashlib():
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_verify_jobs_below_one_is_usage_error(value, capsys):
-    code, out = run(["verify", "--variety", "segre:2x2x2", "--scheme", "random:deg=2",
-                     "--method", "koszul:p=1", "--trials", "2", "--jobs", value])
-    assert code == 2 and out == ""
-    err = capsys.readouterr().err
-    assert "--jobs" in err and f"must be a positive integer, got {value}" in err
+    # verify --jobs and estimate-k --trials are positive; both fail at parse time
+    for argv, option in ((_argv("verify"), "--jobs"), (_argv("estimate-k"), "--trials")):
+        code, out = run(argv + [option, value])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert option in err and f"must be a positive integer, got {value}" in err
 
 
 @pytest.mark.parametrize("option", ["--trials", "--validate-k"])
@@ -606,8 +615,8 @@ def test_verify_negative_count_is_usage_error(option, capsys):
 
 
 def test_default_verify_ranks_each_instance_once(monkeypatch):
-    # the default policy reports the rational rank of every instance, and one
-    # integer elimination of M(F) gives it together with the GF(p) screen
+    # every instance reports its rational rank, and one integer elimination
+    # of M(F) gives it together with the GF(p) screen
     import cactusbarrier.barrier as barrier
     import cactusbarrier.exactalg as exactalg
 
@@ -639,7 +648,7 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
     assert len(reports) == len(images) == trials
     assert all(r["qq_confirmed"] and r["field"] == "QQ" and r["fp_rank"] == r["rank"]
                for r in reports)
-    # the screen ranks below k*r here, where --confirm tight reports GF(p)
+    # some ranks stay below k*r: the rational rank is reported there too
     assert any(r["rank"] < r["bound"] for r in reports)
     assert [rows for rows in eliminated if rows in images] == images
     assert not [rows for rows in mod_p if rows in images]
@@ -657,8 +666,22 @@ def test_field_is_rejected_where_it_is_not_read(command, capsys):
 @pytest.mark.parametrize("command, option", [
     pytest.param(c, o, id=f"{c}{o}") for c, o in (
         ("bound", "--bound"), ("ceiling", "--seed"), ("ceiling", "--bound"),
-        ("limit", "--seed"), ("limit", "--bound"))])
+        ("limit", "--seed"), ("limit", "--bound"), ("verify", "--confirm"))])
 def test_seed_and_bound_are_rejected_where_they_are_not_read(command, option, capsys):
     code, out = run(_argv(command) + [option, "3"])
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_readme_names_only_options_the_cli_has(capsys):
+    # a backticked --option in README prose must be listed by some command's
+    # --help, so a removed option cannot linger in the docs
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    prose = re.sub(r"^```.*?^```", "", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+    named = {option for span in re.findall(r"`([^`]+)`", prose)
+             for option in re.findall(r"--[a-z][a-z-]*", span)}
+    listed = set()
+    for command in _COMMANDS:
+        assert cli.main([command, "--help"]) == 0
+        listed |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert named and not named - listed, sorted(named - listed)

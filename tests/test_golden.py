@@ -43,6 +43,27 @@ def test_golden_stream(case, monkeypatch):
     assert stream == (GOLDEN / f"{case['name']}.out").read_bytes()
 
 
+VERIFY_JSON = [c for c in CASES if c["argv"][0] == "verify" and "json" in c["argv"]]
+
+
+@pytest.mark.parametrize("case", VERIFY_JSON, ids=lambda c: c["name"])
+def test_verify_stream_is_certified(case):
+    # every recorded verify record states a rational rank, and the summary
+    # counts the records it follows
+    lines = (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8").splitlines()
+    *records, summary = [json.loads(line) for line in lines]
+    assert summary["kind"] == "summary" and summary["trials"] == len(records)
+    for rec in records:
+        assert rec["qq_confirmed"] is True and rec["field"] == "QQ"
+        # a rank mod p can only undershoot the rational rank
+        assert rec["fp_rank"] is None or rec["fp_rank"] <= rec["rank"]
+        assert rec["passed"] == (rec["rank"] <= rec["bound"])
+    failed = [rec for rec in records if not rec["passed"]]
+    assert summary["passed"] == len(records) - len(failed)
+    assert summary["failed"] == len(failed)
+    assert summary["qq_confirmed_failures"] == sum(rec["qq_confirmed"] for rec in failed)
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for case in CASES:
