@@ -12,6 +12,8 @@ and on ZZ[t] whenever the target is an untruncated QQ[t] and every
 coefficient of every coordinate is integral. An int equals the Fraction it
 stands for, so the resulting vectors are the same rationals. Rational
 coordinates keep Fractions, and prime fields keep their own arithmetic.
+`PolyRing` over ZZ or QQ runs on the coefficients' own operators instead of
+the base ring's methods; other bases, nested rings included, keep the calls.
 """
 
 from __future__ import annotations
@@ -221,12 +223,14 @@ class PolyRing:
         self.name = f"{base.name}[t]"
         self.zero = ()
         self.one = (base.one,)
+        # ints and Fractions: their own +, * and truthiness are what ZZ and QQ call
+        self.native = type(base) in (IntegerRing, RationalField)
 
     def _norm(self, cs: list) -> tuple:
         if self.trunc is not None:
             cs = cs[: self.trunc]
         n = len(cs)
-        while n and self.base.is_zero(cs[n - 1]):
+        while n and (not cs[n - 1] if self.native else self.base.is_zero(cs[n - 1])):
             n -= 1
         return tuple(cs[:n])
 
@@ -249,18 +253,18 @@ class PolyRing:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = self.base.add(out[i], c)
+            out[i] = out[i] + c if self.native else self.base.add(out[i], c)
         return self._norm(out)
 
     def neg(self, a):
-        return tuple(self.base.neg(c) for c in a)
+        return tuple(-c for c in a) if self.native else tuple(self.base.neg(c) for c in a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def scale(self, c, a):
         """c * a for a nonzero base element c; the base has no zero divisors."""
-        return tuple(self.base.mul(c, x) for x in a)
+        return tuple(c * x for x in a) if self.native else tuple(self.base.mul(c, x) for x in a)
 
     def mul(self, a, b):
         if not a or not b:
@@ -269,6 +273,13 @@ class PolyRing:
         if self.trunc is not None:
             n = min(n, self.trunc)
         out = [self.base.zero] * n
+        if self.native:
+            for i, ca in enumerate(a[:n]):
+                if ca:
+                    for k, cb in enumerate(b[: n - i], i):
+                        if cb:
+                            out[k] += ca * cb
+            return self._norm(out)
         for i, ca in enumerate(a):
             if i >= n:
                 break

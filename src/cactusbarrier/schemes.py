@@ -180,6 +180,7 @@ def piece_span_vectors(param: VarietyParam, piece: Piece, ring) -> list[list]:
             piece.length, ring,
         )
     if isinstance(piece, FirstNeighborhood):
+        check_characteristic(ring, param, 2)
         return tangent_vectors_in_ring(param, list(piece.point), ring)
     raise TypeError(f"unknown piece type {type(piece).__name__}")
 

@@ -11,7 +11,9 @@ differentiating and dividing by factorials, so they stay correct over prime
 fields (subject to the characteristic guard below). The same composition runs
 over the ring ZZ: only sums and products occur, so `evaluate` (and through it
 `random_point`) works on plain ints at integral chart points over QQ, and
-keeps Fractions for rational ones (see `fields.chart_ring`).
+keeps Fractions for rational ones (see `fields.chart_ring`). Each monomial
+costs one product, and a tangent frame is the point plus its first partials,
+read off the point by the product rule d(u^e)/du_j = e_j * u^(e - e_j).
 """
 
 from __future__ import annotations
@@ -150,27 +152,30 @@ def _split_coords(param: VarietyParam, coords):
         pos += f.n
 
 
+@lru_cache(maxsize=None)
+def _lowerings(n: int, d: int) -> tuple:
+    """Per monomial u^e in canonical order, (j, index of u^(e - e_j), e_j) for each j with e_j > 0."""
+    index = monomial_index(n, d)
+    return tuple(
+        tuple((j, index[e[:j] + (x - 1,) + e[j + 1:]], x) for j, x in enumerate(e) if x)
+        for e in monomial_exponents(n, d)
+    )
+
+
 def _factor_monomials(factor: Factor, u: list, ring) -> list:
-    pows = []
-    for x in u:
-        px = [ring.one]
-        for _ in range(factor.d):
-            px.append(ring.mul(px[-1], x))
-        pows.append(px)
-    out = []
-    for exps in monomial_exponents(factor.n, factor.d):
-        v = ring.one
-        for j, e in enumerate(exps):
-            if e:
-                v = ring.mul(v, pows[j][e])
-        out.append(v)
+    """1, u_1, ..., u_n, then each monomial of degree >= 2 as an earlier one times one variable."""
+    out = [ring.one, *u]
+    for (j, p, _), *_ in _lowerings(factor.n, factor.d)[factor.n + 1:]:
+        out.append(ring.mul(out[p], u[j]))
     return out
 
 
 def _kron(vectors: list[list], ring) -> list:
+    """Kronecker product; each vector leads with 1, so products with a leading entry are copies."""
     out = vectors[0]
     for nxt in vectors[1:]:
-        out = [ring.mul(a, b) for a in out for b in nxt]
+        tail = nxt[1:]
+        out = [*nxt, *(x for a in out[1:] for x in (a, *[ring.mul(a, b) for b in tail]))]
     return out
 
 
@@ -235,12 +240,34 @@ def jet_span(param: VarietyParam, germ: Germ, length: int, field=QQ) -> Subspace
     return subspace_from_vectors(field, param.dim_W, jet_vectors(param, germ, length, field))
 
 
+@lru_cache(maxsize=None)
+def _partial_sources(factors: tuple) -> tuple:
+    """Per chart variable u_j, (entry, source, e_j) for each nonzero entry of its partial.
+
+    Entry `entry` is a monomial u^e in all the variables, and `source` is u^(e - e_j).
+    """
+    dims = [f.dim for f in factors]
+    out = []
+    for k, f in enumerate(factors):
+        stride, lower = math.prod(dims[k + 1:]), _lowerings(f.n, f.d)
+        per_var = [[] for _ in range(f.n)]
+        for w in range(math.prod(dims)):
+            i = w // stride % f.dim
+            for j, p, x in lower[i]:
+                per_var[j].append((w, w - (i - p) * stride, x))
+        out += map(tuple, per_var)
+    return tuple(out)
+
+
 def tangent_vectors_in_ring(param: VarietyParam, coords: list, ring) -> list[list]:
-    """Chart point together with all first partial derivative vectors."""
-    out = [evaluate_in_ring(param, coords, ring)]
-    for j in range(param.dim_X):
-        direction = [ring.one if i == j else ring.zero for i in range(param.dim_X)]
-        out.append(jet_vectors_in_ring(param, coords, [direction], 2, ring)[1])
+    """Chart point together with all first partial derivative vectors, by the product rule."""
+    point = evaluate_in_ring(param, coords, ring)
+    out = [point]
+    for sources in _partial_sources(param.factors):
+        v = [ring.zero] * param.dim_W
+        for entry, src, e in sources:
+            v[entry] = point[src] if e == 1 else ring.mul(ring.of(e), point[src])
+        out.append(v)
     return out
 
 

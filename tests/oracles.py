@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's construction paths: flattenings are
 rebuilt by direct multi-index loops, catalecticants by dictionary lookup of
-coefficients, Koszul flattenings through the alternating-tensor embedding, and
-jets by full (untruncated) convolution arithmetic on coefficient lists.
+coefficients, Koszul flattenings through the alternating-tensor embedding,
+jets by full (untruncated) convolution arithmetic on coefficient lists, and
+polynomial arithmetic by a schoolbook loop over the base ring's own methods.
 """
 
 from __future__ import annotations
@@ -145,3 +146,46 @@ def brute_jet_vectors(param, germ, length: int) -> list[list]:
     for nxt in parts[1:]:
         w = [_pmul(x, y) for x in w for y in nxt]
     return [[poly[m] if m < len(poly) else Fraction(0) for poly in w] for m in range(length)]
+
+
+class SchoolbookPolyRing:
+    """Dense univariate polynomials that touch coefficients only through the base ring.
+
+    Every coefficient operation is a call of `base.add`, `base.mul` or
+    `base.is_zero` (and `base.of` for constants); products are full
+    convolutions, truncated only at the end. Elements are normalized tuples
+    as in `fields.PolyRing`.
+    """
+
+    def __init__(self, base, trunc=None):
+        self.base = base
+        self.trunc = trunc
+
+    def norm(self, cs) -> tuple:
+        cs = list(cs)[: self.trunc] if self.trunc is not None else list(cs)
+        while cs and self.base.is_zero(cs[-1]):
+            cs.pop()
+        return tuple(cs)
+
+    def from_coeffs(self, coeffs) -> tuple:
+        return self.norm(self.base.of(c) for c in coeffs)
+
+    def add(self, a, b) -> tuple:
+        out = [self.base.zero] * max(len(a), len(b))
+        for p in (a, b):
+            for i, c in enumerate(p):
+                out[i] = self.base.add(out[i], c)
+        return self.norm(out)
+
+    def scale(self, c, a) -> tuple:
+        return tuple(self.base.mul(c, x) for x in a)
+
+    def sub(self, a, b) -> tuple:
+        return self.add(a, self.scale(self.base.of(-1), b))
+
+    def mul(self, a, b) -> tuple:
+        out = [self.base.zero] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
+        return self.norm(out)

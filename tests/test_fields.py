@@ -1,8 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cactusbarrier.fields import QQ, ZZ, PolyRing, PrimeField, chart_ring, is_probable_prime
+from cactusbarrier.fields import (
+    QQ,
+    ZZ,
+    IntegerRing,
+    PolyRing,
+    PrimeField,
+    chart_ring,
+    is_probable_prime,
+)
+
+from oracles import SchoolbookPolyRing
 
 
 def test_primality():
@@ -111,3 +123,60 @@ def test_nested_polyring():
     assert Rst.coeff(sq, 0) == (Fraction(0), Fraction(0), Fraction(1))
     assert Rst.coeff(sq, 1) == (Fraction(0), Fraction(2))
     assert Rst.coeff(sq, 2) == (Fraction(1),)
+
+
+# -- native ZZ/QQ polynomial arithmetic against a schoolbook oracle -----------
+
+class _SubZZ(IntegerRing):
+    """A subclass may override the arithmetic, so it must keep the base-ring calls."""
+
+
+GF101 = PrimeField(101)
+ZT = PolyRing(ZZ)
+_COEFFS = {
+    ZZ: st.integers(-30, 30),
+    QQ: st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    GF101: st.integers(0, 100),
+    ZT: st.lists(st.integers(-3, 3), max_size=3).map(ZT.from_coeffs),
+}
+
+
+def _same_entries(got, want):
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), base=st.sampled_from(list(_COEFFS)),
+       trunc=st.sampled_from([None, 2, 4, 8]))
+def test_polyring_matches_the_schoolbook_oracle(data, base, trunc):
+    R, O = PolyRing(base, trunc), SchoolbookPolyRing(base, trunc)
+    assert R.native == (base in (ZZ, QQ))
+    coeff = _COEFFS[base]
+    elem = (lambda x: x) if base is ZT else base.of  # ZZ[t] coefficients are drawn as elements
+    a, b = (O.norm(map(elem, data.draw(st.lists(coeff, max_size=7)))) for _ in range(2))
+    c = elem(data.draw(coeff.filter(lambda x: not base.is_zero(elem(x)))))
+    if base is not ZT:
+        raw = data.draw(st.lists(coeff, max_size=7))
+        _same_entries(R.from_coeffs(raw), O.from_coeffs(raw))
+    _same_entries(R.mul(a, b), O.mul(a, b))
+    _same_entries(R.add(a, b), O.add(a, b))
+    _same_entries(R.sub(a, b), O.sub(a, b))
+    _same_entries(R.scale(c, a), O.scale(c, a))
+
+
+def test_native_polyring_keeps_fraction_zeros():
+    R = PolyRing(QQ)
+    a = R.from_coeffs([1, 1, 1])
+    diff = R.sub(a, R.from_coeffs([0, 1]))
+    assert diff == (1, 0, 1) and all(type(c) is Fraction for c in diff)
+    square = R.mul(R.from_coeffs([1, 0, 1]), R.from_coeffs([1, 0, -1]))
+    assert square == (1, 0, 0, 0, -1) and all(type(c) is Fraction for c in square)
+
+
+def test_only_integer_and_rational_bases_take_the_native_path():
+    assert PolyRing(ZZ).native and PolyRing(QQ, trunc=3).native
+    assert not PolyRing(GF101).native
+    assert not PolyRing(PolyRing(ZZ), trunc=2).native
+    assert not PolyRing(PolyRing(QQ)).native
+    assert not PolyRing(_SubZZ()).native

@@ -51,6 +51,14 @@ def reduced(*coords):
     return ReducedPoint(tuple(fr(c) for c in coords))
 
 
+def test_first_neighborhoods_obey_the_characteristic_guard():
+    p = parse_variety("veronese:1,3")
+    nbhd = FiniteScheme((FirstNeighborhood((fr(1),)),))
+    with pytest.raises(ValueError, match="characteristic 3 too small"):
+        scheme_span(p, nbhd, PrimeField(3))
+    assert scheme_span(p, nbhd, PrimeField(101)).dim == 2
+
+
 def test_degrees():
     p333 = parse_variety("segre:2x2x2")
     three = FiniteScheme((reduced(0, 0, 0), reduced(1, 0, 0), reduced(0, 1, 0)))

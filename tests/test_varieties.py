@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactusbarrier.exactalg import rank, subspace_contains
-from cactusbarrier.fields import QQ, PrimeField
+from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing, PrimeField
 from cactusbarrier.varieties import (
     Germ,
     VarietySpecError,
@@ -14,11 +14,13 @@ from cactusbarrier.varieties import (
     evaluate_in_ring,
     jet_span,
     jet_vectors,
+    jet_vectors_in_ring,
     monomial_exponents,
     parse_variety,
     random_chart_point,
     random_point,
     tangent_frame,
+    tangent_vectors_in_ring,
 )
 
 from oracles import (
@@ -217,3 +219,76 @@ def test_evaluate_and_random_point_equal_the_fraction_path(spec, seed, bound, de
         assert w == _fraction_path(p, scaled, field)
         if field == QQ and den > 1 and any(x.denominator > 1 for x in scaled):
             assert all(type(x) is Fraction for x in w)
+
+
+# -- product-rule tangent frames ----------------------------------------------
+
+def _axis_jet_frame(param, coords, ring):
+    """The point and the length-2 jet along each coordinate axis: one chart evaluation each."""
+    axes = [[ring.one if i == j else ring.zero for i in range(param.dim_X)]
+            for j in range(param.dim_X)]
+    return [evaluate_in_ring(param, coords, ring)] + [
+        jet_vectors_in_ring(param, coords, [axis], 2, ring)[1] for axis in axes]
+
+
+def _entry_types(vectors):
+    return [[(type(x), tuple(map(type, x)) if isinstance(x, tuple) else ()) for x in v]
+            for v in vectors]
+
+
+def _brute_frame(param, point):
+    """Point and first partials from the full-convolution jet oracle, along each axis."""
+    axes = [tuple(Fraction(int(i == j)) for i in range(param.dim_X)) for j in range(param.dim_X)]
+    jets = [brute_jet_vectors(param, Germ(tuple(point), (axis,)), 2) for axis in axes]
+    return [jets[0][0]] + [jet[1] for jet in jets]
+
+
+@pytest.mark.parametrize("spec", CAMPAIGN_VARIETIES + ("veronese:1,7", "segre:5x5x5"))
+def test_tangent_vectors_equal_the_jet_oracle_along_each_axis(spec):
+    p = parse_variety(spec)
+    rng = random.Random(spec)
+    gf, zt = PrimeField(101), PolyRing(ZZ)
+    for ring in (ZZ, QQ, gf, zt):
+        if ring is zt:
+            raw = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(p.dim_X)]
+            coords = [zt.from_coeffs(c) for c in raw]
+        else:
+            den = 3 if ring is QQ else 1
+            raw = [Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(p.dim_X)]
+            coords = [ring.of(x) for x in raw]
+        frame = tangent_vectors_in_ring(p, coords, ring)
+        old = _axis_jet_frame(p, coords, ring)
+        assert frame == old and _entry_types(frame) == _entry_types(old)
+        if ring is zt:
+            # entries have degree <= 2 * (sum of factor degrees); that many + 1 values fix them
+            for s in range(2 * sum(f.d for f in p.factors) + 1):
+                at = [sum(c * s**i for i, c in enumerate(x)) for x in raw]
+                want = _brute_frame(p, at)
+                assert [[sum(c * s**i for i, c in enumerate(x)) for x in v] for v in frame] == want
+        else:
+            want = _brute_frame(p, raw)
+            assert frame == [[ring.of(x) for x in v] for v in want]
+
+
+class _CountingZZ(IntegerRing):
+    def __init__(self):
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return a * b
+
+
+# For scale: a power table per variable and one length-2 jet per axis take
+# 48 and 414 (segre:3x3x3), 39 and 213 (veronese:3,3) multiplications.
+@pytest.mark.parametrize("spec, evaluate_muls, tangent_muls",
+                         [("segre:3x3x3", 20, 20), ("veronese:3,3", 16, 28)])
+def test_chart_maps_take_one_product_per_monomial(spec, evaluate_muls, tangent_muls):
+    p = parse_variety(spec)
+    coords = list(range(2, 2 + p.dim_X))
+    ring = _CountingZZ()
+    point = evaluate_in_ring(p, coords, ring)
+    assert ring.muls == evaluate_muls and point == evaluate_in_ring(p, coords, ZZ)
+    ring.muls = 0
+    frame = tangent_vectors_in_ring(p, coords, ring)
+    assert ring.muls == tangent_muls and frame == tangent_vectors_in_ring(p, coords, ZZ)
