@@ -20,10 +20,10 @@ from dataclasses import dataclass, field as dc_field
 from .exactalg import (
     DEFAULT_PRIME,
     Subspace,
-    SpanBuilder,
     rank_of_rows,
     rank_qq_and_mod_p,
     sample_combination,
+    subspace_from_vectors,
 )
 from .fields import QQ
 from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image
@@ -126,13 +126,8 @@ def minimal_factor_subspace(m: LinearMatrixMap, u: Subspace) -> Subspace:
     """
     if u.ambient_dim != m.w:
         raise ValueError(f"subspace lives in dimension {u.ambient_dim}, map needs {m.w}")
-    field = u.field
-    builder = SpanBuilder(field, m.b)
-    for x in u.basis:
-        mat = evaluate_map(m, x, field)
-        for row in mat.rows:
-            builder.add(row)
-    return builder.to_subspace()
+    rows = (row for x in u.basis for row in evaluate_map(m, x, u.field).rows)
+    return subspace_from_vectors(u.field, m.b, rows)
 
 
 def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,
@@ -183,8 +178,7 @@ def grassmann_containment(e: Subspace, param: VarietyParam, scheme: FiniteScheme
     if e.ambient_dim != param.dim_W:
         raise ValueError("plane and variety live in different ambient spaces")
     span = scheme_span(param, scheme, e.field)
-    builder = span.builder()
-    return all(builder.contains(v) for v in e.basis)
+    return rank_of_rows(e.field, span.basis + e.basis) == span.dim
 
 
 class UnsupportedVarietyError(ValueError):

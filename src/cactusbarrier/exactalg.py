@@ -1,22 +1,30 @@
 """Exact dense linear algebra: ranks, kernels, subspace arithmetic, span sampling.
 
-Ranks are taken on plain Python ints wherever the rows allow it. Over the
-rationals, each row is cleared of denominators through `.numerator` and
-`.denominator` and ranked by fraction-free (Bareiss) elimination, so
-coefficient growth stays polynomial; over a prime field, ints are reduced
-mod p by plain elimination. The barrier check ranks the integer rows of
-M(F) (see `rankmethods.integer_image`) once, by `rank_qq_and_mod_p`: the
-last Bareiss pivot is a nonzero r x r minor, r the rational rank, and when
-the prime does not divide it the rank mod p is r as well. Span vectors of
-integral chart points arrive as ints as well (chart evaluation and jets run
-over `fields.ZZ`); every routine here that takes QQ vectors accepts ints and
-Fractions alike. Each t-saturation step takes its relation from one
-fraction-free elimination (`first_relation`). Fractions remain for rational
-scheme-file coordinates and where elements must be divided: spans and factor
-subspaces (`SpanBuilder`), `nullspace` and membership. Sampling over QQ sums
-integer numerators over one common denominator. Ranks over a polynomial ring
-(generic ranks of one-parameter families) are the largest of enough integer
-specializations of t, each ranked by one of the two routines above.
+Two eliminations run on plain Python ints, after each row is cleared of
+denominators through `.numerator` and `.denominator`; over QQ both are
+fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
+
+- Batch ranks over QQ use fraction-free (Bareiss) elimination, so
+  coefficient growth stays polynomial. The barrier check ranks the integer
+  rows of M(F) (see `rankmethods.integer_image`) once, by
+  `rank_qq_and_mod_p`: the last Bareiss pivot is a nonzero r x r minor, r
+  the rational rank, and when the prime does not divide it the rank mod p
+  is r as well.
+- Everything incremental uses one row-incremental fraction-free echelon
+  (`_echelon`), mod q over GF(q). It yields each row that lies in the span
+  of the rows kept before it, with that row's relation: `first_relation`
+  (one t-saturation step) is its first yield, `nullspace` the relations of
+  the dependent columns, `solve_membership` the relation of the vector
+  against the basis, and a rank over GF(q) is the number of rows it keeps.
+  Membership, equality and containment of subspaces are rank comparisons.
+
+Span vectors of integral chart points arrive as ints (chart evaluation and
+jets run over `fields.ZZ`); every routine here that takes QQ vectors accepts
+ints and Fractions alike. Spans and factor subspaces (`subspace_from_vectors`)
+still run a reduced row echelon form on field elements, Fractions over QQ.
+Sampling over QQ sums integer numerators over one common denominator. Ranks
+over a polynomial ring (generic ranks of one-parameter families) are the
+largest of enough integer specializations of t, each ranked over the base.
 """
 
 from __future__ import annotations
@@ -110,38 +118,6 @@ def _rank_int_bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, prev
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[piv], a[rank] = a[rank], a[piv]
-        inv = pow(a[rank][col], p - 2, p)
-        ar = a[rank]
-        for i in range(rank + 1, m):
-            f = a[i][col]
-            if f:
-                f = f * inv % p
-                ai = a[i]
-                for j in range(col, n):
-                    ai[j] = (ai[j] - f * ar[j]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def common_denominator(xs, prime: int | None = None) -> int:
     """Least common denominator of the rationals (or ints) `xs`.
 
@@ -197,7 +173,7 @@ def rank_of_rows(field, rows: list) -> int:
     if isinstance(field, RationalField):
         return _rank_int_bareiss([clear_denominators(row) for row in rows])[0]
     if isinstance(field, PrimeField):
-        return _rank_mod_p(rows, field.p)
+        return len(rows) - sum(1 for _ in _echelon(field, rows, relations=False))
     if isinstance(field, PolyRing):
         if field.trunc is not None:
             raise TypeError(f"{field!r} truncated below degree {field.trunc} is not a domain")
@@ -234,152 +210,89 @@ def rank_qq_and_mod_p(rows: list, p: int) -> tuple[int, int]:
     return r, rank_of_rows(PrimeField(p), rows)
 
 
-def first_relation(field, rows: list):
-    """The relation on the first row that lies in the span of the rows before it; None if independent.
+def _echelon(field, rows: list, relations: bool = True):
+    """Yield (i, relation) for each row i that lies in the span of the rows kept before it.
 
     Rows are scanned into a fraction-free echelon, each followed by its
-    combination of the input rows. Over QQ a row is cleared of denominators,
+    combination of the input rows (or, without `relations`, by nothing, and
+    every relation is None). Over QQ a row is cleared of denominators,
     reduced against each kept row r by e * v - x * r (e the pivot of r, x the
-    entry of v there) and divided by its gcd; over GF(q) this runs mod q.
-    When row i reduces to zero, rows 0..i-1 are independent, so the relation
-    on rows 0..i is unique up to scale. It is returned over all rows, zero
-    beyond i, as the primitive integer vector with c_i > 0 over QQ and with
-    c_i = 1 over GF(q). That is `clear_denominators(nullspace(M)[0])`, resp.
-    `nullspace(M)[0]`, for M the transpose of rows 0..i: the first kernel
-    vector has a 1 at the first free column, which is row i.
+    entry of v there) and divided by its gcd; over GF(q) this runs mod q,
+    with every kept row scaled to pivot e = 1. A row that reduces to zero is
+    not kept. The rows kept before it are
+    independent, so its relation on them is unique up to scale: it comes
+    over all rows, zero at every row not kept and beyond i, as the primitive
+    integer vector with c_i > 0 over QQ and with c_i = 1 over GF(q).
     """
     q = field.p if isinstance(field, PrimeField) else None
     if q is None and not isinstance(field, RationalField):
-        raise TypeError(f"no relation routine for {field!r}")
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
+        raise TypeError(f"no echelon over {field!r}")
+    m = len(rows) if relations else 0
     kept = []  # (pivot column, row followed by its combination)
     for i, row in enumerate(rows):
+        n = len(row)
         if q is None:
             den = math.lcm(*[x.denominator for x in row])
             w = [x.numerator * (den // x.denominator) for x in row] + [0] * m
         else:
             den, w = 1, [x % q for x in row] + [0] * m
-        w[n + i] = den
+        if relations:
+            w[n + i] = den
         for pc, r in kept:
             x = w[pc]
             if x:
-                w = [r[pc] * a - x * b for a, b in zip(w, r)]
                 if q:
-                    w = [a % q for a in w]
-                elif (g := math.gcd(*w)) > 1:
-                    w = [a // g for a in w]
+                    w = [(a - x * b) % q for a, b in zip(w, r)]
+                else:
+                    w = [r[pc] * a - x * b for a, b in zip(w, r)]
+                    if (g := math.gcd(*w)) > 1:
+                        w = [a // g for a in w]
         pc = next((j for j in range(n) if w[j]), None)
-        if pc is None:
-            c = w[n:]  # primitive after the gcd divisions (e_i for a zero row)
+        if pc is not None:
             if q:
-                inv = pow(c[i], -1, q)
-                return [a * inv % q for a in c]
-            return c if c[i] > 0 else [-a for a in c]
-        kept.append((pc, w))
-    return None
+                inv = pow(w[pc], -1, q)
+                w = [a * inv % q for a in w]
+            kept.append((pc, w))
+        elif not relations:
+            yield i, None
+        elif q:
+            inv = pow(w[n + i], -1, q)
+            yield i, [a * inv % q for a in w[n:]]
+        else:
+            c = w[n:]  # primitive after the gcd divisions (e_i for a zero row)
+            yield i, c if c[i] > 0 else [-a for a in c]
+
+
+def first_relation(field, rows: list):
+    """The relation on the first row that lies in the span of the rows before it; None if independent.
+
+    This is the first relation `_echelon` yields. When row i is the first
+    that depends on the rows before it, rows 0..i-1 are independent, so the
+    relation on rows 0..i is unique up to scale. It is returned over all
+    rows, zero beyond i, as the primitive integer vector with c_i > 0 over QQ
+    and with c_i = 1 over GF(q). That is `clear_denominators(nullspace(M)[0])`,
+    resp. `nullspace(M)[0]`, for M the transpose of rows 0..i: the first
+    kernel vector has a 1 at the first free column, which is row i.
+    """
+    return next((c for _, c in _echelon(field, rows)), None)
 
 
 def rank(m: Matrix) -> int:
     return rank_of_rows(m.field, m.rows)
 
 
-def _pivot_rows(field, rows: list, ncols: int) -> list:
-    """(pivot column, row) pairs of the reduced row echelon form, in no fixed order."""
-    builder = SpanBuilder(field, ncols)
-    for row in rows:
-        builder.add(row)
-    return builder._rows
-
-
 def nullspace(m: Matrix) -> list[list]:
-    """Basis of the right kernel {x : m x = 0}."""
-    field = m.field
-    n = m.ncols
-    pivots = _pivot_rows(field, m.rows, n)
-    pivot_set = {pc for pc, _ in pivots}
-    basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [field.zero] * n
-        v[j] = field.one
-        for pc, row in pivots:
-            v[pc] = field.neg(row[j])
-        basis.append(v)
-    return basis
+    """Basis of the right kernel {x : m x = 0}, the one the reduced row echelon form gives.
 
-
-def solve_columns(field, columns: list, target: list):
-    """Solve sum_i x_i * columns[i] = target; None when inconsistent."""
-    k = len(columns)
-    aug = [[c[r] for c in columns] + [target[r]] for r in range(len(target))]
-    x = [field.zero] * k
-    for pc, row in _pivot_rows(field, aug, k + 1):
-        if pc == k:
-            return None
-        x[pc] = row[k]
-    return x
-
-
-class SpanBuilder:
-    """Grows a subspace one vector at a time.
-
-    Keeps a fully reduced pivot system internally (every stored row is zero
-    at every other stored pivot), so membership is a single pass, and keeps
-    the accepted original vectors as the exposed basis.
+    For each column j that depends on the columns before it, its relation
+    (see `_echelon`) divided by its entry at j: 1 at j, and 0 at every later
+    column and at every other dependent column, as in the RREF basis.
+    Entries are Fractions over QQ and ints in [0, q) over GF(q).
     """
-
-    def __init__(self, field, ambient_dim: int):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.vectors: list = []
-        self._rows: list = []  # (pivot index, row with pivot normalized to 1)
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def residual(self, vec: list) -> list:
-        f = self.field
-        v = list(vec)
-        for piv, row in self._rows:
-            c = v[piv]
-            if f.is_zero(c):
-                continue
-            for j in range(self.ambient_dim):
-                if not f.is_zero(row[j]):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return v
-
-    def contains(self, vec: list) -> bool:
-        return all(self.field.is_zero(x) for x in self.residual(vec))
-
-    def add(self, vec: list) -> bool:
-        """Insert `vec`; True when the dimension grew."""
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        f = self.field
-        v = self.residual(vec)
-        piv = None
-        for j, x in enumerate(v):
-            if not f.is_zero(x):
-                piv = j
-                break
-        if piv is None:
-            return False
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, x) for x in v]
-        for k, (p, row) in enumerate(self._rows):
-            c = row[piv]
-            if not f.is_zero(c):
-                self._rows[k] = (p, [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)])
-        self._rows.append((piv, v))
-        self.vectors.append(list(vec))
-        return True
-
-    def to_subspace(self) -> "Subspace":
-        return Subspace(self.field, self.ambient_dim, [list(v) for v in self.vectors])
+    cols = [list(col) for col in zip(*m.rows)]
+    if isinstance(m.field, PrimeField):
+        return [c for _, c in _echelon(m.field, cols)]
+    return [[Fraction(x, c[j]) for x in c] for j, c in _echelon(m.field, cols)]
 
 
 @dataclass
@@ -397,18 +310,44 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def builder(self) -> SpanBuilder:
-        b = SpanBuilder(self.field, self.ambient_dim)
-        for v in self.basis:
-            b.add(v)
-        return b
+
+def _check_length(ambient_dim: int, vec: list) -> None:
+    if len(vec) != ambient_dim:
+        raise ValueError("vector length does not match ambient dimension")
 
 
-def subspace_from_vectors(field, ambient_dim: int, vectors: list) -> Subspace:
-    b = SpanBuilder(field, ambient_dim)
-    for v in vectors:
-        b.add(v)
-    return b.to_subspace()
+def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
+    """The span of `vectors`, with the vectors that raise its dimension, in order, as basis.
+
+    Each vector is reduced against a fully reduced pivot system (every row
+    is zero at every other row's pivot, which is 1), so it lies in the span
+    when it reduces to zero; otherwise its reduction joins the system.
+    """
+    f = field
+    rows = []  # (pivot index, row with pivot normalized to 1)
+    basis = []
+    for vec in vectors:
+        _check_length(ambient_dim, vec)
+        v = list(vec)
+        for piv, row in rows:
+            c = v[piv]
+            if f.is_zero(c):
+                continue
+            for j in range(ambient_dim):
+                if not f.is_zero(row[j]):
+                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        if piv is None:
+            continue
+        inv = f.inv(v[piv])
+        v = [f.mul(inv, x) for x in v]
+        for k, (p, row) in enumerate(rows):
+            c = row[piv]
+            if not f.is_zero(c):
+                rows[k] = (p, [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)])
+        rows.append((piv, v))
+        basis.append(list(vec))
+    return Subspace(field, ambient_dim, basis)
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -423,12 +362,7 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
     """Sum of two subspaces of the same ambient space."""
     _check_compatible(a, b)
-    builder = SpanBuilder(a.field, a.ambient_dim)
-    for v in a.basis:
-        builder.add(v)
-    for v in b.basis:
-        builder.add(v)
-    return builder.to_subspace()
+    return subspace_from_vectors(a.field, a.ambient_dim, a.basis + b.basis)
 
 
 def sample_combination(field, vectors: list, bound: int, rng) -> tuple[list, list]:
@@ -477,23 +411,28 @@ def random_in_span(s: Subspace, bound: int, rng) -> list:
 
 
 def solve_membership(s: Subspace, v: list):
-    """Coordinates of v in s.basis, or None when v is outside s."""
-    if len(v) != s.ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    if s.dim == 0:
-        return [] if all(s.field.is_zero(x) for x in v) else None
-    return solve_columns(s.field, s.basis, v)
+    """Coordinates of v in s.basis, or None when v is outside s.
+
+    They are read off the relation of v over s.basis + [v] (see `_echelon`),
+    Fractions over QQ and ints in [0, q) over GF(q).
+    """
+    _check_length(s.ambient_dim, v)
+    k = s.dim
+    rel = next((c for i, c in _echelon(s.field, s.basis + [v]) if i == k), None)
+    if rel is None:
+        return None
+    if isinstance(s.field, PrimeField):
+        return [-x % s.field.p for x in rel[:k]]
+    return [Fraction(-x, rel[k]) for x in rel[:k]]
 
 
 def subspace_contains(s: Subspace, v: list) -> bool:
-    return s.builder().contains(v)
+    """Whether v lies in s: whether adding it to the basis leaves the rank at s.dim."""
+    _check_length(s.ambient_dim, v)
+    return rank_of_rows(s.field, s.basis + [v]) == s.dim
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Equality of column spaces, decided by mutual membership of bases."""
+    """Equality of column spaces: equal dimensions, which both bases together keep."""
     _check_compatible(a, b)
-    if a.dim != b.dim:
-        return False
-    ba = a.builder()
-    bb = b.builder()
-    return all(ba.contains(v) for v in b.basis) and all(bb.contains(v) for v in a.basis)
+    return a.dim == b.dim and rank_of_rows(a.field, a.basis + b.basis) == a.dim

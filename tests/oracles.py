@@ -3,8 +3,10 @@
 These deliberately avoid the library's construction paths: flattenings are
 rebuilt by direct multi-index loops, catalecticants by dictionary lookup of
 coefficients, Koszul flattenings through the alternating-tensor embedding,
-jets by full (untruncated) convolution arithmetic on coefficient lists, and
-polynomial arithmetic by a schoolbook loop over the base ring's own methods.
+jets by full (untruncated) convolution arithmetic on coefficient lists,
+polynomial arithmetic by a schoolbook loop over the base ring's own methods,
+and kernels, solves, membership and prime-field ranks by the field-element
+eliminations the library ran before its fraction-free echelon.
 """
 
 from __future__ import annotations
@@ -189,3 +191,112 @@ class SchoolbookPolyRing:
             for j, y in enumerate(b):
                 out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
         return self.norm(out)
+
+
+class ReducedEchelon:
+    """Grows a subspace one vector at a time on field elements (Fractions over QQ).
+
+    Keeps a fully reduced pivot system (every stored row is zero at every
+    other stored pivot, which is 1), so membership is a single pass.
+    """
+
+    def __init__(self, field, ambient_dim: int):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.rows: list = []  # (pivot index, row with pivot normalized to 1)
+
+    def residual(self, vec: list) -> list:
+        f = self.field
+        v = list(vec)
+        for piv, row in self.rows:
+            c = v[piv]
+            if f.is_zero(c):
+                continue
+            for j in range(self.ambient_dim):
+                if not f.is_zero(row[j]):
+                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        return v
+
+    def contains(self, vec: list) -> bool:
+        return all(self.field.is_zero(x) for x in self.residual(vec))
+
+    def add(self, vec: list) -> bool:
+        """Insert `vec`; True when the dimension grew."""
+        f = self.field
+        v = self.residual(vec)
+        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        if piv is None:
+            return False
+        inv = f.inv(v[piv])
+        v = [f.mul(inv, x) for x in v]
+        for k, (p, row) in enumerate(self.rows):
+            c = row[piv]
+            if not f.is_zero(c):
+                self.rows[k] = (p, [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)])
+        self.rows.append((piv, v))
+        return True
+
+
+def reduced_echelon(field, rows: list, ncols: int) -> ReducedEchelon:
+    ech = ReducedEchelon(field, ncols)
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
+def rref_nullspace(field, rows: list, ncols: int) -> list[list]:
+    """The RREF basis of {x : rows x = 0}: a 1 at each free column, minus its pivot entries."""
+    pivots = reduced_echelon(field, rows, ncols).rows
+    pivot_set = {pc for pc, _ in pivots}
+    basis = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        v = [field.zero] * ncols
+        v[j] = field.one
+        for pc, row in pivots:
+            v[pc] = field.neg(row[j])
+        basis.append(v)
+    return basis
+
+
+def rref_solve_membership(field, basis: list, target: list):
+    """Solve sum_i x_i * basis[i] = target with every free x_i zero; None when inconsistent."""
+    k = len(basis)
+    if k == 0:
+        return [] if all(field.is_zero(x) for x in target) else None
+    aug = [[b[r] for b in basis] + [target[r]] for r in range(len(target))]
+    x = [field.zero] * k
+    for pc, row in reduced_echelon(field, aug, k + 1).rows:
+        if pc == k:
+            return None
+        x[pc] = row[k]
+    return x
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank mod p of integer rows by column-by-column elimination with normalized pivots."""
+    m = len(rows)
+    if m == 0:
+        return 0
+    n = len(rows[0])
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[piv], a[rank] = a[rank], a[piv]
+        inv = pow(a[rank][col], p - 2, p)
+        ar = a[rank]
+        for i in range(rank + 1, m):
+            f = a[i][col]
+            if f:
+                f = f * inv % p
+                ai = a[i]
+                for j in range(col, n):
+                    ai[j] = (ai[j] - f * ar[j]) % p
+        rank += 1
+        if rank == m:
+            break
+    return rank

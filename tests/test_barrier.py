@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cactusbarrier.barrier import (
     BarrierReport,
@@ -12,8 +14,14 @@ from cactusbarrier.barrier import (
     verify_instance,
     verify_join_decomposition,
 )
-from cactusbarrier.exactalg import Subspace, rank, subspace_from_vectors
-from cactusbarrier.fields import QQ
+from cactusbarrier.exactalg import (
+    DEFAULT_PRIME,
+    Subspace,
+    rank,
+    subspace_contains,
+    subspace_from_vectors,
+)
+from cactusbarrier.fields import QQ, PrimeField
 from cactusbarrier.rankmethods import (
     catalecticant_method,
     evaluate_map,
@@ -31,6 +39,7 @@ from cactusbarrier.schemes import (
     scheme_span,
 )
 from cactusbarrier.varieties import Germ, parse_variety, random_point
+from oracles import reduced_echelon
 
 
 def fr(x):
@@ -208,7 +217,26 @@ def test_grassmann_containment_witness():
         assert True
     else:
         # astronomically unlikely; the witness must then check out directly
-        assert span.builder().contains(outside)
+        assert subspace_contains(span, outside)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["segre:2x2x2", "veronese:1,3", "veronese:2,2"]),
+       st.sampled_from([QQ, PrimeField(101), PrimeField(DEFAULT_PRIME)]),
+       st.integers(1, 4), st.integers(0, 2**32), st.data())
+def test_grassmann_containment_matches_membership_in_the_rref_oracle(spec, field, degree,
+                                                                       seed, data):
+    p = parse_variety(spec)
+    rng = random.Random(seed)
+    sch = random_scheme(p, degree, mix="mixed", bound=3, rng=rng)
+    span = scheme_span(p, sch, field)
+    vectors = [[field.of(sum(rng.randint(-2, 2) * v[j] for v in span.basis))
+                for j in range(p.dim_W)] for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        vectors.append([field.of(rng.randint(-3, 3)) for _ in range(p.dim_W)])
+    e = subspace_from_vectors(field, p.dim_W, vectors)
+    ech = reduced_echelon(field, span.basis, p.dim_W)
+    assert grassmann_containment(e, p, sch) == all(ech.contains(v) for v in e.basis)
 
 
 def test_grassmann_containment_line_case_matches_membership():

@@ -11,6 +11,7 @@ import pytest
 
 import cactusbarrier.cli as cli
 from cactusbarrier.barrier import BarrierReport
+from cactusbarrier.fields import PrimeField
 from cactusbarrier.fileformats import (
     FileFormatError,
     load_tensor,
@@ -638,7 +639,14 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
     monkeypatch.setattr(barrier, "integer_image", image)
     monkeypatch.setattr(exactalg, "_rank_int_bareiss",
                         recording(eliminated, exactalg._rank_int_bareiss))
-    monkeypatch.setattr(exactalg, "_rank_mod_p", recording(mod_p, exactalg._rank_mod_p))
+    real_rank = exactalg.rank_of_rows
+
+    def rank_of_rows(field, rows):
+        if isinstance(field, PrimeField):
+            mod_p.append([list(row) for row in rows])
+        return real_rank(field, rows)
+
+    monkeypatch.setattr(exactalg, "rank_of_rows", rank_of_rows)
     trials = 4
     code, out = run(["verify", "--variety", "segre:4x4x4", "--scheme", "random:deg=5",
                      "--method", "koszul:p=1", "--trials", str(trials), "--seed", "3",
@@ -652,6 +660,10 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
     assert any(r["rank"] < r["bound"] for r in reports)
     assert [rows for rows in eliminated if rows in images] == images
     assert not [rows for rows in mod_p if rows in images]
+    # the counter sees the fallback: the minor 7 vanishes mod 7
+    seen = len(mod_p)
+    assert exactalg.rank_qq_and_mod_p([[7]], 7) == (1, 0)
+    assert mod_p[seen:] == [[[7]]]
 
 
 @pytest.mark.parametrize("command", ["ceiling", "limit", "estimate-k"])

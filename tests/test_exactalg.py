@@ -10,8 +10,8 @@ from cactusbarrier.exactalg import (
     FieldMismatchError,
     Matrix,
     Subspace,
+    _echelon,
     _rank_int_bareiss,
-    _rank_mod_p,
     clear_denominators,
     first_relation,
     nullspace,
@@ -27,6 +27,7 @@ from cactusbarrier.exactalg import (
     subspaces_equal,
 )
 from cactusbarrier.fields import QQ, PolyRing, PrimeField
+from oracles import rank_mod_p, reduced_echelon, rref_nullspace, rref_solve_membership
 
 
 def qvec(*xs):
@@ -267,6 +268,73 @@ def test_solve_membership_matches_sympy(case, data):
             assert field.is_zero(field.sub(_dot(field, x, [b[j] for b in s.basis]), target[j]))
 
 
+def _types(vectors):
+    return [[type(x) for x in v] for v in vectors]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_oracle_matrices())
+def test_nullspace_equals_the_rref_oracle(case):
+    field, rows, ncols = case
+    basis = nullspace(Matrix(field, rows))
+    expected = rref_nullspace(field, rows, ncols)
+    assert basis == expected
+    assert _types(basis) == _types(expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_oracle_matrices(), st.data())
+def test_membership_equals_the_rref_oracle(case, data):
+    field, rows, ncols = case
+    if data.draw(st.booleans()):  # a combination of the rows
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        target = [_dot(field, [field.of(c) for c in coeffs], [r[j] for r in rows])
+                  for j in range(ncols)]
+    else:
+        target = [field.of(x) for x in data.draw(
+            st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))]
+    s = subspace_from_vectors(field, ncols, rows)
+    # on the raw rows, too: a basis vector that depends on earlier ones gets 0
+    for basis in (s.basis, rows):
+        x = solve_membership(Subspace(field, ncols, basis), target)
+        expected = rref_solve_membership(field, basis, target)
+        assert x == expected
+        if x is not None:
+            assert [type(c) for c in x] == [type(c) for c in expected]
+    assert subspace_contains(s, target) == reduced_echelon(field, s.basis, ncols).contains(target)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_oracle_matrices(), st.data())
+def test_subspaces_equal_matches_mutual_membership(case, data):
+    field, rows, ncols = case
+    a = subspace_from_vectors(field, ncols, rows)
+    kind = data.draw(st.sampled_from(["recombined", "one more", "random"]))
+    if kind == "random":
+        other = [[field.of(x) for x in data.draw(
+            st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))]
+            for _ in range(data.draw(st.integers(0, ncols)))]
+    else:  # combinations of a's basis, then maybe one vector more
+        other = [[_dot(field, [field.of(c) for c in data.draw(st.lists(
+            st.integers(-2, 2), min_size=a.dim, max_size=a.dim))], [v[j] for v in a.basis])
+            for j in range(ncols)] for _ in range(a.dim + 1)]
+        if kind == "one more":
+            other.append([field.of(x) for x in data.draw(
+                st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))])
+    b = subspace_from_vectors(field, ncols, other)
+    ea, eb = reduced_echelon(field, a.basis, ncols), reduced_echelon(field, b.basis, ncols)
+    expected = (a.dim == b.dim and all(ea.contains(v) for v in b.basis)
+                and all(eb.contains(v) for v in a.basis))
+    assert subspaces_equal(a, b) == subspaces_equal(b, a) == expected
+
+
+def test_subspace_contains_rejects_a_vector_of_the_wrong_length():
+    line = subspace_from_vectors(QQ, 3, [[1, 0, 0]])
+    for s, v in ((line, [1]), (line, [1, 0, 0, 0]), (Subspace(QQ, 3, []), [0])):
+        with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
+            subspace_contains(s, v)
+
+
 # -- integer rows: Bareiss against sympy, denominator clearing, sampling ------
 
 @st.composite
@@ -299,6 +367,13 @@ def test_integer_bareiss_matches_sympy(case):
     assert rank_of_rows(QQ, scaled) == expected
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_matrices(), st.sampled_from([2, 3, 5, 7, 101, DEFAULT_PRIME]))
+def test_rank_over_a_prime_field_matches_elimination_mod_p(case, p):
+    rows, _ = case
+    assert rank_of_rows(PrimeField(p), rows) == rank_mod_p(rows, p)
+
+
 def test_rank_qq_and_mod_p_pins():
     p = 7
     assert rank_qq_and_mod_p([[p]], p) == (1, 0)
@@ -320,7 +395,7 @@ def test_rank_qq_and_mod_p_matches_sympy_and_elimination_mod_p(case, p):
 
     rows, ncols = case
     expected = (_sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], ncols),
-                _rank_mod_p(rows, p))
+                rank_mod_p(rows, p))
     assert expected[1] == _sympy_rank(PrimeField(p), [[x % p for x in row] for row in rows],
                                       ncols)
     assert rank_qq_and_mod_p(rows, p) == expected
@@ -352,6 +427,19 @@ def test_first_relation_pins():
     assert first_relation(PrimeField(7), [[2, 1], [1, 3], [3, 4]]) == [6, 6, 1]
     with pytest.raises(TypeError):
         first_relation(PolyRing(QQ), [[(1,)]])
+
+
+def test_echelon_yields_every_dependent_row_with_its_relation():
+    rows = [[1, 0], [2, 0], [0, 1], [1, 1], [0, 0]]
+    # row 1 is dropped, so row 3's relation is on rows 0 and 2 only
+    assert list(_echelon(QQ, rows)) == [
+        (1, [-2, 1, 0, 0, 0]), (3, [-1, 0, -1, 1, 0]), (4, [0, 0, 0, 0, 1])]
+    assert list(_echelon(PrimeField(7), rows)) == [
+        (1, [5, 1, 0, 0, 0]), (3, [6, 0, 6, 1, 0]), (4, [0, 0, 0, 0, 1])]
+    assert list(_echelon(QQ, rows, relations=False)) == [(1, None), (3, None), (4, None)]
+    assert list(_echelon(QQ, [[Fraction(1, 2), 1], [1, 2], [3, 0]])) == [(1, [-2, 1, 0])]
+    with pytest.raises(TypeError):
+        next(_echelon(PolyRing(QQ), [[(1,)]]))
 
 
 @st.composite
@@ -399,8 +487,8 @@ def test_first_relation_matches_the_kernel_of_the_first_dependent_prefix(case):
     assert rel[i] and not any(rel[i + 1:])
     for j in range(ncols):
         assert field.is_zero(field.of(sum(c * row[j] for c, row in zip(rel, rows))))
-    prefix = Matrix.from_rows(field, [list(col) for col in zip(*rows[:i + 1])])
-    kernel = nullspace(prefix)[0]
+    prefix = [[field.of(x) for x in col] for col in zip(*rows[:i + 1])]
+    kernel = rref_nullspace(field, prefix, i + 1)[0]
     if field == QQ:
         kernel = clear_denominators(kernel)
         assert all(type(c) is int for c in rel)

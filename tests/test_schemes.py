@@ -658,8 +658,8 @@ def _membership_compare(param, fam, limit_scheme):
     """compare_limit as it was: the stated limit's span, then membership in the limit."""
     lim = limit_of_spans(fam)
     span0 = scheme_span(param, limit_scheme, fam.ring.base)
-    builder = lim.builder()
-    return LimitComparison(span0.dim, lim.dim, all(builder.contains(v) for v in span0.basis))
+    return LimitComparison(span0.dim, lim.dim,
+                           all(subspace_contains(lim, v) for v in span0.basis))
 
 
 def _integral(piece):
