@@ -72,19 +72,29 @@ class BarrierReport:
         return d
 
 
-def _screen_and_confirm(method: RankMethod, raw: list, f_q: list, prime: int | None) -> tuple:
-    """(rank M(F), rank of `raw`, fp_rank) for F = f_q; both ranks are rational.
+def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, degree: int,
+                      rng, *, bound: int, prime: int | None, seed: int | None, kind: str,
+                      extra: dict) -> tuple:
+    """(coefficients, report) for F sampled from `vectors`: is rank M(F) <= k * degree?
 
     M(F) is evaluated once, as integer rows, and ranked once: with a prime,
     `rank_qq_and_mod_p` also gives the screen's rank mod the prime, fp_rank
-    (never above the rational rank); without one, fp_rank is None.
+    (never above the rational rank); without one, fp_rank is None. The span
+    dimension is the rank of `vectors`. At degree zero nothing is drawn, the
+    report is all zeros and the coefficients are None.
     """
+    head = (param.spec, method.spec, method.k, method.k_source)
+    if degree == 0:
+        return None, BarrierReport(*head, 0, 0, 0, 0, True, seed=seed, kind=kind, extra=extra)
+    coeffs, f_q = sample_combination(QQ, vectors, bound, rng)
     rows = integer_image(method.map, f_q, prime)
     if prime is None:
         rk, fp_rank = rank_of_rows(QQ, rows), None
     else:
         rk, fp_rank = rank_qq_and_mod_p(rows, prime)
-    return rk, rank_of_rows(QQ, raw), fp_rank
+    cap = method.k * degree
+    return coeffs, BarrierReport(*head, degree, rank_of_rows(QQ, vectors), rk, cap, rk <= cap,
+                                 fp_rank=fp_rank, seed=seed, kind=kind, extra=extra)
 
 
 def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMethod,
@@ -103,18 +113,12 @@ def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMetho
         raise ValueError(
             f"method acts on W of dimension {method.map.w}, variety has {param.dim_W}"
         )
-    r = scheme.degree
-    cap = method.k * r
-    if r == 0:
-        return BarrierReport(param.spec, method.spec, method.k, method.k_source,
-                             0, 0, 0, 0, True, seed=seed)
-
-    raw_q = scheme_span_vectors(param, scheme, QQ)
-    coeffs, f_q = sample_combination(QQ, raw_q, bound, rng)
-    rk, span_dim, fp_rank = _screen_and_confirm(method, raw_q, f_q, prime)
-    return BarrierReport(param.spec, method.spec, method.k, method.k_source,
-                         r, span_dim, rk, cap, rk <= cap, fp_rank=fp_rank, seed=seed,
-                         extra={"combination": coeffs})
+    raw = scheme_span_vectors(param, scheme, QQ) if scheme.degree else []
+    coeffs, report = _sample_and_check(param, method, raw, scheme.degree, rng, bound=bound,
+                                       prime=prime, seed=seed, kind="instance", extra={})
+    if coeffs is not None:
+        report.extra["combination"] = coeffs
+    return report
 
 
 def minimal_factor_subspace(m: LinearMatrixMap, u: Subspace) -> Subspace:
@@ -132,41 +136,25 @@ def minimal_factor_subspace(m: LinearMatrixMap, u: Subspace) -> Subspace:
 
 def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,
                               r1: FiniteScheme, r2: FiniteScheme, method: RankMethod,
-                              rng, *, prime: int | None = DEFAULT_PRIME,
-                              confirm: str = "full", bound: int = 5,
+                              rng, *, prime: int | None = DEFAULT_PRIME, bound: int = 5,
                               seed: int | None = None) -> BarrierReport:
     """Sample F in the span of {F1, F2} with Fi in the span of Ri and check the joint bound.
 
     The two schemes play the role of pieces on disjoint (regions of) varieties;
     the empty scheme is allowed on either side, matching the conventions that
     degree zero contributes nothing and a join with nothing is the other side.
-    ``prime`` and ``confirm`` act as in `verify_instance`.
+    ``prime`` acts as in `verify_instance`.
     """
-    if confirm != "full":
-        raise ValueError(f"confirm={confirm!r}: every rank is confirmed, only 'full' remains")
     if param1.spec != param2.spec or param1.dim_W != param2.dim_W:
         raise ValueError("join verification needs two copies of the same chart variety")
     overlap = set(r1.supports()) & set(r2.supports())
     if overlap:
         raise ValueError(f"scheme supports overlap at {sorted(overlap)}")
-    d1, d2 = r1.degree, r2.degree
-    cap = method.k * (d1 + d2)
-
-    parts = []
-    for scheme in (r1, r2):
-        if scheme.degree:
-            raw = scheme_span_vectors(param1, scheme, QQ)
-            _, f = sample_combination(QQ, raw, bound, rng)
-            parts.append(f)
-    if not parts:
-        return BarrierReport(param1.spec, method.spec, method.k, method.k_source, 0, 0, 0, 0,
-                             True, seed=seed, kind="join", extra={"degree1": 0, "degree2": 0})
-
-    _, f_q = sample_combination(QQ, parts, bound, rng)
-    rk, span_dim, fp_rank = _screen_and_confirm(method, parts, f_q, prime)
-    return BarrierReport(param1.spec, method.spec, method.k, method.k_source,
-                         d1 + d2, span_dim, rk, cap, rk <= cap, fp_rank=fp_rank,
-                         seed=seed, kind="join", extra={"degree1": d1, "degree2": d2})
+    parts = [sample_combination(QQ, scheme_span_vectors(param1, scheme, QQ), bound, rng)[1]
+             for scheme in (r1, r2) if scheme.degree]
+    return _sample_and_check(param1, method, parts, r1.degree + r2.degree, rng, bound=bound,
+                             prime=prime, seed=seed, kind="join",
+                             extra={"degree1": r1.degree, "degree2": r2.degree})[1]
 
 
 def grassmann_containment(e: Subspace, param: VarietyParam, scheme: FiniteScheme) -> bool:

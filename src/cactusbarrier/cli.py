@@ -34,6 +34,7 @@ from .rankmethods import (
     RankMethod,
     SymmetricForm,
     check_k_consistency,
+    custom_method,
     estimate_k,
     integer_image,
     map_rank,
@@ -42,9 +43,9 @@ from .rankmethods import (
 from .schemes import (
     FiniteScheme,
     SpanFamily,
+    check_random_degree,
     compare_limit,
     family_span,
-    map_coords,
     random_scheme,
     validate_scheme,
 )
@@ -91,8 +92,8 @@ def _parse_field(text: str):
     raise CliError(f"bad field spec {text!r}; use q or p:PRIME")
 
 
-def _parse_scheme_spec(spec: str):
-    """Returns ("random", params) or ("file", path)."""
+def _parse_scheme_spec(spec: str, param):
+    """Returns ("random", params) or ("file", path); random params are checked for `param`."""
     s = spec.strip()
     if s.startswith("random:"):
         params = {"deg": None, "mix": "mixed", "seed": None}
@@ -102,18 +103,18 @@ def _parse_scheme_spec(spec: str):
             if "=" not in part:
                 raise CliError(f"bad scheme spec component {part!r}")
             key, val = part.split("=", 1)
-            if key == "deg":
-                params["deg"] = int(val)
-            elif key == "mix":
-                if val not in ("reduced", "curv", "nbhd", "mixed"):
-                    raise CliError(f"unknown scheme mix {val!r}")
-                params["mix"] = val
-            elif key == "seed":
-                params["seed"] = int(val)
-            else:
+            if key not in params:
                 raise CliError(f"unknown scheme spec key {key!r}")
+            if key == "mix":
+                params[key] = val
+                continue
+            try:
+                params[key] = int(val)
+            except ValueError:
+                raise CliError(f"scheme spec key {key!r} needs an integer, got {val!r}") from None
         if params["deg"] is None:
             raise CliError("random scheme spec needs deg=R")
+        check_random_degree(param, params["deg"], params["mix"])
         return "random", params
     if s.startswith("file:"):
         return "file", s[len("file:"):]
@@ -123,7 +124,10 @@ def _parse_scheme_spec(spec: str):
 
 
 def _build_method(method_spec: str, param, rng, prime: int | None = None) -> RankMethod:
-    """The method of `method_spec`; with `prime`, its map must have an image mod the prime."""
+    """The method of `method_spec`; with `prime`, its map must have an image mod the prime.
+
+    A `custom:file=` map takes k from 64 chart points of height 3 drawn from `rng`.
+    """
     s = method_spec.replace(" ", "")
     if s.startswith("custom:file="):
         path = s[len("custom:file="):]
@@ -137,7 +141,7 @@ def _build_method(method_spec: str, param, rng, prime: int | None = None) -> Ran
             # error names the file, which is the map's spec.
             with _prime_reduction():
                 integer_image(cmap, [0] * cmap.w, prime)
-        return parse_method("custom:" + path, param, rng=rng, custom_map=cmap)
+        return custom_method(cmap, param, 64, 3, rng, spec="custom:" + path)
     return parse_method(s, param)
 
 
@@ -185,7 +189,7 @@ def _load_verify_scheme(path, param, prime):
         gf = PrimeField(prime)
         with _prime_reduction(path):
             for piece in scheme.pieces:
-                map_coords(piece, gf.of)
+                piece.map_coords(gf.of)
     return scheme
 
 
@@ -193,7 +197,7 @@ def cmd_verify(args, out) -> int:
     root = _root_seed(args)
     prime = _parse_field(args.field)
     param = parse_variety(args.variety)
-    scheme_kind, scheme_data = _parse_scheme_spec(args.scheme)
+    scheme_kind, scheme_data = _parse_scheme_spec(args.scheme, param)
     if scheme_kind == "file":
         scheme_data = _load_verify_scheme(scheme_data, param, prime)
     # one method for the k check and all trials; a custom method estimates k

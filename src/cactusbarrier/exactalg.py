@@ -16,7 +16,8 @@ fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
   (one t-saturation step) is its first yield, `nullspace` the relations of
   the dependent columns, `solve_membership` the relation of the vector
   against the basis, and a rank over GF(q) is the number of rows it keeps.
-  Membership, equality and containment of subspaces are rank comparisons.
+  Membership and equality of subspaces are read off `solve_membership`, so
+  a dependent basis answers as its span does.
 
 Span vectors of integral chart points arrive as ints (chart evaluation and
 jets run over `fields.ZZ`); every routine here that takes QQ vectors accepts
@@ -427,12 +428,12 @@ def solve_membership(s: Subspace, v: list):
 
 
 def subspace_contains(s: Subspace, v: list) -> bool:
-    """Whether v lies in s: whether adding it to the basis leaves the rank at s.dim."""
-    _check_length(s.ambient_dim, v)
-    return rank_of_rows(s.field, s.basis + [v]) == s.dim
+    """Whether v lies in s: whether it has coordinates in s.basis (`solve_membership`)."""
+    return solve_membership(s, v) is not None
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Equality of column spaces: equal dimensions, which both bases together keep."""
+    """Equality of column spaces: each basis lies in the other subspace."""
     _check_compatible(a, b)
-    return a.dim == b.dim and rank_of_rows(a.field, a.basis + b.basis) == a.dim
+    return (all(subspace_contains(a, v) for v in b.basis)
+            and all(subspace_contains(b, v) for v in a.basis))

@@ -190,23 +190,24 @@ def custom_map_from_tensor(t: DenseTensor, name: str) -> LinearMatrixMap:
     return LinearMatrixMap(a, b, w, cells, spec=name)
 
 
+# file "type" of each piece given by its point alone; the reverse map serves the writer
+_POINT_PIECES = {"reduced": ReducedPoint, "neighborhood": FirstNeighborhood}
+_POINT_TYPES = {cls: name for name, cls in _POINT_PIECES.items()}
+
+
 def piece_from_dict(doc: dict, coord=parse_rational):
     """Parse one scheme piece; `coord` parses each chart coordinate."""
     kind = _get(doc, "type")
-    if kind == "reduced":
-        return ReducedPoint(_coords(_get(doc, "point"), coord))
     if kind == "curvilinear":
         base = _coords(_get(doc, "base"), coord)
         coeffs = tuple(_coords(c, coord) for c in _get(doc, "coeffs", list))
         return CurvilinearGerm(Germ(base, coeffs), _int(_get(doc, "length")))
-    if kind == "neighborhood":
-        return FirstNeighborhood(_coords(_get(doc, "point"), coord))
+    if isinstance(kind, str) and kind in _POINT_PIECES:  # a JSON list or object is unhashable
+        return _POINT_PIECES[kind](_coords(_get(doc, "point"), coord))
     raise FileFormatError(f"unknown piece type {kind!r}")
 
 
 def piece_to_dict(piece) -> dict:
-    if isinstance(piece, ReducedPoint):
-        return {"type": "reduced", "point": [format_rational(x) for x in piece.point]}
     if isinstance(piece, CurvilinearGerm):
         return {
             "type": "curvilinear",
@@ -214,9 +215,9 @@ def piece_to_dict(piece) -> dict:
             "coeffs": [[format_rational(x) for x in c] for c in piece.germ.coeffs],
             "length": piece.length,
         }
-    if isinstance(piece, FirstNeighborhood):
-        return {"type": "neighborhood", "point": [format_rational(x) for x in piece.point]}
-    raise TypeError(f"cannot serialize {type(piece).__name__}")
+    if type(piece) not in _POINT_TYPES:
+        raise TypeError(f"cannot serialize {type(piece).__name__}")
+    return {"type": _POINT_TYPES[type(piece)], "point": [format_rational(x) for x in piece.point]}
 
 
 def scheme_from_dict(doc: dict) -> FiniteScheme:

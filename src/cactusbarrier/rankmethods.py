@@ -357,9 +357,8 @@ def parse_split(text: str, nmodes: int):
     return rows
 
 
-def parse_method(spec: str, param: VarietyParam, *, rng=None, trials: int = 64,
-                 bound: int = 3, custom_map: LinearMatrixMap | None = None) -> RankMethod:
-    """Build a method from its spec string for a given variety."""
+def parse_method(spec: str, param: VarietyParam) -> RankMethod:
+    """Build a flattening, catalecticant or Koszul method from its spec for a given variety."""
     s = spec.replace(" ", "")
     if s.startswith("flattening:split="):
         rows = parse_split(s[len("flattening:split="):], len(param.factors))
@@ -376,12 +375,6 @@ def parse_method(spec: str, param: VarietyParam, *, rng=None, trials: int = 64,
         except ValueError:
             raise MethodSpecError(f"bad koszul spec {spec!r}") from None
         return koszul_method(param, p)
-    if s.startswith("custom:"):
-        if custom_map is None:
-            raise MethodSpecError("custom method requires a coefficient map")
-        if rng is None:
-            raise ValueError("custom methods need an rng to estimate k")
-        return custom_method(custom_map, param, trials, bound, rng, spec=s)
     raise MethodSpecError(f"unknown method spec {spec!r}")
 
 

@@ -3,7 +3,8 @@
 Supported local pieces are reduced points, curvilinear germs (jets of a curve),
 and first infinitesimal neighborhoods. These three families have unambiguous
 span computations and already realize the span-degeneration phenomena this
-package verifies; arbitrary zero-dimensional ideals are out of scope.
+package verifies; arbitrary zero-dimensional ideals are out of scope. Each
+piece class carries its own `span_vectors`, `map_coords` and `validate`.
 
 Span vectors of a piece whose chart coordinates are all integral are computed
 over ZZ, and those of a family piece whose coordinates are polynomials with
@@ -51,8 +52,12 @@ class OverlappingSupportsError(ValueError):
 
 
 @dataclass(frozen=True)
-class ReducedPoint:
-    """A single reduced chart point; degree 1."""
+class _PointPiece:
+    """A piece given by its support point alone; the base of the two point pieces.
+
+    Neither point piece subclasses the other, so `isinstance` and equality
+    tell them apart.
+    """
 
     point: tuple
 
@@ -64,9 +69,37 @@ class ReducedPoint:
     def coords(self) -> tuple:
         return self.point
 
+    def map_coords(self, fn):
+        """The same piece with `fn` applied to every chart coordinate."""
+        return type(self)(tuple(fn(x) for x in self.point))
+
+    def validate(self) -> None:
+        """A point piece is valid whatever its point."""
+
+
+class ReducedPoint(_PointPiece):
+    """A single reduced chart point; degree 1."""
+
     @property
     def degree(self) -> int:
         return 1
+
+    def span_vectors(self, param: VarietyParam, ring) -> list[list]:
+        """The chart point, its coordinates elements of `ring`."""
+        return [evaluate_in_ring(param, list(self.point), ring)]
+
+
+class FirstNeighborhood(_PointPiece):
+    """A point together with all its first-order directions; degree = dim_X + 1."""
+
+    @property
+    def degree(self) -> int:
+        return len(self.point) + 1
+
+    def span_vectors(self, param: VarietyParam, ring) -> list[list]:
+        """The chart point and its first partials, its coordinates elements of `ring`."""
+        check_characteristic(ring, param, 2)
+        return tangent_vectors_in_ring(param, list(self.point), ring)
 
 
 @dataclass(frozen=True)
@@ -88,24 +121,23 @@ class CurvilinearGerm:
     def degree(self) -> int:
         return self.length
 
+    def map_coords(self, fn) -> CurvilinearGerm:
+        """The same germ with `fn` applied to every chart coordinate, base first, then coeffs."""
+        base = tuple(fn(x) for x in self.germ.base)
+        coeffs = tuple(tuple(fn(x) for x in c) for c in self.germ.coeffs)
+        return CurvilinearGerm(Germ(base, coeffs), self.length)
 
-@dataclass(frozen=True)
-class FirstNeighborhood:
-    """A point together with all its first-order directions; degree = dim_X + 1."""
+    def validate(self) -> None:
+        if self.length < 2:
+            raise ValueError("curvilinear pieces need length >= 2")
+        if not self.germ.coeffs or not any(self.germ.coeffs[0]):
+            raise ValueError("curvilinear germ needs a nonzero first-order direction")
 
-    point: tuple
-
-    @property
-    def support(self) -> tuple:
-        return self.point
-
-    @property
-    def coords(self) -> tuple:
-        return self.point
-
-    @property
-    def degree(self) -> int:
-        return len(self.point) + 1
+    def span_vectors(self, param: VarietyParam, ring) -> list[list]:
+        """The jets of orders 0..length-1, the germ's coordinates elements of `ring`."""
+        check_characteristic(ring, param, self.length)
+        return jet_vectors_in_ring(
+            param, list(self.germ.base), [list(c) for c in self.germ.coeffs], self.length, ring)
 
 
 Piece = ReducedPoint | CurvilinearGerm | FirstNeighborhood
@@ -147,42 +179,7 @@ def validate_scheme(param: VarietyParam, scheme: FiniteScheme) -> None:
             raise OverlappingSupportsError(
                 f"two pieces share the support {_format_support(p.support)}")
         seen.add(p.support)
-        if isinstance(p, CurvilinearGerm):
-            if p.length < 2:
-                raise ValueError("curvilinear pieces need length >= 2")
-            if not p.germ.coeffs or not any(p.germ.coeffs[0]):
-                raise ValueError("curvilinear germ needs a nonzero first-order direction")
-
-
-def map_coords(piece: Piece, fn) -> Piece:
-    """The same piece with `fn` applied to every chart coordinate, base first, then coeffs."""
-    if isinstance(piece, CurvilinearGerm):
-        base = tuple(fn(x) for x in piece.germ.base)
-        coeffs = tuple(tuple(fn(x) for x in c) for c in piece.germ.coeffs)
-        return CurvilinearGerm(Germ(base, coeffs), piece.length)
-    if isinstance(piece, (ReducedPoint, FirstNeighborhood)):
-        return type(piece)(tuple(fn(x) for x in piece.point))
-    raise TypeError(f"unknown piece type {type(piece).__name__}")
-
-
-def piece_span_vectors(param: VarietyParam, piece: Piece, ring) -> list[list]:
-    """Spanning vectors of one piece whose chart coordinates are elements of `ring`.
-
-    The ring is ZZ or a field for a scheme, and a polynomial ring in t for a
-    family.
-    """
-    if isinstance(piece, ReducedPoint):
-        return [evaluate_in_ring(param, list(piece.point), ring)]
-    if isinstance(piece, CurvilinearGerm):
-        check_characteristic(ring, param, piece.length)
-        return jet_vectors_in_ring(
-            param, list(piece.germ.base), [list(c) for c in piece.germ.coeffs],
-            piece.length, ring,
-        )
-    if isinstance(piece, FirstNeighborhood):
-        check_characteristic(ring, param, 2)
-        return tangent_vectors_in_ring(param, list(piece.point), ring)
-    raise TypeError(f"unknown piece type {type(piece).__name__}")
+        p.validate()
 
 
 def _span_vectors(param: VarietyParam, pieces, field) -> list[list]:
@@ -194,7 +191,7 @@ def _span_vectors(param: VarietyParam, pieces, field) -> list[list]:
     for p in pieces:
         ring = chart_ring(field, p.coords)
         coerce = ring.from_coeffs if isinstance(ring, PolyRing) else ring.of
-        out.extend(piece_span_vectors(param, map_coords(p, coerce), ring))
+        out.extend(p.map_coords(coerce).span_vectors(param, ring))
     return out
 
 
@@ -238,28 +235,41 @@ def _random_direction(dim: int, bound: int, rng) -> tuple:
             return c
 
 
-def random_scheme(param: VarietyParam, degree_budget: int, mix: str = "mixed",
-                  bound: int = 3, rng=None) -> FiniteScheme:
-    """A random scheme of total degree exactly `degree_budget` with distinct supports."""
-    if rng is None:
-        raise ValueError("an explicit rng is required")
-    if degree_budget < 1:
+def check_random_degree(param: VarietyParam, degree: int, mix: str) -> None:
+    """Raise ValueError unless `random_scheme` can fill `degree` under `mix`.
+
+    The degree is at least 1, the mix is a key of the mix table, and the
+    degree is admissible for the mix: no smaller than its smallest piece,
+    and a multiple of the neighborhood degree when only neighborhoods are
+    allowed.
+    """
+    if degree < 1:
         raise ValueError("degree budget must be at least 1")
-    if bound < 1:
-        raise ValueError("support bound must be at least 1")
     if mix not in _MIX_KINDS:
         raise ValueError(f"unknown mix {mix!r}; choose from {sorted(_MIX_KINDS)}")
     kinds = _MIX_KINDS[mix]
     nbhd_deg = param.dim_X + 1
     minimal = min({"reduced": 1, "curv": 2, "nbhd": nbhd_deg}[k] for k in kinds)
-    if degree_budget < minimal:
+    if degree < minimal:
         raise ValueError(
-            f"degree {degree_budget} is below the smallest admissible piece ({minimal}) for mix {mix!r}"
+            f"degree {degree} is below the smallest admissible piece ({minimal}) for mix {mix!r}"
         )
-    if kinds == ("nbhd",) and degree_budget % nbhd_deg:
+    if kinds == ("nbhd",) and degree % nbhd_deg:
         raise ValueError(
-            f"degree {degree_budget} is not a multiple of the neighborhood degree {nbhd_deg}"
+            f"degree {degree} is not a multiple of the neighborhood degree {nbhd_deg}"
         )
+
+
+def random_scheme(param: VarietyParam, degree_budget: int, mix: str = "mixed",
+                  bound: int = 3, rng=None) -> FiniteScheme:
+    """A random scheme of total degree exactly `degree_budget` with distinct supports."""
+    if rng is None:
+        raise ValueError("an explicit rng is required")
+    if bound < 1:
+        raise ValueError("support bound must be at least 1")
+    check_random_degree(param, degree_budget, mix)
+    kinds = _MIX_KINDS[mix]
+    nbhd_deg = param.dim_X + 1
 
     used: set = set()
     pieces: list[Piece] = []
@@ -429,7 +439,7 @@ def span_of_limit_vs_limit_of_spans(param: VarietyParam, family_pieces,
 def constant_family_pieces(pieces, field=QQ) -> list:
     """Lift a rational scheme to a constant-in-t family (each coordinate a constant polynomial)."""
     ring = PolyRing(field)
-    return [map_coords(p, ring.of) for p in pieces]
+    return [p.map_coords(ring.of) for p in pieces]
 
 
 def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2, field=QQ) -> list:
@@ -443,4 +453,4 @@ def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2, f
     def wiggle(x):
         return ring.from_coeffs([x] + [rng.randint(-bound, bound) for _ in range(tdeg)])
 
-    return [map_coords(p, wiggle) for p in scheme.pieces]
+    return [p.map_coords(wiggle) for p in scheme.pieces]

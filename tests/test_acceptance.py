@@ -252,7 +252,7 @@ def test_criterion_6_join_suite():
             r2 = random_scheme(param, rng.randint(1, 4), mix="mixed", bound=3, rng=rng)
             if not set(r1.supports()) & set(r2.supports()):
                 break
-        rep = verify_join_decomposition(param, param, r1, r2, method, rng, confirm="full")
+        rep = verify_join_decomposition(param, param, r1, r2, method, rng)
         if not rep.passed or not rep.qq_confirmed:
             failures += 1
         if rep.bound != method.k * r1.degree + method.k * r2.degree:

@@ -88,26 +88,30 @@ def test_verify_instance_empty_scheme():
 def test_verify_instance_confirm_policies():
     # one policy remains: every report states the rational rank, with the
     # GF(p) rank of the same elimination as fp_rank; others are refused
+    # before the rng is drawn from. A join has no policy to choose.
     p = parse_variety("segre:2x2x2")
     sch = random_scheme(p, 3, mix="mixed", bound=3, rng=random.Random(53))
     r1 = FiniteScheme((ReducedPoint((fr(0), fr(0), fr(0))),))
     r2 = FiniteScheme((ReducedPoint((fr(1), fr(0), fr(1))),))
     meth = flattening_method(p, (0,))
+    for policy in ("tight", "never"):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="confirm"):
+            verify_instance(p, sch, meth, rng, confirm=policy)
+        assert rng.getstate() == state, policy
+    full = verify_instance(p, sch, meth, random.Random(1), confirm="full")
+    assert full.to_dict() == verify_instance(p, sch, meth, random.Random(1)).to_dict()
+    with pytest.raises(TypeError, match="confirm"):
+        verify_join_decomposition(p, p, r1, r2, meth, random.Random(1), confirm="full")
     runs = {
         "instance": lambda rng, **kw: verify_instance(p, sch, meth, rng, **kw),
         "join": lambda rng, **kw: verify_join_decomposition(p, p, r1, r2, meth, rng, **kw),
     }
     for name, run in runs.items():
-        for policy in ("tight", "never"):
-            rng = random.Random(1)
-            state = rng.getstate()
-            with pytest.raises(ValueError, match="confirm"):
-                run(rng, confirm=policy)
-            assert rng.getstate() == state, (name, policy)
         rep = run(random.Random(1))
         assert rep.field == "QQ" and rep.qq_confirmed, name
         assert rep.fp_rank is not None and rep.fp_rank <= rep.rank, name
-        assert run(random.Random(1), confirm="full").to_dict() == rep.to_dict(), name
         rational_only = run(random.Random(1), prime=None)
         assert rational_only.qq_confirmed and rational_only.fp_rank is None, name
         assert rational_only.rank == rep.rank, name

@@ -176,6 +176,23 @@ def test_cmd_verify_bad_specs_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("scheme, message", [
+    ("random:deg=0", "at least 1"),
+    ("random:deg=5,mix=nbhd", "not a multiple of the neighborhood degree 4"),
+    ("random:deg=1,mix=curv", "below the smallest admissible piece"),
+    ("random:deg=3,mix=bogus", "unknown mix 'bogus'"),
+    ("random:deg=three", "'deg' needs an integer"),
+    ("random:deg=3,seed=1.5", "'seed' needs an integer"),
+])
+def test_cmd_verify_checks_random_scheme_specs_before_any_trial(scheme, message, capsys):
+    # the spec is rejected up front, so --trials 0 and --trials 1 agree
+    for trials in ("0", "1"):
+        code, out = run(["verify", "--variety", "segre:2x2x2", "--scheme", scheme,
+                         "--method", "flattening:split=1|23", "--trials", trials])
+        assert code == 2 and out == "", (scheme, trials)
+        assert message in capsys.readouterr().err, (scheme, trials)
+
+
 def test_cmd_verify_confirmed_failure_exits_1(monkeypatch):
     # the inequality always holds on these varieties, so a real failure cannot
     # be produced; fake one to pin the exit-code contract

@@ -181,6 +181,16 @@ def test_subspaces_equal_by_mutual_membership():
     assert not subspaces_equal(a, c)
 
 
+def test_membership_and_equality_on_a_dependent_basis():
+    # a basis whose length overstates its dimension: the line x-axis
+    s = Subspace(QQ, 2, [[1, 0], [2, 0]])
+    plane = subspace_from_vectors(QQ, 2, [[1, 0], [0, 1]])
+    assert subspace_contains(s, [1, 0])
+    assert not subspace_contains(s, [0, 1])
+    assert not subspaces_equal(s, plane) and not subspaces_equal(plane, s)
+    assert subspaces_equal(s, subspace_from_vectors(QQ, 2, [[3, 0]]))
+
+
 def test_rank_of_rows_prime_field_matches_default_prime():
     gf = PrimeField(DEFAULT_PRIME)
     rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
@@ -301,7 +311,8 @@ def test_membership_equals_the_rref_oracle(case, data):
         assert x == expected
         if x is not None:
             assert [type(c) for c in x] == [type(c) for c in expected]
-    assert subspace_contains(s, target) == reduced_echelon(field, s.basis, ncols).contains(target)
+        assert subspace_contains(Subspace(field, ncols, basis), target) == \
+            reduced_echelon(field, basis, ncols).contains(target)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -321,11 +332,13 @@ def test_subspaces_equal_matches_mutual_membership(case, data):
         if kind == "one more":
             other.append([field.of(x) for x in data.draw(
                 st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))])
-    b = subspace_from_vectors(field, ncols, other)
-    ea, eb = reduced_echelon(field, a.basis, ncols), reduced_echelon(field, b.basis, ncols)
-    expected = (a.dim == b.dim and all(ea.contains(v) for v in b.basis)
-                and all(eb.contains(v) for v in a.basis))
-    assert subspaces_equal(a, b) == subspaces_equal(b, a) == expected
+    ea = reduced_echelon(field, a.basis, ncols)
+    # b's basis as spanned and as drawn, which may be dependent
+    for basis in (subspace_from_vectors(field, ncols, other).basis, other):
+        b = Subspace(field, ncols, basis)
+        eb = reduced_echelon(field, basis, ncols)
+        expected = all(ea.contains(v) for v in basis) and all(eb.contains(v) for v in a.basis)
+        assert subspaces_equal(a, b) == subspaces_equal(b, a) == expected
 
 
 def test_subspace_contains_rejects_a_vector_of_the_wrong_length():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -19,7 +20,8 @@ from cactusbarrier.exactalg import (
     subspaces_equal,
     span_sum,
 )
-from cactusbarrier.fields import QQ, PolyRing, PrimeField
+from cactusbarrier.fields import QQ, ZZ, PolyRing, PrimeField
+from cactusbarrier.fileformats import piece_from_dict, piece_to_dict
 from cactusbarrier.schemes import (
     CurvilinearGerm,
     FiniteScheme,
@@ -49,6 +51,29 @@ def fr(x):
 
 def reduced(*coords):
     return ReducedPoint(tuple(fr(c) for c in coords))
+
+
+# one piece of each type at a generic integral point of segre:2x2x2 (dim_X = 3)
+PIECES = [
+    ReducedPoint((2, -1, 3)),
+    CurvilinearGerm(Germ((2, -1, 3), ((1, 2, -1), (0, 1, 1))), 3),
+    FirstNeighborhood((2, -1, 3)),
+]
+
+
+@pytest.mark.parametrize("piece", PIECES, ids=lambda p: type(p).__name__)
+def test_piece_protocol(piece):
+    param = parse_variety("segre:2x2x2")
+    rational = piece.map_coords(Fraction)
+    assert piece_from_dict(piece_to_dict(rational)) == rational
+    assert pickle.loads(pickle.dumps(rational)) == rational
+    assert piece.map_coords(lambda x: x) == piece
+    piece.validate()
+    ints = piece.span_vectors(param, ZZ)
+    assert len(ints) == piece.degree == rank_of_rows(QQ, ints)
+    assert all(type(x) is int for v in ints for x in v)
+    assert ints == rational.span_vectors(param, QQ)  # entry for entry
+    assert ReducedPoint(piece.support) != FirstNeighborhood(piece.support)
 
 
 def test_first_neighborhoods_obey_the_characteristic_guard():
@@ -506,7 +531,7 @@ CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,
 def _fraction_path(param, scheme, field):
     """Span vectors with every coordinate taken into `field` first, as before ZZ."""
     return [v for p in scheme.pieces
-            for v in schemes.piece_span_vectors(param, schemes.map_coords(p, field.of), field)]
+            for v in p.map_coords(field.of).span_vectors(param, field)]
 
 
 @st.composite
@@ -543,14 +568,14 @@ def test_rational_span_vectors_equal_the_fraction_path(case, den, which):
     # pieces picked by the bits of `which` get coordinates x/den; the rest stay
     # integral, so both rings meet in one scheme
     param, s = case
-    pieces = tuple(schemes.map_coords(p, lambda x: Fraction(x, den)) if which >> i & 1 else p
+    pieces = tuple(p.map_coords(lambda x: Fraction(x, den)) if which >> i & 1 else p
                    for i, p in enumerate(s.pieces))
     s = FiniteScheme(pieces)
     out = scheme_span_vectors(param, s, QQ)
     assert _entries_equal(out, _fraction_path(param, s, QQ))
     pos = 0
     for p in s.pieces:
-        n = len(schemes.piece_span_vectors(param, schemes.map_coords(p, QQ.of), QQ))
+        n = len(p.map_coords(QQ.of).span_vectors(param, QQ))
         integral = all(x.denominator == 1 for x in p.coords)
         assert all((type(x) is int) == integral for v in out[pos:pos + n] for x in v)
         pos += n
@@ -597,7 +622,7 @@ def _families(draw, rational):
     if rational:
         which = draw(st.integers(1, 15))
         limit = FiniteScheme(tuple(
-            schemes.map_coords(p, lambda x: x / den) if which >> i & 1 else p
+            p.map_coords(lambda x: x / den) if which >> i & 1 else p
             for i, p in enumerate(limit.pieces)))
     if kind == "constant":
         return param, constant_family_pieces(limit.pieces), limit
