@@ -9,7 +9,6 @@ from .exactalg import (
     Matrix,
     Subspace,
     nullspace,
-    random_in_span,
     rank,
     rank_of_rows,
     solve_membership,

@@ -3,11 +3,12 @@
 The verified statement is always the same: for F in the span of a finite
 subscheme of degree r on a smooth chart variety, rank M(F) <= k * r for any
 linear matrix map whose rank on chart points is at most k. Each instance
-ranks M(F) once, by one fraction-free elimination over the integers, which
-gives the rational rank that every report states and, as `fp_rank`, the
-rank over a large prime field (the screen). So every report is confirmed
-over QQ, and a violation is a build-stopping bug, never a discovery, since
-only smooth varieties are in scope here.
+clears the span vectors once, to integer rows, draws F on them and ranks
+M(F) once, by one fraction-free elimination over the integers, which gives
+the rational rank that every report states and, as `fp_rank`, the rank over
+a large prime field (the screen). So every report is confirmed over QQ,
+and a violation is a build-stopping bug, never a discovery, since only
+smooth varieties are in scope here.
 
 The ceiling calculator reports the closed-form degrees at which scheme spans
 fill the ambient space, which cap every bound any such method can certify.
@@ -15,17 +16,19 @@ fill the ambient space, which cap every bound any such method can certify.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .exactalg import (
     DEFAULT_PRIME,
     Subspace,
+    clear_rows,
     rank_of_rows,
     rank_qq_and_mod_p,
     sample_combination,
     subspace_from_vectors,
 )
-from .fields import QQ
+from .fields import QQ, ZZ
 from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image
 from .schemes import FiniteScheme, scheme_span, scheme_span_vectors
 from .varieties import VarietyParam, parse_variety
@@ -77,23 +80,32 @@ def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, de
                       extra: dict) -> tuple:
     """(coefficients, report) for F sampled from `vectors`: is rank M(F) <= k * degree?
 
-    M(F) is evaluated once, as integer rows, and ranked once: with a prime,
-    `rank_qq_and_mod_p` also gives the screen's rank mod the prime, fp_rank
-    (never above the rational rank); without one, fp_rank is None. The span
-    dimension is the rank of `vectors`. At degree zero nothing is drawn, the
-    report is all zeros and the coefficients are None.
+    The vectors are cleared once, over one common denominator d, and F is
+    f / d for an integer combination f of the rows. `integer_image` gets
+    lambda * F = f // gcd(d, f), lambda the least denominator of F (a prime
+    dividing lambda raises ZeroDivisionError, as `common_denominator` does).
+    The rows of M(F) are ranked once: with a prime, `rank_qq_and_mod_p` also
+    gives fp_rank (never above the rational rank), else fp_rank is None. At
+    degree zero nothing is drawn, the report is all zeros and the
+    coefficients are None.
     """
     head = (param.spec, method.spec, method.k, method.k_source)
     if degree == 0:
         return None, BarrierReport(*head, 0, 0, 0, 0, True, seed=seed, kind=kind, extra=extra)
-    coeffs, f_q = sample_combination(QQ, vectors, bound, rng)
-    rows = integer_image(method.map, f_q, prime)
+    den, ints = clear_rows(vectors)
+    coeffs, f = sample_combination(ZZ, ints, bound, rng)
+    if den > 1:
+        g = math.gcd(den, *f)
+        if prime is not None and den // g % prime == 0:
+            raise ZeroDivisionError(f"the denominator {den // g} of F vanishes mod {prime}")
+        f = [x // g for x in f]
+    rows = integer_image(method.map, f, prime)
     if prime is None:
         rk, fp_rank = rank_of_rows(QQ, rows), None
     else:
         rk, fp_rank = rank_qq_and_mod_p(rows, prime)
     cap = method.k * degree
-    return coeffs, BarrierReport(*head, degree, rank_of_rows(QQ, vectors), rk, cap, rk <= cap,
+    return coeffs, BarrierReport(*head, degree, rank_of_rows(QQ, ints), rk, cap, rk <= cap,
                                  fp_rank=fp_rank, seed=seed, kind=kind, extra=extra)
 
 

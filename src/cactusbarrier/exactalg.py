@@ -1,15 +1,16 @@
 """Exact dense linear algebra: ranks, kernels, subspace arithmetic, span sampling.
 
-Two eliminations run on plain Python ints, after each row is cleared of
-denominators through `.numerator` and `.denominator`; over QQ both are
+Two eliminations run on plain Python ints, after rational rows are cleared
+of denominators through `.numerator` and `.denominator`; over QQ both are
 fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
 
 - Batch ranks over QQ use fraction-free (Bareiss) elimination, so
-  coefficient growth stays polynomial. The barrier check ranks the integer
-  rows of M(F) (see `rankmethods.integer_image`) once, by
-  `rank_qq_and_mod_p`: the last Bareiss pivot is a nonzero r x r minor, r
-  the rational rank, and when the prime does not divide it the rank mod p
-  is r as well.
+  coefficient growth stays polynomial; `rank_of_rows` clears all rows over
+  one common denominator (`clear_rows`). The barrier check ranks the
+  integer rows of M(F) (see `rankmethods.integer_image`) once, by
+  `rank_qq_and_mod_p`, which takes int rows as they are: the last Bareiss
+  pivot is a nonzero r x r minor, r the rational rank, and when the prime
+  does not divide it the rank mod p is r as well.
 - Everything incremental uses one row-incremental fraction-free echelon
   (`_echelon`), mod q over GF(q). It yields each row that lies in the span
   of the rows kept before it, with that row's relation: `first_relation`
@@ -20,21 +21,23 @@ fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
   a dependent basis answers as its span does.
 
 Span vectors of integral chart points arrive as ints (chart evaluation and
-jets run over `fields.ZZ`); every routine here that takes QQ vectors accepts
-ints and Fractions alike. Spans and factor subspaces (`subspace_from_vectors`)
-still run a reduced row echelon form on field elements, Fractions over QQ.
-Sampling over QQ sums integer numerators over one common denominator. Ranks
-over a polynomial ring (generic ranks of one-parameter families) are the
-largest of enough integer specializations of t, each ranked over the base.
+jets run over `fields.ZZ`), and `clear_rows` copies rows of ints without a
+denominator pass. A barrier trial clears its span vectors once and stays on
+ints: `sample_combination` sums on the entries' own operators over QQ and
+ZZ. Spans and factor subspaces (`subspace_from_vectors`) still run a reduced
+row echelon form on field elements, Fractions over QQ. Ranks over a
+polynomial ring (generic ranks of one-parameter families) are the largest
+of enough integer specializations of t, each ranked over the base.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 
-from .fields import PolyRing, PrimeField, RationalField
+from .fields import IntegerRing, PolyRing, PrimeField, RationalField
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -139,10 +142,19 @@ def clear_denominators(row: list, prime: int | None = None) -> list[int]:
     too, since the prime cannot divide the denominator (see
     `common_denominator`).
     """
-    den = common_denominator(row, prime)
-    if den == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (den // x.denominator) for x in row]
+    return clear_rows([row], prime)[1][0]
+
+
+def clear_rows(rows: list, prime: int | None = None) -> tuple[int, list[list[int]]]:
+    """(d, the rows times d as new lists of ints), d the least common denominator of every entry.
+
+    `prime` is checked against d as in `common_denominator`. Rows of ints
+    are copied as they are (d = 1), after one type check per entry.
+    """
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return 1, [list(row) for row in rows]
+    den = common_denominator([x for row in rows for x in row], prime)
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def _horner(coeffs, x):
@@ -172,7 +184,7 @@ def rank_of_rows(field, rows: list) -> int:
     if not rows:
         return 0
     if isinstance(field, RationalField):
-        return _rank_int_bareiss([clear_denominators(row) for row in rows])[0]
+        return _rank_int_bareiss(clear_rows(rows)[1])[0]
     if isinstance(field, PrimeField):
         return len(rows) - sum(1 for _ in _echelon(field, rows, relations=False))
     if isinstance(field, PolyRing):
@@ -193,18 +205,15 @@ def rank_of_rows(field, rows: list) -> int:
     raise TypeError(f"no rank routine for {field!r}")
 
 
-def rank_qq_and_mod_p(rows: list, p: int) -> tuple[int, int]:
-    """(rank over QQ, rank mod the prime p) of rows of ints or Fractions, by one elimination.
+def rank_qq_and_mod_p(rows: list[list[int]], p: int) -> tuple[int, int]:
+    """(rank over QQ, rank mod the prime p) of rows of ints, by one elimination.
 
-    The rows are cleared of denominators as in `rank_of_rows` over QQ (p may
-    not divide one; see `common_denominator`) and ranked by Bareiss
-    elimination, whose last pivot is an r x r minor of the rows, r the
-    rational rank. If p does not divide that minor, the rank mod p is at
-    least r; it is never more than the rational rank, since a minor that is
-    nonzero mod p is nonzero. So it is r, and only when p divides the minor
-    are the rows ranked again, mod p.
+    The rows are ranked by Bareiss elimination, whose last pivot is an
+    r x r minor of the rows, r the rational rank. If p does not divide that
+    minor, the rank mod p is at least r; it is never more than the rational
+    rank, since a minor that is nonzero mod p is nonzero. So it is r, and
+    only when p divides the minor are the rows ranked again, mod p.
     """
-    rows = [clear_denominators(row, p) for row in rows if row]
     r, minor = _rank_int_bareiss([row[:] for row in rows])
     if minor % p:
         return r, r
@@ -371,44 +380,25 @@ def sample_combination(field, vectors: list, bound: int, rng) -> tuple[list, lis
 
     Returns (coefficients, vector). All-zero draws are skipped, and so is a
     draw whose combination vanishes, which only dependent vectors allow.
-    Over QQ the sums run on integer numerators over one common denominator.
+    Over QQ and ZZ the sums run on the entries' own operators, so int
+    vectors give an int vector.
     """
     n = len(vectors[0])
-    if isinstance(field, RationalField):
-        den = common_denominator([x for v in vectors for x in v])
-        ints = [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
-
-        def combine(coeffs):
-            out = [0] * n
-            for c, v in zip(coeffs, ints):
-                if c:
-                    out = [o + c * x for o, x in zip(out, v)]
-            return [Fraction(o, den) for o in out]
-    else:
-        def combine(coeffs):
-            out = [field.zero] * n
-            for c, v in zip(coeffs, vectors):
-                if c:
-                    fc = field.of(c)
-                    out = [field.add(o, field.mul(fc, x)) for o, x in zip(out, v)]
-            return out
+    native = isinstance(field, (RationalField, IntegerRing))
     for _ in range(64):
         coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
         if not any(coeffs):
             continue
-        out = combine(coeffs)
+        out = [0 if native else field.zero] * n
+        for c, v in zip(coeffs, vectors):
+            if c and native:
+                out = [o + c * x for o, x in zip(out, v)]
+            elif c:
+                fc = field.of(c)
+                out = [field.add(o, field.mul(fc, x)) for o, x in zip(out, v)]
         if any(not field.is_zero(x) for x in out):
             return coeffs, out
     raise RuntimeError("could not sample a nonzero span element")
-
-
-def random_in_span(s: Subspace, bound: int, rng) -> list:
-    """Nonzero integer combination of the basis with coefficients in [-bound, bound]."""
-    if s.dim == 0:
-        raise ValueError("cannot sample from a zero-dimensional subspace")
-    if bound < 1:
-        raise ValueError("coefficient bound must be at least 1")
-    return sample_combination(s.field, s.basis, bound, rng)[1]
 
 
 def solve_membership(s: Subspace, v: list):

@@ -42,7 +42,7 @@ def parse_rational(s) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}

@@ -390,7 +390,7 @@ class DenseTensor:
         total = math.prod(self.shape)
         if len(self.entries) != total:
             raise ValueError(f"{len(self.entries)} entries for shape {self.shape} (need {total})")
-        self.entries = [Fraction(x) for x in self.entries]
+        self.entries = [x if type(x) is Fraction else Fraction(x) for x in self.entries]
 
     @property
     def w_dim(self) -> int:

@@ -33,7 +33,6 @@ over QQ, or mod q over GF(q), so no polynomial elimination runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import Subspace, first_relation, rank_of_rows, subspace_from_vectors
 from .fields import QQ, PolyRing, chart_ring
@@ -219,7 +218,7 @@ _MIX_KINDS = {
 
 def _fresh_support(param: VarietyParam, bound: int, rng, used: set) -> tuple:
     for _ in range(200):
-        pt = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(param.dim_X))
+        pt = tuple(rng.randint(-bound, bound) for _ in range(param.dim_X))
         if pt not in used:
             used.add(pt)
             return pt
@@ -230,7 +229,7 @@ def _fresh_support(param: VarietyParam, bound: int, rng, used: set) -> tuple:
 
 def _random_direction(dim: int, bound: int, rng) -> tuple:
     while True:
-        c = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
+        c = tuple(rng.randint(-bound, bound) for _ in range(dim))
         if any(c):
             return c
 
@@ -300,7 +299,7 @@ def random_scheme(param: VarietyParam, degree_budget: int, mix: str = "mixed",
             base = _fresh_support(param, bound, rng, used)
             coeffs = [_random_direction(param.dim_X, bound, rng)]
             for _ in range(length - 2):
-                coeffs.append(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(param.dim_X)))
+                coeffs.append(tuple(rng.randint(-bound, bound) for _ in range(param.dim_X)))
             pieces.append(CurvilinearGerm(Germ(base, tuple(coeffs)), length))
             remaining -= length
     return FiniteScheme(tuple(pieces))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -281,7 +280,7 @@ def tangent_frame(param: VarietyParam, chart_point, field=QQ) -> Subspace:
 
 
 def random_chart_point(param: VarietyParam, bound: int, rng) -> tuple:
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(param.dim_X))
+    return tuple(rng.randint(-bound, bound) for _ in range(param.dim_X))
 
 
 def random_point(param: VarietyParam, bound: int, rng, field=QQ) -> list:

@@ -300,3 +300,25 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
         if rank == m:
             break
     return rank
+
+
+def fraction_sample_combination(field, vectors, bound, rng):
+    """The span sampler as it was written over field elements: (coefficients, vector).
+
+    Same rng draws as `exactalg.sample_combination`; every sum runs on the
+    field's own methods.
+    """
+    n = len(vectors[0])
+    for _ in range(64):
+        coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
+        if not any(coeffs):
+            continue
+        out = [field.zero] * n
+        for c, v in zip(coeffs, vectors):
+            if c:
+                fc = field.of(c)
+                for j in range(n):
+                    out[j] = field.add(out[j], field.mul(fc, v[j]))
+        if any(not field.is_zero(x) for x in out):
+            return coeffs, out
+    raise RuntimeError("could not sample a nonzero span element")

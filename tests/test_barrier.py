@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cactusbarrier.barrier as barrier
 from cactusbarrier.barrier import (
     BarrierReport,
     UnsupportedVarietyError,
+    _sample_and_check,
     ceilings,
     grassmann_containment,
     minimal_factor_subspace,
@@ -17,16 +20,20 @@ from cactusbarrier.barrier import (
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
     Subspace,
+    clear_denominators,
     rank,
+    sample_combination,
     subspace_contains,
     subspace_from_vectors,
 )
 from cactusbarrier.fields import QQ, PrimeField
 from cactusbarrier.rankmethods import (
+    builtin_methods,
     catalecticant_method,
     evaluate_map,
     flattening,
     flattening_method,
+    integer_image,
     koszul_method,
     lower_bound,
 )
@@ -37,9 +44,10 @@ from cactusbarrier.schemes import (
     ReducedPoint,
     random_scheme,
     scheme_span,
+    scheme_span_vectors,
 )
 from cactusbarrier.varieties import Germ, parse_variety, random_point
-from oracles import reduced_echelon
+from oracles import fraction_sample_combination, reduced_echelon
 
 
 def fr(x):
@@ -312,9 +320,7 @@ def test_ceiling_dominance():
             span = scheme_span(p, sch)
             if span.dim == 0:
                 continue
-            from cactusbarrier.exactalg import random_in_span
-
-            f = random_in_span(span, 3, rng)
+            f = sample_combination(QQ, span.basis, 3, rng)[1]
             assert lower_bound(meth, f) <= g
 
 
@@ -326,3 +332,91 @@ def test_report_round_trip_dict():
     assert d["passed"] is True
     assert d["fp_rank"] == 2
     assert d["seed"] == 7
+
+
+# -- the integer instance path against a Fraction reference -----------------
+
+CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,3",
+                      "segre-veronese:(1,2)x(2,1)")
+
+
+@st.composite
+def _instances(draw):
+    """(param, scheme, method): a random scheme with each piece's chart coordinates over its own denominator."""
+    param = parse_variety(draw(st.sampled_from(CAMPAIGN_VARIETIES)))
+    scheme = random_scheme(param, draw(st.integers(1, 6)), mix="mixed", bound=3,
+                           rng=random.Random(draw(st.integers(0, 2**32))))
+    if draw(st.booleans()):
+        dens = draw(st.lists(st.integers(1, 12), min_size=len(scheme.pieces),
+                             max_size=len(scheme.pieces)))
+        scheme = FiniteScheme(tuple(p.map_coords(lambda x, d=d: Fraction(x, d))
+                                    for p, d in zip(scheme.pieces, dens)))
+        assume(len(set(scheme.supports())) == len(scheme.pieces))
+    methods = builtin_methods(param)
+    return param, scheme, methods[draw(st.integers(0, len(methods) - 1))]
+
+
+def _oracle_rank(field, rows, ncols):
+    return len(reduced_echelon(field, rows, ncols).rows)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_instances(), seed=st.integers(0, 2**32), bound=st.integers(1, 5),
+       prime=st.sampled_from([DEFAULT_PRIME, 101, None]))
+def test_integer_instance_path_matches_the_fraction_reference(case, seed, bound, prime):
+    param, scheme, method = case
+    vectors = scheme_span_vectors(param, scheme, QQ)
+    integral = all(x.denominator == 1 for p in scheme.pieces for x in p.coords)
+    images = []
+
+    def image(m, f, p):
+        images.append(f)
+        return integer_image(m, f, p)
+
+    rng, ref = random.Random(seed), random.Random(seed)
+    with mock.patch.object(barrier, "integer_image", image):
+        report = verify_instance(param, scheme, method, rng, prime=prime, bound=bound)
+    coeffs, f = fraction_sample_combination(QQ, [[QQ.of(x) for x in v] for v in vectors],
+                                            bound, ref)
+    m = method.map
+    rank = _oracle_rank(QQ, evaluate_map(m, f, QQ).rows, m.b)
+    fp_rank = None
+    if prime is not None:
+        gf = PrimeField(prime)
+        fp_rank = _oracle_rank(gf, evaluate_map(m, [gf.of(x) for x in f], gf).rows, m.b)
+    span_dim = _oracle_rank(QQ, [[QQ.of(x) for x in v] for v in vectors], param.dim_W)
+    assert ((report.extra["combination"], report.rank, report.fp_rank, report.span_dim)
+            == (coeffs, rank, fp_rank, span_dim))
+    assert rng.getstate() == ref.getstate()
+    # integer_image gets lambda * F, lambda the least common denominator of F
+    assert len(images) == 1 and images[0] == clear_denominators(f)
+    if integral:
+        assert all(type(x) is int for x in images[0])
+
+
+class _Draws:
+    """An rng that hands out fixed coefficients."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def randint(self, lo, hi):
+        return next(self.values)
+
+
+def test_a_prime_raises_only_when_it_divides_the_denominator_of_f():
+    p = parse_variety("segre:2x2x2")
+    meth = flattening_method(p, (0,))
+    zeros = [Fraction(0)] * 6
+    vectors = [[Fraction(1, 7), Fraction(1, 7)] + zeros, [Fraction(6, 7), Fraction(-1, 7)] + zeros]
+
+    def check(coeffs, prime):
+        return _sample_and_check(p, meth, vectors, 2, _Draws(*coeffs), bound=1, prime=prime,
+                                 seed=None, kind="instance", extra={})[1]
+
+    # F = v1 + v2 = e1 is integral: 7 divides only the vectors' common denominator
+    assert (check((1, 1), 7).rank, check((1, 1), 7).fp_rank) == (1, 1)
+    # F = v1 has denominator 7, which has no image mod 7
+    with pytest.raises(ZeroDivisionError, match="denominator 7 of F vanishes mod 7"):
+        check((1, 0), 7)
+    assert (check((1, 0), 11).rank, check((1, 0), None).fp_rank) == (1, None)

@@ -3,9 +3,10 @@
 `bench/tracer.py` replaces `cactusbarrier.<module>.<name>` for every entry of
 its TARGETS, so renaming one of those functions breaks `--trace 1` at install
 time. `bench/workloads.py` calls the library directly, so a changed signature
-breaks the benchmark; the first operations of two workloads run here, and
-their results pass the workloads' own checks. The ladder workload is not
-built here: building it replaces `cli._verify_trial` for the whole process.
+breaks the benchmark; the first operations of the campaign and limits
+workloads, and the ladder's first rung and its custom-map rung, run here, and
+their results pass the workloads' own checks. Building the ladder replaces
+`cli._verify_trial`, so its test restores the function afterwards.
 Bench modules are loaded by path, with bench/ on sys.path as the benchmark
 runs them.
 """
@@ -88,3 +89,15 @@ def test_oracle_piece_vectors_for_every_piece_type(workloads):
         vectors = workloads.piece_vectors(oracle, piece)
         assert len(vectors) == piece.degree, piece
         assert oracle.rank(vectors) == rank_of_rows(QQ, piece.span_vectors(param, QQ)), piece
+
+
+def test_ladder_first_and_custom_rungs_pass_their_checks(workloads, monkeypatch, tmp_path):
+    from cactusbarrier import cli
+
+    # the ladder wraps cli._verify_trial in a timer; monkeypatch puts it back
+    monkeypatch.setattr(cli, "_verify_trial", cli._verify_trial)
+    ladder = workloads.Ladder(tmp_path)
+    last = ("rung", len(ladder.rungs) - 1)
+    results = {op.key: op.fn() for op in ladder.ops(SEED) if op.key in (("rung", 0), last)}
+    assert list(results) == [("rung", 0), last]
+    assert ladder.check(results, SEED) == []

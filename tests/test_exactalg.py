@@ -15,7 +15,6 @@ from cactusbarrier.exactalg import (
     clear_denominators,
     first_relation,
     nullspace,
-    random_in_span,
     rank,
     rank_of_rows,
     rank_qq_and_mod_p,
@@ -26,8 +25,14 @@ from cactusbarrier.exactalg import (
     subspace_from_vectors,
     subspaces_equal,
 )
-from cactusbarrier.fields import QQ, PolyRing, PrimeField
-from oracles import rank_mod_p, reduced_echelon, rref_nullspace, rref_solve_membership
+from cactusbarrier.fields import QQ, ZZ, PolyRing, PrimeField
+from oracles import (
+    fraction_sample_combination,
+    rank_mod_p,
+    reduced_echelon,
+    rref_nullspace,
+    rref_solve_membership,
+)
 
 
 def qvec(*xs):
@@ -136,33 +141,6 @@ def test_span_sum_commutative_associative():
         a, b, c = spaces
         assert subspaces_equal(span_sum(a, b), span_sum(b, a))
         assert subspaces_equal(span_sum(span_sum(a, b), c), span_sum(a, span_sum(b, c)))
-
-
-def test_random_in_span_single_vector():
-    s = subspace_from_vectors(QQ, 3, [qvec(1, 0, 0)])
-    rng = random.Random(0)
-    for _ in range(10):
-        v = random_in_span(s, 1, rng)
-        assert v in (qvec(1, 0, 0), qvec(-1, 0, 0))
-
-
-def test_random_in_span_membership():
-    rng = random.Random(1)
-    for _ in range(20):
-        vecs = [qvec(*(rng.randint(-4, 4) for _ in range(5))) for _ in range(3)]
-        s = subspace_from_vectors(QQ, 5, vecs)
-        if s.dim == 0:
-            continue
-        v = random_in_span(s, 3, rng)
-        assert any(x != 0 for x in v)
-        assert subspace_contains(s, v)
-        assert solve_membership(s, v) is not None
-
-
-def test_random_in_span_rejects_zero_subspace():
-    s = Subspace(QQ, 3, [])
-    with pytest.raises(ValueError):
-        random_in_span(s, 2, random.Random(0))
 
 
 def test_solve_membership_coordinates():
@@ -394,11 +372,13 @@ def test_rank_qq_and_mod_p_pins():
     assert rank_qq_and_mod_p([[p], [1]], p) == (1, 1)
     # the first pivot is 1; the last, the minor p, vanishes mod p
     assert rank_qq_and_mod_p([[1, 0], [0, p]], p) == (2, 1)
-    assert rank_qq_and_mod_p([[Fraction(1, 3), 2], [1, 6]], p) == (1, 1)
+    # rational rows are cleared first, each by its own denominator
+    assert rank_qq_and_mod_p([clear_denominators(row, p) for row in
+                              [[Fraction(1, 3), 2], [1, 6]]], p) == (1, 1)
     assert rank_qq_and_mod_p([], p) == (0, 0)
     assert rank_qq_and_mod_p([[0, 0]], p) == (0, 0)
     with pytest.raises(ZeroDivisionError, match="vanishes mod 7"):
-        rank_qq_and_mod_p([[Fraction(1, 14), 1]], p)
+        clear_denominators([Fraction(1, 14), 1], p)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -413,7 +393,8 @@ def test_rank_qq_and_mod_p_matches_sympy_and_elimination_mod_p(case, p):
                                       ncols)
     assert rank_qq_and_mod_p(rows, p) == expected
     # the same rows over a denominator that p does not divide
-    assert rank_qq_and_mod_p([[Fraction(x, 11) for x in row] for row in rows], p) == expected
+    assert rank_qq_and_mod_p([clear_denominators([Fraction(x, 11) for x in row], p)
+                              for row in rows], p) == expected
     # the last pivot is a nonzero minor: the determinant, on a square matrix of full rank
     r, minor = _rank_int_bareiss([row[:] for row in rows])
     assert minor != 0
@@ -522,24 +503,6 @@ def test_clear_denominators_and_prime_check():
         PrimeField(2).of(Fraction(-3, 4))
 
 
-def _fraction_sample_combination(field, vectors, bound, rng):
-    """The sampler as it was written over field elements, kept as a reference."""
-    n = len(vectors[0])
-    for _ in range(64):
-        coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
-        if not any(coeffs):
-            continue
-        out = [field.zero] * n
-        for c, v in zip(coeffs, vectors):
-            if c:
-                fc = field.of(c)
-                for j in range(n):
-                    out[j] = field.add(out[j], field.mul(fc, v[j]))
-        if any(not field.is_zero(x) for x in out):
-            return coeffs, out
-    raise RuntimeError("could not sample a nonzero span element")
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32),
        st.data())
@@ -549,16 +512,22 @@ def test_sample_combination_matches_fraction_sums(n, count, bound, seed, data):
                                  min_size=count, max_size=count))
     if data.draw(st.booleans()):  # a dependent pair, so that some draws vanish
         vectors.append([-x for x in vectors[0]])
-    for field in (QQ, PrimeField(101)):
+    # over ZZ (int vectors, as the barrier check samples) the reference sums
+    # the same ints as rationals, and the combination stays all-int
+    for field in (QQ, ZZ, PrimeField(101)):
         vecs = vectors if field == QQ else [[x.numerator for x in v] for v in vectors]
+        ref_field = QQ if field == ZZ else field
         new, ref = random.Random(seed), random.Random(seed)
         try:
-            expected = _fraction_sample_combination(field, vecs, bound, ref)
+            expected = fraction_sample_combination(ref_field, vecs, bound, ref)
         except RuntimeError:
             with pytest.raises(RuntimeError):
                 sample_combination(field, vecs, bound, new)
         else:
             coeffs, f = sample_combination(field, vecs, bound, new)
             assert (coeffs, f) == expected
-            assert all(type(x) is type(y) for x, y in zip(f, expected[1]))
+            if field == ZZ:
+                assert all(type(x) is int for x in f)
+            else:
+                assert all(type(x) is type(y) for x, y in zip(f, expected[1]))
         assert new.getstate() == ref.getstate()

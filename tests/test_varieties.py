@@ -209,12 +209,13 @@ def test_evaluate_and_random_point_equal_the_fraction_path(spec, seed, bound, de
         rng, ref_rng = random.Random(seed), random.Random(seed)
         v = random_point(p, bound, rng, field)
         point = random_chart_point(p, bound, ref_rng)
+        assert all(type(x) is int for x in point)
         ref = _fraction_path(p, point, field)
         assert len(v) == len(ref) and all(x == y for x, y in zip(v, ref))
         assert rng.getstate() == ref_rng.getstate()
         if field == QQ:
             assert all(type(x) is int for x in v)
-        scaled = [x / den for x in point]
+        scaled = [Fraction(x, den) for x in point]
         w = evaluate(p, scaled, field)
         assert w == _fraction_path(p, scaled, field)
         if field == QQ and den > 1 and any(x.denominator > 1 for x in scaled):
