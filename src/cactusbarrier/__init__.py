@@ -21,10 +21,8 @@ from .varieties import (
     Germ,
     VarietyParam,
     evaluate,
-    jet_span,
     parse_variety,
     random_point,
-    tangent_frame,
 )
 from .schemes import (
     CurvilinearGerm,

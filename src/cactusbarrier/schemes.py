@@ -129,6 +129,10 @@ class CurvilinearGerm:
     def validate(self) -> None:
         if self.length < 2:
             raise ValueError("curvilinear pieces need length >= 2")
+        for m, c in enumerate(self.germ.coeffs, 1):
+            if len(c) != len(self.germ.base):
+                raise ValueError(f"curvilinear order-{m} coefficients have length {len(c)}, "
+                                 f"but the base has length {len(self.germ.base)}")
         if not self.germ.coeffs or not any(self.germ.coeffs[0]):
             raise ValueError("curvilinear germ needs a nonzero first-order direction")
 
@@ -156,10 +160,6 @@ class FiniteScheme:
         return [p.support for p in self.pieces]
 
 
-def degree(scheme: FiniteScheme) -> int:
-    return scheme.degree
-
-
 def _format_support(support: tuple) -> str:
     """A support as the file formats write it: 1/2, and a polynomial as its coefficient list."""
     return "(" + ", ".join(
@@ -172,8 +172,7 @@ def validate_scheme(param: VarietyParam, scheme: FiniteScheme) -> None:
     for p in scheme.pieces:
         if len(p.support) != param.dim_X:
             raise ValueError(
-                f"piece support length {len(p.support)} does not match dim_X={param.dim_X}"
-            )
+                f"piece support length {len(p.support)} does not match dim_X={param.dim_X}")
         if p.support in seen:
             raise OverlappingSupportsError(
                 f"two pieces share the support {_format_support(p.support)}")

@@ -8,24 +8,34 @@ entry is always 1, which keeps chart images away from zero.
 
 Jets of curve germs are computed by truncated polynomial composition, never by
 differentiating and dividing by factorials, so they stay correct over prime
-fields (subject to the characteristic guard below). The same composition runs
-over the ring ZZ: only sums and products occur, so `evaluate` (and through it
-`random_point`) works on plain ints at integral chart points over QQ, and
-keeps Fractions for rational ones (see `fields.chart_ring`). Each monomial
-costs one product, and a tangent frame is the point plus its first partials,
-read off the point by the product rule d(u^e)/du_j = e_j * u^(e - e_j).
+fields (subject to the characteristic guard below). Each monomial costs one
+product, and a tangent frame is the point plus its first partials, read off
+the point by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and
+products occur, so integral chart data run over the ring ZZ (see
+`fields.chart_ring`) on Python's own int `*`: `evaluate` and `random_point`
+give plain ints at integral chart points over QQ, Fractions at rational ones.
+
+Over ZZ, a jet of length L is one chart evaluation on packed ints (Kronecker
+substitution): coordinate j's series c_0 + c_1 t + ... becomes the int sum of
+c_m 2^(K m), so a product of series is one int product, read back as K-bit
+digits. With h = max(1, largest |c_m|) and D the sum of the factor degrees,
+an entry is a product of at most D series of l1 norm at most L h, so each of
+its coefficients, of any order, is at most (L h)^D < 2^(K-2) in absolute
+value for K = bit_length((L h)^D) + 2. Adding 2^(K-1) to each of the L low
+digits puts them in [0, 2^K), so none borrows from the next; orders L and up
+add multiples of 2^(K L). Other rings compose in `fields.PolyRing`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .exactalg import Subspace, subspace_from_vectors
-from .fields import QQ, PolyRing, chart_ring
+from .fields import QQ, ZZ, PolyRing, chart_ring
 
 
 class VarietySpecError(ValueError):
@@ -161,31 +171,35 @@ def _lowerings(n: int, d: int) -> tuple:
     )
 
 
-def _factor_monomials(factor: Factor, u: list, ring) -> list:
+def _factor_monomials(factor: Factor, u: list, one, mul) -> list:
     """1, u_1, ..., u_n, then each monomial of degree >= 2 as an earlier one times one variable."""
-    out = [ring.one, *u]
+    out = [one, *u]
     for (j, p, _), *_ in _lowerings(factor.n, factor.d)[factor.n + 1:]:
-        out.append(ring.mul(out[p], u[j]))
+        out.append(mul(out[p], u[j]))
     return out
 
 
-def _kron(vectors: list[list], ring) -> list:
+def _kron(vectors: list[list], mul) -> list:
     """Kronecker product; each vector leads with 1, so products with a leading entry are copies."""
     out = vectors[0]
     for nxt in vectors[1:]:
         tail = nxt[1:]
-        out = [*nxt, *(x for a in out[1:] for x in (a, *[ring.mul(a, b) for b in tail]))]
+        out = [*nxt, *(x for a in out[1:] for x in (a, *[mul(a, b) for b in tail]))]
     return out
 
 
 def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
     """Chart map evaluated on coordinates that are elements of an arbitrary ring."""
     if len(coords) != param.dim_X:
-        raise ValueError(
-            f"chart point has length {len(coords)}, expected {param.dim_X}"
-        )
-    parts = [_factor_monomials(f, list(u), ring) for f, u in _split_coords(param, coords)]
-    return _kron(parts, ring)
+        raise ValueError(f"chart point has length {len(coords)}, expected {param.dim_X}")
+    if ring is ZZ:  # not a subclass: those keep their own product
+        out = [1]
+        for f, u in _split_coords(param, coords):
+            out = [a * b for a in out for b in _factor_monomials(f, u, 1, operator.mul)]
+        return out
+    parts = [_factor_monomials(f, list(u), ring.one, ring.mul)
+             for f, u in _split_coords(param, coords)]
+    return _kron(parts, ring.mul)
 
 
 def evaluate(param: VarietyParam, chart_point, field=QQ) -> list:
@@ -208,35 +222,32 @@ def check_characteristic(field, param: VarietyParam, jet_length: int) -> None:
 def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: int, ring) -> list[list]:
     """Coefficient vectors of orders 0..length-1 of the chart map along a germ.
 
-    `base` and each entry of `coeffs` are ring elements; computed by truncated
-    polynomial composition.
+    `base` and each entry of `coeffs` are ring elements; rows of `coeffs` past
+    order length-1 are unused. By truncated polynomial composition, over ZZ on
+    packed ints: coordinate j becomes the sum of c_m 2^(K m) over m < L =
+    length. An entry is a product of at most D (the sum of the factor degrees)
+    series of l1 norm at most L h, h = max(1, largest |c_m|), so its
+    coefficients are at most (L h)^D < 2^(K-2) for K = bit_length((L h)^D) + 2.
+    So with 2^(K-1) added at each order below L, digit m less 2^(K-1) is the
+    order-m coefficient; higher orders add multiples of 2^(K L).
     """
     if length < 1:
         raise ValueError("jet length must be at least 1")
+    rows = [base, *coeffs[: length - 1]]
+    if ring is ZZ:
+        h = max(abs(x) for r in rows for x in r) or 1
+        k = ((length * h) ** sum(f.d for f in param.factors)).bit_length() + 2
+        packed = list(rows[-1])
+        for r in rows[-2::-1]:
+            packed = [(x << k) + c for x, c in zip(packed, r)]
+        half, mask, shifts = 1 << (k - 1), (1 << k) - 1, range(0, k * length, k)
+        offset = sum(half << s for s in shifts)
+        w = [x + offset for x in evaluate_in_ring(param, packed, ZZ)]
+        return [[((x >> s) & mask) - half for x in w] for s in shifts]
     pr = PolyRing(ring, trunc=length)
-    coords = []
-    for j in range(param.dim_X):
-        cs = [base[j]] + [c[j] for c in coeffs[: length - 1]]
-        coords.append(pr.from_elems(cs))
+    coords = [pr.from_elems([r[j] for r in rows]) for j in range(param.dim_X)]
     w = evaluate_in_ring(param, coords, pr)
     return [[pr.coeff(entry, m) for entry in w] for m in range(length)]
-
-
-def jet_vectors(param: VarietyParam, germ: Germ, length: int, field=QQ) -> list[list]:
-    check_characteristic(field, param, length)
-    base = [field.of(x) for x in germ.base]
-    coeffs = [[field.of(x) for x in c] for c in germ.coeffs]
-    return jet_vectors_in_ring(param, base, coeffs, length, field)
-
-
-def jet_span(param: VarietyParam, germ: Germ, length: int, field=QQ) -> Subspace:
-    """Span of the order-<length Taylor coefficient vectors along the germ."""
-    if len(germ.base) != param.dim_X:
-        raise ValueError("germ base does not match the chart dimension")
-    if length >= 2:
-        if not germ.coeffs or not any(germ.coeffs[0]):
-            raise ValueError("germ must have a nonzero first-order direction")
-    return subspace_from_vectors(field, param.dim_W, jet_vectors(param, germ, length, field))
 
 
 @lru_cache(maxsize=None)
@@ -261,22 +272,14 @@ def _partial_sources(factors: tuple) -> tuple:
 def tangent_vectors_in_ring(param: VarietyParam, coords: list, ring) -> list[list]:
     """Chart point together with all first partial derivative vectors, by the product rule."""
     point = evaluate_in_ring(param, coords, ring)
+    mul = operator.mul if ring is ZZ else ring.mul
     out = [point]
     for sources in _partial_sources(param.factors):
         v = [ring.zero] * param.dim_W
         for entry, src, e in sources:
-            v[entry] = point[src] if e == 1 else ring.mul(ring.of(e), point[src])
+            v[entry] = point[src] if e == 1 else mul(ring.of(e), point[src])
         out.append(v)
     return out
-
-
-def tangent_frame(param: VarietyParam, chart_point, field=QQ) -> Subspace:
-    """Affine tangent space of the cone at a chart point; dim = dim_X + 1 here."""
-    check_characteristic(field, param, 2)
-    coords = [field.of(x) for x in chart_point]
-    return subspace_from_vectors(
-        field, param.dim_W, tangent_vectors_in_ring(param, coords, field)
-    )
 
 
 def random_chart_point(param: VarietyParam, bound: int, rng) -> tuple:

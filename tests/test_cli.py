@@ -307,6 +307,32 @@ def test_cmd_limit_rejects_a_family_that_cannot_have_its_limit(tmp_path, doc):
     assert code == 2 and out == ""
 
 
+def _germ(base, row):
+    return {"type": "curvilinear", "base": base, "coeffs": [row], "length": 2}
+
+
+# the base has length 3 (segre:2x2x2) or 1 (veronese:1,2); the coefficient row does not
+@pytest.mark.parametrize("argv, doc, lengths", [
+    (["verify", "--variety", "segre:2x2x2", "--method", "koszul:p=1", "--trials", "1",
+      "--scheme"], {"pieces": [_germ(["0", "0", "0"], ["1", "0"])]}, (2, 3)),
+    (["verify", "--variety", "segre:2x2x2", "--method", "koszul:p=1", "--trials", "1",
+      "--scheme"], {"pieces": [_germ(["0", "0", "0"], ["1", "0", "0", "5"])]}, (4, 3)),
+    (["limit", "--family"],
+     _family_doc("schemes", [_germ([["0"]], [])], [_germ(["0"], ["1"])]), (0, 1)),
+    (["limit", "--family"],
+     _family_doc("schemes", [_germ([["0"]], [["1"], ["0", "1"]])], [_germ(["0"], ["1"])]), (2, 1)),
+], ids=["verify_short", "verify_long", "limit_family_short", "limit_family_long"])
+def test_germ_coefficient_row_of_the_wrong_length_is_input_error(tmp_path, capsys, argv, doc,
+                                                                 lengths):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(argv + [str(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: curvilinear order-1 coefficients have length {lengths[0]}, "
+        f"but the base has length {lengths[1]}\n")
+
+
 @pytest.mark.parametrize("argv, doc, support", [
     (["limit", "--family"],
      _family_doc("schemes", [{"type": "reduced", "point": [["0", "1"]]}] * 2, _TWO_POINTS),

@@ -20,7 +20,7 @@ from cactusbarrier.exactalg import (
     subspaces_equal,
     span_sum,
 )
-from cactusbarrier.fields import QQ, ZZ, PolyRing, PrimeField
+from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing, PrimeField
 from cactusbarrier.fileformats import piece_from_dict, piece_to_dict
 from cactusbarrier.schemes import (
     CurvilinearGerm,
@@ -42,7 +42,7 @@ from cactusbarrier.schemes import (
     span_of_limit_vs_limit_of_spans,
     validate_scheme,
 )
-from cactusbarrier.varieties import Germ, parse_variety
+from cactusbarrier.varieties import Germ, parse_variety, random_point
 
 
 def fr(x):
@@ -316,6 +316,9 @@ def test_validate_scheme_checks_chart_dimension():
     p = parse_variety("segre:2x2")
     with pytest.raises(ValueError):
         validate_scheme(p, FiniteScheme((reduced(0, 0, 0),)))
+    for row in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="order-1 coefficients have length"):
+            validate_scheme(p, FiniteScheme((CurvilinearGerm(Germ((0, 0), (row,)), 2),)))
 
 
 # -- generic ranks over R[t] by specialization ------------------------------
@@ -560,6 +563,26 @@ def test_integral_span_vectors_equal_the_fraction_path(case):
     assert all(type(x) is int for v in out for x in v)
     gf = PrimeField(101)
     assert scheme_span_vectors(param, s, gf) == _fraction_path(param, s, gf)
+
+
+@pytest.mark.parametrize("spec", CAMPAIGN_VARIETIES)
+def test_integral_spans_and_points_take_no_ring_product(spec, monkeypatch):
+    # the int path multiplies with int `*`: neither ZZ's nor ZZ[t]'s method is called
+    param = parse_variety(spec)
+    schemes_by_kind = [random_scheme(param, 2 * (param.dim_X + 1), mix=mix, bound=3,
+                                     rng=random.Random(mix)) for mix in ("reduced", "curv", "nbhd")]
+    want = [scheme_span_vectors(param, s) for s in schemes_by_kind]
+    point = random_point(param, 5, random.Random(spec))
+
+    def refuse(self, a, b):
+        raise AssertionError("a ring product on the int path")
+
+    monkeypatch.setattr(PolyRing, "mul", refuse)
+    monkeypatch.setattr(IntegerRing, "mul", refuse)
+    for s, vectors in zip(schemes_by_kind, want):
+        assert scheme_span_vectors(param, s) == vectors
+        assert all(type(x) is int for v in vectors for x in v)
+    assert random_point(param, 5, random.Random(spec)) == point
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

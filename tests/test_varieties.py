@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactusbarrier.exactalg import rank, subspace_contains
+from cactusbarrier.exactalg import rank, subspace_contains, subspace_from_vectors
 from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing, PrimeField
+from cactusbarrier.schemes import CurvilinearGerm
 from cactusbarrier.varieties import (
     Germ,
     VarietySpecError,
     evaluate,
     evaluate_in_ring,
-    jet_span,
-    jet_vectors,
     jet_vectors_in_ring,
     monomial_exponents,
     parse_variety,
     random_chart_point,
     random_point,
-    tangent_frame,
     tangent_vectors_in_ring,
 )
 
@@ -33,6 +31,16 @@ from oracles import (
 
 def qvec(*xs):
     return [Fraction(x) for x in xs]
+
+
+def _jets(param, germ, length):
+    """Jet vectors over QQ, through `PolyRing(QQ, trunc=length)`."""
+    return jet_vectors_in_ring(param, [QQ.of(x) for x in germ.base],
+                               [[QQ.of(x) for x in c] for c in germ.coeffs], length, QQ)
+
+
+def _span(param, vectors, field=QQ):
+    return subspace_from_vectors(field, param.dim_W, vectors)
 
 
 def test_monomial_order_small_cases():
@@ -74,7 +82,7 @@ def test_jet_span_length_one_is_point_span():
     for _ in range(5):
         base = random_chart_point(p, 3, rng)
         g = Germ(base, ((Fraction(1),) * p.dim_X,))
-        s = jet_span(p, g, 1)
+        s = _span(p, _jets(p, g, 1))
         assert s.dim == 1
         assert subspace_contains(s, evaluate(p, base))
 
@@ -82,9 +90,9 @@ def test_jet_span_length_one_is_point_span():
 def test_jet_span_conic_examples():
     v = parse_variety("veronese:1,2")
     g = Germ((Fraction(0),), ((Fraction(1),),))
-    s2 = jet_span(v, g, 2)
+    s2 = _span(v, _jets(v, g, 2))
     assert [list(map(int, b)) for b in s2.basis] == [[1, 0, 0], [0, 1, 0]]
-    s3 = jet_span(v, g, 3)
+    s3 = _span(v, _jets(v, g, 3))
     assert s3.dim == 3
 
 
@@ -99,7 +107,7 @@ def test_jet_vectors_match_full_expansion_oracle():
                 for _ in range(3)
             )
             g = Germ(base, coeffs)
-            ours = jet_vectors(p, g, 4)
+            ours = _jets(p, g, 4)
             brute = brute_jet_vectors(p, g, 4)
             assert ours == brute
 
@@ -113,18 +121,22 @@ def test_jet_span_monotone_and_bounded():
         if not any(c1):
             c1 = (Fraction(1), Fraction(0))
         g = Germ(base, (c1, tuple(Fraction(rng.randint(-2, 2)) for _ in range(2))))
-        dims = [jet_span(p, g, l).dim for l in range(1, 5)]
+        dims = [_span(p, _jets(p, g, l)).dim for l in range(1, 5)]
         assert all(d <= l for d, l in zip(dims, range(1, 5)))
         assert all(a <= b for a, b in zip(dims, dims[1:]))
 
 
+def _tangent_span(param, chart_point):
+    return _span(param, tangent_vectors_in_ring(param, [QQ.of(x) for x in chart_point], QQ))
+
+
 def test_tangent_frame_examples():
     v = parse_variety("veronese:1,2")
-    tf = tangent_frame(v, (0,))
+    tf = _tangent_span(v, (0,))
     assert tf.dim == 2
     assert [list(map(int, b)) for b in tf.basis] == [[1, 0, 0], [0, 1, 0]]
     p = parse_variety("segre:2x2")
-    assert tangent_frame(p, (0, 0)).dim == 3
+    assert _tangent_span(p, (0, 0)).dim == 3
 
 
 def test_tangent_frame_contains_point_and_order2_jets():
@@ -133,13 +145,13 @@ def test_tangent_frame_contains_point_and_order2_jets():
         p = parse_variety(spec)
         for _ in range(4):
             base = random_chart_point(p, 2, rng)
-            tf = tangent_frame(p, base)
+            tf = _tangent_span(p, base)
             assert tf.dim == p.dim_X + 1
             assert subspace_contains(tf, evaluate(p, base))
             direction = tuple(Fraction(rng.randint(-2, 2)) for _ in range(p.dim_X))
             if not any(direction):
                 direction = (Fraction(1),) * p.dim_X
-            for vec in jet_vectors(p, Germ(base, (direction,)), 2):
+            for vec in _jets(p, Germ(base, (direction,)), 2):
                 assert subspace_contains(tf, vec)
 
 
@@ -176,17 +188,17 @@ def test_evaluate_over_prime_field():
 
 def test_characteristic_guard_refuses_small_primes():
     p = parse_variety("veronese:1,3")
-    g = Germ((Fraction(0),), ((Fraction(1),),))
+    piece = CurvilinearGerm(Germ((Fraction(0),), ((Fraction(1),),)), 2)
     with pytest.raises(ValueError):
-        jet_span(p, g, 2, PrimeField(5))
+        piece.span_vectors(p, PrimeField(5))
     # large prime is fine
-    assert jet_span(p, g, 2, PrimeField(2**31 - 1)).dim == 2
+    gf = PrimeField(2**31 - 1)
+    assert _span(p, piece.map_coords(gf.of).span_vectors(p, gf), gf).dim == 2
 
 
 def test_jet_span_requires_immersed_germ():
-    p = parse_variety("veronese:1,2")
-    with pytest.raises(ValueError):
-        jet_span(p, Germ((Fraction(0),), ((Fraction(0),),)), 2)
+    with pytest.raises(ValueError, match="nonzero first-order direction"):
+        CurvilinearGerm(Germ((Fraction(0),), ((Fraction(0),),)), 2).validate()
 
 
 # -- chart evaluation over ZZ for integral chart points ---------------------
@@ -293,3 +305,29 @@ def test_chart_maps_take_one_product_per_monomial(spec, evaluate_muls, tangent_m
     ring.muls = 0
     frame = tangent_vectors_in_ring(p, coords, ring)
     assert ring.muls == tangent_muls and frame == tangent_vectors_in_ring(p, coords, ZZ)
+
+
+# -- jets over ZZ by Kronecker substitution -------------------------------------
+
+def _coordinate(rng, h, signs):
+    if signs == "top":
+        return h
+    return rng.randint(-h if signs != "+" else 0, h if signs != "-" else 0)
+
+
+# "top" sets every coordinate to h, so length-1 jets reach the digit bound (L h)^D itself
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(CAMPAIGN_VARIETIES + ("segre:5x5x5", "veronese:1,7")),
+       length=st.integers(1, 8), rows=st.integers(0, 8),
+       h=st.sampled_from((1, 2, 3, 10, 10**6, 10**12)),
+       signs=st.sampled_from(("mixed", "+", "-", "top")), seed=st.integers(0, 2**32))
+def test_int_jets_equal_the_oracle_and_the_rational_path(spec, length, rows, h, signs, seed):
+    p = parse_variety(spec)
+    rng = random.Random(seed)
+    base, *coeffs = [[_coordinate(rng, h, signs) for _ in range(p.dim_X)] for _ in range(rows + 1)]
+    ours = jet_vectors_in_ring(p, base, coeffs, length, ZZ)
+    assert all(type(x) is int for v in ours for x in v)
+    rational = jet_vectors_in_ring(p, [Fraction(x) for x in base],
+                                   [[Fraction(x) for x in c] for c in coeffs], length, QQ)
+    assert ours == rational
+    assert ours == brute_jet_vectors(p, Germ(tuple(base), tuple(map(tuple, coeffs))), length)
