@@ -160,6 +160,10 @@ class FiniteScheme:
         return [p.support for p in self.pieces]
 
 
+def degree(scheme: FiniteScheme) -> int:
+    return scheme.degree
+
+
 def _format_support(support: tuple) -> str:
     """A support as the file formats write it: 1/2, and a polynomial as its coefficient list."""
     return "(" + ", ".join(
@@ -172,7 +176,8 @@ def validate_scheme(param: VarietyParam, scheme: FiniteScheme) -> None:
     for p in scheme.pieces:
         if len(p.support) != param.dim_X:
             raise ValueError(
-                f"piece support length {len(p.support)} does not match dim_X={param.dim_X}")
+                f"piece support length {len(p.support)} does not match dim_X={param.dim_X}"
+            )
         if p.support in seen:
             raise OverlappingSupportsError(
                 f"two pieces share the support {_format_support(p.support)}")

@@ -191,15 +191,12 @@ def _kron(vectors: list[list], mul) -> list:
 def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
     """Chart map evaluated on coordinates that are elements of an arbitrary ring."""
     if len(coords) != param.dim_X:
-        raise ValueError(f"chart point has length {len(coords)}, expected {param.dim_X}")
-    if ring is ZZ:  # not a subclass: those keep their own product
-        out = [1]
-        for f, u in _split_coords(param, coords):
-            out = [a * b for a in out for b in _factor_monomials(f, u, 1, operator.mul)]
-        return out
-    parts = [_factor_monomials(f, list(u), ring.one, ring.mul)
-             for f, u in _split_coords(param, coords)]
-    return _kron(parts, ring.mul)
+        raise ValueError(
+            f"chart point has length {len(coords)}, expected {param.dim_X}"
+        )
+    mul = operator.mul if ring is ZZ else ring.mul  # a subclass keeps its own product
+    parts = [_factor_monomials(f, list(u), ring.one, mul) for f, u in _split_coords(param, coords)]
+    return _kron(parts, mul)
 
 
 def evaluate(param: VarietyParam, chart_point, field=QQ) -> list:
