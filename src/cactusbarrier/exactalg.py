@@ -6,11 +6,12 @@ fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
 
 - Batch ranks over QQ use fraction-free (Bareiss) elimination, so
   coefficient growth stays polynomial; `rank_of_rows` clears all rows over
-  one common denominator (`clear_rows`). The barrier check ranks the
-  integer rows of M(F) (see `rankmethods.integer_image`) once, by
-  `rank_qq_and_mod_p`, which takes int rows as they are: the last Bareiss
-  pivot is a nonzero r x r minor, r the rational rank, and when the prime
-  does not divide it the rank mod p is r as well.
+  one common denominator (`clear_rows`), and m rows of more than 2m entries
+  stop at rank m of their first 2m columns (exact; see there). The barrier
+  check ranks the integer rows of M(F) (see `rankmethods.integer_image`)
+  once, by `rank_qq_and_mod_p`, which takes int rows as they are: the last
+  Bareiss pivot is a nonzero r x r minor, r the rational rank, and when the
+  prime does not divide it the rank mod p is r as well.
 - Everything incremental uses one row-incremental fraction-free echelon
   (`_echelon`), mod q over GF(q). It yields each row that lies in the span
   of the rows kept before it, with that row's relation: `first_relation`
@@ -168,7 +169,9 @@ def rank_of_rows(field, rows: list) -> int:
     """Exact rank of a list of row vectors over `field`.
 
     Over QQ the rows may hold Fractions or ints; over a prime field, any
-    ints, which are reduced mod p.
+    ints, which are reduced mod p. Over QQ, m rows of n > 2m entries stop at
+    rank m of their first 2m columns: a nonzero m x m minor there is one of
+    the whole matrix, and m rows cap the rank. Only a smaller rank goes on.
 
     Over an untruncated polynomial ring R[t], the rank is the one over the
     fraction field of R[t] (the generic rank), taken from specializations.
@@ -184,6 +187,9 @@ def rank_of_rows(field, rows: list) -> int:
     if not rows:
         return 0
     if isinstance(field, RationalField):
+        m = len(rows)
+        if len(rows[0]) > 2 * m and _rank_int_bareiss(clear_rows([r[:2 * m] for r in rows])[1])[0] == m:
+            return m
         return _rank_int_bareiss(clear_rows(rows)[1])[0]
     if isinstance(field, PrimeField):
         return len(rows) - sum(1 for _ in _echelon(field, rows, relations=False))
@@ -396,7 +402,7 @@ def sample_combination(field, vectors: list, bound: int, rng) -> tuple[list, lis
             elif c:
                 fc = field.of(c)
                 out = [field.add(o, field.mul(fc, x)) for o, x in zip(out, v)]
-        if any(not field.is_zero(x) for x in out):
+        if any(out) if native else any(not field.is_zero(x) for x in out):
             return coeffs, out
     raise RuntimeError("could not sample a nonzero span element")
 

@@ -160,10 +160,6 @@ class FiniteScheme:
         return [p.support for p in self.pieces]
 
 
-def degree(scheme: FiniteScheme) -> int:
-    return scheme.degree
-
-
 def _format_support(support: tuple) -> str:
     """A support as the file formats write it: 1/2, and a polynomial as its coefficient list."""
     return "(" + ", ".join(

@@ -14,16 +14,14 @@ the point by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and
 products occur, so integral chart data run over the ring ZZ (see
 `fields.chart_ring`) on Python's own int `*`: `evaluate` and `random_point`
 give plain ints at integral chart points over QQ, Fractions at rational ones.
+Over ZZ each level of the Kronecker product is one list comprehension; other
+rings call their `mul` once per monomial of degree >= 2 (see `_kron`).
 
 Over ZZ, a jet of length L is one chart evaluation on packed ints (Kronecker
 substitution): coordinate j's series c_0 + c_1 t + ... becomes the int sum of
 c_m 2^(K m), so a product of series is one int product, read back as K-bit
-digits. With h = max(1, largest |c_m|) and D the sum of the factor degrees,
-an entry is a product of at most D series of l1 norm at most L h, so each of
-its coefficients, of any order, is at most (L h)^D < 2^(K-2) in absolute
-value for K = bit_length((L h)^D) + 2. Adding 2^(K-1) to each of the L low
-digits puts them in [0, 2^K), so none borrows from the next; orders L and up
-add multiples of 2^(K L). Other rings compose in `fields.PolyRing`.
+digits; `jet_vectors_in_ring` bounds every digit by 2^(K-2), so that none
+borrows from the next. Other rings compose in `fields.PolyRing`.
 """
 
 from __future__ import annotations
@@ -171,20 +169,35 @@ def _lowerings(n: int, d: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _steps(n: int, d: int) -> tuple:
+    """(index p, variable j) per monomial of degree >= 2, which is u_j times monomial p."""
+    return tuple((p, j) for (j, p, _), *_ in _lowerings(n, d)[n + 1:])
+
+
 def _factor_monomials(factor: Factor, u: list, one, mul) -> list:
     """1, u_1, ..., u_n, then each monomial of degree >= 2 as an earlier one times one variable."""
     out = [one, *u]
-    for (j, p, _), *_ in _lowerings(factor.n, factor.d)[factor.n + 1:]:
+    for p, j in _steps(factor.n, factor.d):
         out.append(mul(out[p], u[j]))
     return out
 
 
 def _kron(vectors: list[list], mul) -> list:
-    """Kronecker product; each vector leads with 1, so products with a leading entry are copies."""
+    """Kronecker product of vectors that each lead with 1.
+
+    On ints (`operator.mul`) a level is one comprehension, products by 1 included;
+    other rings copy the products with a leading 1 and `mul` only the rest.
+    """
     out = vectors[0]
     for nxt in vectors[1:]:
-        tail = nxt[1:]
-        out = [*nxt, *(x for a in out[1:] for x in (a, *[mul(a, b) for b in tail]))]
+        if mul is operator.mul:
+            out = [a * b for a in out for b in nxt]
+            continue
+        prev, out, tail = out, list(nxt), nxt[1:]
+        for a in prev[1:]:
+            out.append(a)
+            out.extend([mul(a, b) for b in tail])
     return out
 
 

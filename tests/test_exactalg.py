@@ -358,6 +358,67 @@ def test_integer_bareiss_matches_sympy(case):
     assert rank_of_rows(QQ, scaled) == expected
 
 
+@st.composite
+def _wide_matrices(draw):
+    """(kind, m x n integer rows with n > 2m), for the prefix rule of `rank_of_rows`.
+
+    "prefix": the first 2m columns have rank k < m (all zero at k = 0), and a
+    nonzero diagonal in columns 2m..3m-1 gives the whole matrix rank m;
+    "deficient": one row is a combination of the others; "zero": one or more
+    rows are zero; "random": no structure, so almost always rank m.
+    """
+    kind = draw(st.sampled_from(("prefix", "deficient", "zero", "random")))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(3 * m if kind == "prefix" else 2 * m + 1, 3 * m + 8))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+    def combination(src):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(src), max_size=len(src)))
+        return [sum(c * r[j] for c, r in zip(coeffs, src)) for j in range(n)]
+
+    if kind == "prefix":
+        k = draw(st.integers(0, m - 1))
+        for i in range(m):
+            if i >= k:
+                rows[i][:2 * m] = combination(rows[:k])[:2 * m]
+            rows[i][2 * m:3 * m] = [0] * m
+            rows[i][2 * m + i] = draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))
+    elif kind == "deficient":
+        rows[-1] = combination(rows[:-1])
+    elif kind == "zero":
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)):
+            rows[i] = [0] * n
+    return kind, draw(st.permutations(rows))
+
+
+def _oracle_rank(rows, ncols) -> int:
+    return len(reduced_echelon(QQ, [[Fraction(x) for x in row[:ncols]] for row in rows],
+                               ncols).rows)
+
+
+# Over QQ, m rows of more than 2m columns are ranked on the first 2m columns
+# first, and rank m there is the answer. Mutants that return the prefix rank
+# unconditionally ("prefix" cases) or accept rank m - 1 from the prefix
+# ("deficient" and "zero" cases) fail here.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_wide_matrices())
+def test_wide_rank_rule_matches_the_rref_oracle(case):
+    kind, rows = case
+    m, n = len(rows), len(rows[0])
+    assert n > 2 * m
+    expected = _oracle_rank(rows, n)
+    if kind == "prefix":
+        assert _oracle_rank(rows, 2 * m) < expected == m
+    elif kind != "random":
+        assert expected < m
+    before = [row[:] for row in rows]
+    assert rank_of_rows(QQ, rows) == expected
+    assert rows == before
+    scaled = [[Fraction(x, 6 * (i + 1)) for x in row] for i, row in enumerate(rows)]
+    assert rank_of_rows(QQ, scaled) == expected
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_int_matrices(), st.sampled_from([2, 3, 5, 7, 101, DEFAULT_PRIME]))
 def test_rank_over_a_prime_field_matches_elimination_mod_p(case, p):
