@@ -11,11 +11,7 @@ from .exactalg import (
     nullspace,
     rank,
     rank_of_rows,
-    solve_membership,
-    span_sum,
-    subspace_contains,
     subspace_from_vectors,
-    subspaces_equal,
 )
 from .varieties import (
     Germ,

@@ -28,7 +28,7 @@ from .exactalg import (
     sample_combination,
     subspace_from_vectors,
 )
-from .fields import QQ, ZZ
+from .fields import QQ
 from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image
 from .schemes import FiniteScheme, scheme_span, scheme_span_vectors
 from .varieties import VarietyParam, parse_variety
@@ -93,7 +93,7 @@ def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, de
     if degree == 0:
         return None, BarrierReport(*head, 0, 0, 0, 0, True, seed=seed, kind=kind, extra=extra)
     den, ints = clear_rows(vectors)
-    coeffs, f = sample_combination(ZZ, ints, bound, rng)
+    coeffs, f = sample_combination(ints, bound, rng)
     if den > 1:
         g = math.gcd(den, *f)
         if prime is not None and den // g % prime == 0:
@@ -162,7 +162,7 @@ def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,
     overlap = set(r1.supports()) & set(r2.supports())
     if overlap:
         raise ValueError(f"scheme supports overlap at {sorted(overlap)}")
-    parts = [sample_combination(QQ, scheme_span_vectors(param1, scheme, QQ), bound, rng)[1]
+    parts = [sample_combination(scheme_span_vectors(param1, scheme, QQ), bound, rng)[1]
              for scheme in (r1, r2) if scheme.degree]
     return _sample_and_check(param1, method, parts, r1.degree + r2.degree, rng, bound=bound,
                              prime=prime, seed=seed, kind="join",

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra: ranks, kernels, subspace arithmetic, span sampling.
+"""Exact dense linear algebra: ranks, kernels, spans, span sampling.
 
 Two eliminations run on plain Python ints, after rational rows are cleared
 of denominators through `.numerator` and `.denominator`; over QQ both are
@@ -16,19 +16,17 @@ fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
   (`_echelon`), mod q over GF(q). It yields each row that lies in the span
   of the rows kept before it, with that row's relation: `first_relation`
   (one t-saturation step) is its first yield, `nullspace` the relations of
-  the dependent columns, `solve_membership` the relation of the vector
-  against the basis, and a rank over GF(q) is the number of rows it keeps.
-  Membership and equality of subspaces are read off `solve_membership`, so
-  a dependent basis answers as its span does.
+  the dependent columns, and a rank over GF(q) is the number of rows it
+  keeps.
 
 Span vectors of integral chart points arrive as ints (chart evaluation and
 jets run over `fields.ZZ`), and `clear_rows` copies rows of ints without a
 denominator pass. A barrier trial clears its span vectors once and stays on
-ints: `sample_combination` sums on the entries' own operators over QQ and
-ZZ. Spans and factor subspaces (`subspace_from_vectors`) still run a reduced
-row echelon form on field elements, Fractions over QQ. Ranks over a
-polynomial ring (generic ranks of one-parameter families) are the largest
-of enough integer specializations of t, each ranked over the base.
+ints: `sample_combination` sums on the entries' own operators. Spans and
+factor subspaces (`subspace_from_vectors`) still run a reduced row echelon
+form on field elements, Fractions over QQ. Ranks over a polynomial ring
+(generic ranks of one-parameter families) are the largest of enough integer
+specializations of t, each ranked over the base.
 """
 
 from __future__ import annotations
@@ -38,13 +36,9 @@ from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
 
-from .fields import IntegerRing, PolyRing, PrimeField, RationalField
+from .fields import PolyRing, PrimeField, RationalField
 
 DEFAULT_PRIME = 2**31 - 1
-
-
-class FieldMismatchError(ValueError):
-    """Raised when operands live over different coefficient fields."""
 
 
 @dataclass
@@ -61,24 +55,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def from_rows(cls, field, rows) -> "Matrix":
-        return cls(field, [[field.of(x) for x in row] for row in rows])
-
-    @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)] if self.rows else [])
 
 
 def _rank_int_bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -366,70 +342,23 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
     return Subspace(field, ambient_dim, basis)
 
 
-def _check_compatible(a: Subspace, b: Subspace) -> None:
-    if a.field != b.field:
-        raise FieldMismatchError(f"mixed fields {a.field!r} and {b.field!r}")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-
-
-def span_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces of the same ambient space."""
-    _check_compatible(a, b)
-    return subspace_from_vectors(a.field, a.ambient_dim, a.basis + b.basis)
-
-
-def sample_combination(field, vectors: list, bound: int, rng) -> tuple[list, list]:
+def sample_combination(vectors: list, bound: int, rng) -> tuple[list, list]:
     """Nonzero integer combination of `vectors` with coefficients in [-bound, bound].
 
     Returns (coefficients, vector). All-zero draws are skipped, and so is a
     draw whose combination vanishes, which only dependent vectors allow.
-    Over QQ and ZZ the sums run on the entries' own operators, so int
-    vectors give an int vector.
+    The entries are ints or Fractions, summed on their own operators, so
+    int vectors give an int vector.
     """
     n = len(vectors[0])
-    native = isinstance(field, (RationalField, IntegerRing))
     for _ in range(64):
         coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]
         if not any(coeffs):
             continue
-        out = [0 if native else field.zero] * n
+        out = [0] * n
         for c, v in zip(coeffs, vectors):
-            if c and native:
+            if c:
                 out = [o + c * x for o, x in zip(out, v)]
-            elif c:
-                fc = field.of(c)
-                out = [field.add(o, field.mul(fc, x)) for o, x in zip(out, v)]
-        if any(out) if native else any(not field.is_zero(x) for x in out):
+        if any(out):
             return coeffs, out
     raise RuntimeError("could not sample a nonzero span element")
-
-
-def solve_membership(s: Subspace, v: list):
-    """Coordinates of v in s.basis, or None when v is outside s.
-
-    They are read off the relation of v over s.basis + [v] (see `_echelon`),
-    Fractions over QQ and ints in [0, q) over GF(q).
-    """
-    _check_length(s.ambient_dim, v)
-    k = s.dim
-    rel = next((c for i, c in _echelon(s.field, s.basis + [v]) if i == k), None)
-    if rel is None:
-        return None
-    if isinstance(s.field, PrimeField):
-        return [-x % s.field.p for x in rel[:k]]
-    return [Fraction(-x, rel[k]) for x in rel[:k]]
-
-
-def subspace_contains(s: Subspace, v: list) -> bool:
-    """Whether v lies in s: whether it has coordinates in s.basis (`solve_membership`)."""
-    return solve_membership(s, v) is not None
-
-
-def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Equality of column spaces: each basis lies in the other subspace."""
-    _check_compatible(a, b)
-    return (all(subspace_contains(a, v) for v in b.basis)
-            and all(subspace_contains(b, v) for v in a.basis))

@@ -236,10 +236,6 @@ class RankMethod:
     spec: str
     k_source: str = "formula"
 
-    @property
-    def is_empirical(self) -> bool:
-        return self.k_source != "formula"
-
 
 def flattening_method(param: VarietyParam, row_modes) -> RankMethod:
     if len(param.factors) < 2:
@@ -264,8 +260,7 @@ def koszul_method(param: VarietyParam, p: int) -> RankMethod:
     return RankMethod(m, math.comb(shape[0] - 1, p), m.spec)
 
 
-def estimate_k(m: LinearMatrixMap, param: VarietyParam, trials: int, bound: int,
-               rng, field=QQ) -> int:
+def estimate_k(m: LinearMatrixMap, param: VarietyParam, trials: int, bound: int, rng) -> int:
     """Max rank of M over sampled chart points; a certified lower estimate of k."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -275,8 +270,7 @@ def estimate_k(m: LinearMatrixMap, param: VarietyParam, trials: int, bound: int,
         )
     best = 0
     for _ in range(trials):
-        x = random_point(param, bound, rng, field)
-        best = max(best, map_rank(m, x, field))
+        best = max(best, map_rank(m, random_point(param, bound, rng)))
     return best
 
 
@@ -286,13 +280,11 @@ def custom_method(m: LinearMatrixMap, param: VarietyParam, trials: int, bound: i
     return RankMethod(m, k, spec, k_source="empirical (lower estimate)")
 
 
-def check_k_consistency(method: RankMethod, param: VarietyParam, trials: int,
-                        bound: int, rng, field=QQ):
+def check_k_consistency(method: RankMethod, param: VarietyParam, trials: int, bound: int, rng):
     """(max sampled rank, whether k was attained); sampled ranks must not exceed k."""
     best = 0
     for _ in range(trials):
-        x = random_point(param, bound, rng, field)
-        r = map_rank(method.map, x, field)
+        r = map_rank(method.map, random_point(param, bound, rng))
         if r > method.k:
             raise ArithmeticError(
                 f"method {method.spec} claims k={method.k} but a chart point has rank {r}"

@@ -84,7 +84,7 @@ def homogeneous_index(n: int, d: int, exps: tuple[int, ...]) -> int:
 class VarietyParam:
     """Chart parameterization of a product of Veronese factors in one tensor space."""
 
-    def __init__(self, factors, spec: str | None = None):
+    def __init__(self, factors, spec: str):
         factors = tuple(Factor(*f) if not isinstance(f, Factor) else f for f in factors)
         if not factors:
             raise VarietySpecError("a variety needs at least one factor")
@@ -96,7 +96,7 @@ class VarietyParam:
         self.factor_dims = tuple(f.dim for f in factors)
         self.dim_W = math.prod(self.factor_dims)
         self.max_degree = max(f.d for f in factors)
-        self.spec = spec if spec is not None else format_variety(factors)
+        self.spec = spec
 
     def __repr__(self):
         return f"VarietyParam({self.spec!r})"
@@ -106,16 +106,6 @@ class VarietyParam:
 
     def __hash__(self):
         return hash(self.factors)
-
-
-def format_variety(factors) -> str:
-    factors = tuple(Factor(*f) if not isinstance(f, Factor) else f for f in factors)
-    if len(factors) == 1 and factors[0].d >= 1:
-        f = factors[0]
-        return f"veronese:{f.n},{f.d}"
-    if all(f.d == 1 for f in factors):
-        return "segre:" + "x".join(str(f.n + 1) for f in factors)
-    return "segre-veronese:" + "x".join(f"({f.n},{f.d})" for f in factors)
 
 
 def parse_variety(spec: str) -> VarietyParam:

@@ -274,6 +274,16 @@ def rref_solve_membership(field, basis: list, target: list):
     return x
 
 
+def in_span(field, basis: list, v: list) -> bool:
+    """Whether v is a combination of the vectors of `basis`, which may be dependent."""
+    return rref_solve_membership(field, basis, v) is not None
+
+
+def same_span(field, a: list, b: list) -> bool:
+    """Whether the vectors of `a` and of `b` span the same subspace."""
+    return all(in_span(field, a, v) for v in b) and all(in_span(field, b, v) for v in a)
+
+
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank mod p of integer rows by column-by-column elimination with normalized pivots."""
     m = len(rows)
