@@ -1,6 +1,6 @@
 """Exact rank-method bounds and finite-scheme barrier verification.
 
-Everything runs over the rationals or a prime field; no floats anywhere.
+Everything is exact over the rationals, with a prime-field rank screen; no floats anywhere.
 """
 
 from .fields import QQ, PolyRing, PrimeField
@@ -43,7 +43,6 @@ from .rankmethods import (
     evaluate_map,
     flattening,
     koszul_flattening,
-    lower_bound,
     parse_method,
 )
 from .barrier import (

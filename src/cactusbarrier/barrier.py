@@ -177,8 +177,8 @@ def grassmann_containment(e: Subspace, param: VarietyParam, scheme: FiniteScheme
     """
     if e.ambient_dim != param.dim_W:
         raise ValueError("plane and variety live in different ambient spaces")
-    span = scheme_span(param, scheme, e.field)
-    return rank_of_rows(e.field, span.basis + e.basis) == span.dim
+    span = scheme_span(param, scheme)
+    return rank_of_rows(QQ, span.basis + e.basis) == span.dim
 
 
 class UnsupportedVarietyError(ValueError):

@@ -349,15 +349,14 @@ def cmd_limit(args, out) -> int:
     param, (kind, data), limit_scheme = load_family(args.family)
     if not data:
         raise CliError("the family is empty")
-    ring = PolyRing(QQ)
     if kind == "schemes":
         family = FiniteScheme(tuple(data))  # a flat family: valid, of its limit's degree
         validate_scheme(param, family)
         if family.degree != limit_scheme.degree:
             raise CliError(f"family degree {family.degree} != limit degree {limit_scheme.degree}")
-        fam = family_span(param, data, ring)
+        fam = family_span(param, data)
     else:
-        fam = SpanFamily(param.dim_W, data, ring)
+        fam = SpanFamily(param.dim_W, data, PolyRing(QQ))
     cmp = compare_limit(param, fam, limit_scheme)
     verdict = "inclusion holds" if cmp.inclusion_holds else "INCLUSION FAILS"
     if cmp.inclusion_holds and cmp.strict:

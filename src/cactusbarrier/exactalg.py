@@ -13,11 +13,12 @@ fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
   Bareiss pivot is a nonzero r x r minor, r the rational rank, and when the
   prime does not divide it the rank mod p is r as well.
 - Everything incremental uses one row-incremental fraction-free echelon
-  (`_echelon`), mod q over GF(q). It yields each row that lies in the span
-  of the rows kept before it, with that row's relation: `first_relation`
-  (one t-saturation step) is its first yield, `nullspace` the relations of
-  the dependent columns, and a rank over GF(q) is the number of rows it
-  keeps.
+  (`_echelon`), on ints mod q over GF(q). It yields each row that lies in
+  the span of the rows kept before it, with that row's relation:
+  `first_relation` (one t-saturation step) is its first yield, `nullspace`
+  the relations of the dependent columns, and a rank over GF(q) is the
+  number of rows it keeps. A prime field is only ever such a modulus for
+  ranks and relations of int rows: no span is built over it.
 
 Span vectors of integral chart points arrive as ints (chart evaluation and
 jets run over `fields.ZZ`), and `clear_rows` copies rows of ints without a
@@ -155,9 +156,8 @@ def rank_of_rows(field, rows: list) -> int:
     r x r minor is a polynomial of degree at most r * d <= D, and a nonzero
     polynomial of degree at most D is nonzero at one of any D + 1 points.
     Specializing never raises a rank, so the largest rank over R among
-    t = 1, ..., D + 1 is the generic rank. Over GF(q)[t] those points must
-    be distinct mod q, so q < D + 1 raises ValueError; a truncated ring is
-    not a domain and raises TypeError.
+    t = 1, ..., D + 1 is the generic rank. A truncated ring is not a domain
+    and raises TypeError.
     """
     rows = [row for row in rows if row]
     if not rows:
@@ -174,9 +174,6 @@ def rank_of_rows(field, rows: list) -> int:
             raise TypeError(f"{field!r} truncated below degree {field.trunc} is not a domain")
         full = min(len(rows), len(rows[0]))
         points = full * max(max(len(e) for row in rows for e in row) - 1, 0) + 1
-        if isinstance(field.base, PrimeField) and field.base.p < points:
-            raise ValueError(f"{field.base!r} has fewer than the {points} points "
-                             "a generic rank of these rows needs")
         best = 0
         for x in range(1, points + 1):
             at_x = [[_horner(e, x) for e in row] for row in rows]

@@ -1,19 +1,19 @@
-"""Exact scalar arithmetic: integers, rationals, prime fields, dense univariate polynomials.
+"""Exact scalars: rationals, integers, dense univariate polynomials, prime moduli.
 
-Every computation in this package runs over one of these coefficient
-structures; nothing is floating point. Ring objects carry the operations,
-element values are plain Python data (Fraction, int, tuple), which keeps
-them hashable and trivially immutable.
+Nothing is floating point. Elements are plain Python data (Fraction, int,
+tuple), added, multiplied and tested for zero on their own operators; `QQ`
+keeps the five methods that `exactalg.subspace_from_vectors` and
+`rankmethods.evaluate_map` call. `ZZ` marks integral chart data: chart
+evaluation and jets need only sums and products, so `chart_ring` runs them
+on ints when the target is QQ and every coordinate is integral, and on
+ZZ[t] when the target is an untruncated QQ[t] and every coefficient is
+integral; an int equals the Fraction it stands for. `PolyRing` over a
+nested `PolyRing` calls the base ring's `add` and `mul`.
 
-`ZZ` is a ring, not a field: it only adds, subtracts and multiplies. Chart
-evaluation and jets need nothing more, so `chart_ring` runs them on plain
-ints whenever the target field is QQ and every chart coordinate is integral,
-and on ZZ[t] whenever the target is an untruncated QQ[t] and every
-coefficient of every coordinate is integral. An int equals the Fraction it
-stands for, so the resulting vectors are the same rationals. Rational
-coordinates keep Fractions, and prime fields keep their own arithmetic.
-`PolyRing` over ZZ or QQ runs on the coefficients' own operators instead of
-the base ring's methods; other bases, nested rings included, keep the calls.
+`PrimeField` is a modulus, not a ring: the rank screen reduces integer rows
+mod p (see `exactalg`), and `PrimeField.of` tells whether a rational has an
+image mod p. Nothing is evaluated, spanned or deformed over GF(p), so
+`PolyRing` and `chart_ring` refuse a prime field.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def is_probable_prime(n: int) -> bool:
 class RationalField:
     """The rationals; elements are `fractions.Fraction` (lowest terms, positive denominator)."""
 
-    char = 0
     name = "QQ"
     zero = Fraction(0)
     one = Fraction(1)
@@ -66,9 +65,6 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if not a:
@@ -92,9 +88,8 @@ QQ = RationalField()
 
 
 class IntegerRing:
-    """The integers as a ring (no division); elements are ints."""
+    """The integers, for chart data; elements are ints, added and multiplied on their own operators."""
 
-    char = 0
     name = "ZZ"
     zero = 0
     one = 1
@@ -106,21 +101,6 @@ class IntegerRing:
         if q.denominator != 1:
             raise ValueError(f"{x} is not an integer")
         return q.numerator
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -135,36 +115,14 @@ class IntegerRing:
 ZZ = IntegerRing()
 
 
-def chart_ring(field, coords):
-    """The ring to evaluate chart coordinates `coords` in, for results over `field`.
-
-    ZZ when `field` is QQ and every coordinate is integral; ZZ[t] when
-    `field` is an untruncated QQ[t] and every coefficient of every coordinate
-    (a polynomial in t) is integral; else `field`. Vectors over the returned
-    ring are vectors over `field`, entry for entry.
-    """
-    if isinstance(field, PolyRing):
-        if field.trunc is None and chart_ring(field.base, [c for x in coords for c in x]) is ZZ:
-            return PolyRing(ZZ)
-        return field
-    if isinstance(field, RationalField) and all(
-        getattr(x, "denominator", None) == 1 for x in coords
-    ):
-        return ZZ
-    return field
-
-
 class PrimeField:
-    """Integers mod a prime p; elements are ints in [0, p)."""
+    """A prime modulus p: the rank screen's field GF(p), whose elements are ints in [0, p)."""
 
     def __init__(self, p: int):
         if not is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self.char = p
         self.name = f"GF({p})"
-        self.zero = 0
-        self.one = 1 % p
 
     def of(self, x) -> int:
         if isinstance(x, Fraction):
@@ -176,67 +134,63 @@ class PrimeField:
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
     def __repr__(self):
         return self.name
 
 
+def chart_ring(field, coords):
+    """The ring to evaluate chart coordinates `coords` in, for results over `field`.
+
+    ZZ when `field` is QQ and every coordinate is integral; ZZ[t] when
+    `field` is an untruncated QQ[t] and every coefficient of every coordinate
+    (a polynomial in t) is integral; else `field`. Vectors over the returned
+    ring are vectors over `field`, entry for entry. A prime field raises
+    TypeError: nothing is evaluated over GF(p).
+    """
+    if isinstance(field, PrimeField):
+        raise TypeError(f"no chart evaluation over {field!r}; GF(p) only screens ranks")
+    if isinstance(field, PolyRing):
+        if field.trunc is None and chart_ring(field.base, [c for x in coords for c in x]) is ZZ:
+            return PolyRing(ZZ)
+        return field
+    if isinstance(field, RationalField) and all(
+        getattr(x, "denominator", None) == 1 for x in coords
+    ):
+        return ZZ
+    return field
+
+
 class PolyRing:
-    """Dense univariate polynomials over a base ring.
+    """Dense univariate polynomials over ZZ, QQ or another `PolyRing`.
 
     Elements are tuples of base elements with no trailing zeros; the zero
     polynomial is the empty tuple. With ``trunc=L`` every result is cut to
     degree < L (truncated power series), which is how jet expansions avoid
-    any division by factorials.
+    any division by factorials. Any other base raises TypeError.
     """
 
     def __init__(self, base, trunc: int | None = None):
+        if not isinstance(base, (IntegerRing, RationalField, PolyRing)):
+            raise TypeError(f"no polynomial ring over {base!r}")
         self.base = base
         self.trunc = trunc
-        self.char = base.char
         self.name = f"{base.name}[t]"
         self.zero = ()
         self.one = (base.one,)
-        # ints and Fractions: their own +, * and truthiness are what ZZ and QQ call
-        self.native = type(base) in (IntegerRing, RationalField)
+        # ints and Fractions compute on their own +, *; nested tuples call the base ring
+        self.native = not isinstance(base, PolyRing)
 
     def _norm(self, cs: list) -> tuple:
         if self.trunc is not None:
             cs = cs[: self.trunc]
         n = len(cs)
-        while n and (not cs[n - 1] if self.native else self.base.is_zero(cs[n - 1])):
+        while n and not cs[n - 1]:
             n -= 1
         return tuple(cs[:n])
 
     def of(self, x):
         c = self.base.of(x)
-        return () if self.base.is_zero(c) else (c,)
+        return (c,) if c else ()
 
     def from_coeffs(self, coeffs) -> tuple:
         return self._norm([self.base.of(c) for c in coeffs])
@@ -256,12 +210,6 @@ class PolyRing:
             out[i] = out[i] + c if self.native else self.base.add(out[i], c)
         return self._norm(out)
 
-    def neg(self, a):
-        return tuple(-c for c in a) if self.native else tuple(self.base.neg(c) for c in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def scale(self, c, a):
         """c * a for a nonzero base element c; the base has no zero divisors."""
         return tuple(c * x for x in a) if self.native else tuple(self.base.mul(c, x) for x in a)
@@ -280,20 +228,13 @@ class PolyRing:
                         if cb:
                             out[k] += ca * cb
             return self._norm(out)
-        for i, ca in enumerate(a):
-            if i >= n:
-                break
-            if self.base.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                if i + j >= n:
-                    break
-                if not self.base.is_zero(cb):
-                    out[i + j] = self.base.add(out[i + j], self.base.mul(ca, cb))
+        base = self.base
+        for i, ca in enumerate(a[:n]):
+            if ca:
+                for k, cb in enumerate(b[: n - i], i):
+                    if cb:
+                        out[k] = base.add(out[k], base.mul(ca, cb))
         return self._norm(out)
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def coeff(self, a, m: int):
         return a[m] if m < len(a) else self.base.zero
@@ -303,7 +244,7 @@ class PolyRing:
 
     def valuation(self, a) -> int | None:
         for i, c in enumerate(a):
-            if not self.base.is_zero(c):
+            if c:
                 return i
         return None
 

@@ -8,14 +8,14 @@ rank and border cactus rank alike.
 Conventions fixed here for determinism: wedge bases are ordered lexicographically
 with signs from sorted-index insertion, and the pairing between dual monomials
 and coefficients is plain coefficient extraction with no factorial weights, so
-everything stays exact in any characteristic.
+every map has integer (or, for a custom map, rational) coefficients.
 
 Ranks of M(F) are taken on integer rows: `integer_image` evaluates
 M(lambda * mu * F) over Z, with lambda clearing the denominators of F and mu
-those of the map's coefficients (computed once per map). Those rows serve
-the prime-field screen and the rational rank alike. `evaluate_map` keeps
-building M(F) over a field for callers that need field elements, such as
-factor subspaces.
+those of the map's coefficients (computed once per map). Those rows give the
+rational rank and, reduced mod p, the prime-field screen's rank (`map_rank`
+under a `PrimeField`). `evaluate_map` keeps building M(F) over QQ for callers
+that need Fraction entries, such as factor subspaces.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def map_rank(m: LinearMatrixMap, vec: list, field=QQ) -> int:
 
 
 def evaluate_map(m: LinearMatrixMap, vec: list, field=QQ) -> Matrix:
-    """The a x b matrix M(F) for a W-vector F over `field`."""
+    """The a x b matrix M(F) for a W-vector F over `field`, which is QQ."""
     if len(vec) != m.w:
         raise ValueError(f"vector length {len(vec)} does not match W-dimension {m.w}")
     out = [[field.zero] * m.b for _ in range(m.a)]
@@ -293,14 +293,6 @@ def check_k_consistency(method: RankMethod, param: VarietyParam, trials: int, bo
     return best, best == method.k
 
 
-def lower_bound(method: RankMethod, vec: list, field=QQ) -> int:
-    """ceil(rank M(F) / k): a lower bound for border rank and border cactus rank."""
-    if method.k < 1:
-        raise ValueError("method constant k is zero; the method is vacuous here")
-    r = map_rank(method.map, vec, field)
-    return -(-r // method.k)
-
-
 def builtin_methods(param: VarietyParam, koszul_ps=(1,)) -> list[RankMethod]:
     """The standard method zoo applicable to a variety.
 
@@ -388,8 +380,8 @@ class DenseTensor:
     def w_dim(self) -> int:
         return len(self.entries)
 
-    def to_vector(self, field=QQ) -> list:
-        return [field.of(x) for x in self.entries]
+    def to_vector(self) -> list:
+        return list(self.entries)
 
     @classmethod
     def zero(cls, shape) -> "DenseTensor":
@@ -436,9 +428,9 @@ class SymmetricForm:
     def w_dim(self) -> int:
         return math.comb(self.nvars - 1 + self.degree, self.degree)
 
-    def to_vector(self, field=QQ) -> list:
+    def to_vector(self) -> list:
         n = self.nvars - 1
-        out = [field.zero] * self.w_dim
+        out = [Fraction(0)] * self.w_dim
         for exps, c in self.terms.items():
-            out[homogeneous_index(n, self.degree, exps)] = field.of(c)
+            out[homogeneous_index(n, self.degree, exps)] = c
         return out

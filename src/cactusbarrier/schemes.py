@@ -6,13 +6,13 @@ span computations and already realize the span-degeneration phenomena this
 package verifies; arbitrary zero-dimensional ideals are out of scope. Each
 piece class carries its own `span_vectors`, `map_coords` and `validate`.
 
-Span vectors of a piece whose chart coordinates are all integral are computed
-over ZZ, and those of a family piece whose coordinates are polynomials with
-integral coefficients over ZZ[t] (see `fields.chart_ring`; schemes and
-families share one per-piece loop): points, jets and tangent frames are sums
-of products of coordinates, so the ints equal the rational vectors entry by
-entry. Pieces with rational coordinates, prime fields, GF(q)[t] families and
-truncated rings keep their own arithmetic. The dimension of the stated
+Spans are over QQ and families over QQ[t]. Span vectors of a piece whose
+chart coordinates are all integral are computed over ZZ, and those of a
+family piece whose coordinates are polynomials with integral coefficients
+over ZZ[t] (see `fields.chart_ring`; schemes and families share one
+per-piece loop): points, jets and tangent frames are sums of products of
+coordinates, so the ints equal the rational vectors entry by entry. Pieces
+with rational coordinates keep Fractions. The dimension of the stated
 limit's span and its inclusion in the limit of the spans are two ranks
 (`rank_of_rows`, on integer rows over QQ), and each t-saturation step takes
 a primitive integer relation from one fraction-free elimination
@@ -27,7 +27,7 @@ Generic ranks over the polynomial ring (which vectors `family_span` keeps,
 and whether a family basis is flat) are the largest rank among the
 specializations t = 1, ..., D + 1, where D bounds the degree of every minor
 (see `exactalg.rank_of_rows`). Each specialization is ranked on integer rows
-over QQ, or mod q over GF(q), so no polynomial elimination runs.
+over QQ, so no polynomial elimination runs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .fields import QQ, PolyRing, chart_ring
 from .varieties import (
     Germ,
     VarietyParam,
-    check_characteristic,
     evaluate_in_ring,
     jet_vectors_in_ring,
     tangent_vectors_in_ring,
@@ -97,7 +96,6 @@ class FirstNeighborhood(_PointPiece):
 
     def span_vectors(self, param: VarietyParam, ring) -> list[list]:
         """The chart point and its first partials, its coordinates elements of `ring`."""
-        check_characteristic(ring, param, 2)
         return tangent_vectors_in_ring(param, list(self.point), ring)
 
 
@@ -138,7 +136,6 @@ class CurvilinearGerm:
 
     def span_vectors(self, param: VarietyParam, ring) -> list[list]:
         """The jets of orders 0..length-1, the germ's coordinates elements of `ring`."""
-        check_characteristic(ring, param, self.length)
         return jet_vectors_in_ring(
             param, list(self.germ.base), [list(c) for c in self.germ.coeffs], self.length, ring)
 
@@ -203,9 +200,9 @@ def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> 
     return _span_vectors(param, scheme.pieces, field)
 
 
-def scheme_span(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> Subspace:
-    """Linear span of the scheme; its dimension never exceeds the degree."""
-    return subspace_from_vectors(field, param.dim_W, scheme_span_vectors(param, scheme, field))
+def scheme_span(param: VarietyParam, scheme: FiniteScheme) -> Subspace:
+    """Linear span of the scheme over QQ; its dimension never exceeds the degree."""
+    return subspace_from_vectors(QQ, param.dim_W, scheme_span_vectors(param, scheme))
 
 
 _MIX_KINDS = {
@@ -346,7 +343,7 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
         return Subspace(base, fam.ambient_dim, [])
     vecs = [list(v) for v in fam.basis]
     for v in vecs:
-        vals = [ring.valuation(e) for e in v if not ring.is_zero(e)]
+        vals = [ring.valuation(e) for e in v if e]
         if not vals:
             raise ValueError("family contains an identically zero column")
         shift = min(vals)
@@ -358,8 +355,7 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
 
     max_steps = sum(max(ring.degree(e), 0) for v in vecs for e in v) + m + 8
     for _ in range(max_steps):
-        # constant terms; 0 is the zero of QQ and of GF(q) alike
-        at0 = [[e[0] if e else 0 for e in v] for v in vecs]
+        at0 = [[e[0] if e else 0 for e in v] for v in vecs]  # constant terms
         combo = first_relation(base, at0)
         if combo is None:
             return Subspace(base, fam.ambient_dim, at0)
@@ -370,7 +366,7 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
                 continue
             for j in range(fam.ambient_dim):
                 new[j] = ring.add(new[j], ring.scale(c, vecs[i][j]))
-        vals = [ring.valuation(e) for e in new if not ring.is_zero(e)]
+        vals = [ring.valuation(e) for e in new if e]
         if not vals:
             raise ValueError("family basis drops rank generically (non-flat presentation)")
         shift = min(vals)
@@ -378,18 +374,16 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     raise RuntimeError("t-saturation did not stabilize; malformed family")
 
 
-def family_span(param: VarietyParam, pieces, ring: PolyRing | None = None) -> SpanFamily:
-    """SpanFamily of a scheme family, keeping a generically independent subset.
+def family_span(param: VarietyParam, pieces) -> SpanFamily:
+    """SpanFamily over QQ[t] of a scheme family, keeping a generically independent subset.
 
     Raw spanning vectors are scanned in order, and each is kept when it is
     generically independent of those kept before it: when appending it
     raises the generic rank (`rank_of_rows` over the polynomial ring).
-
-    Over QQ[t], a piece whose coordinates have integral coefficients gives
-    vectors of int polynomials (see `fields.chart_ring`).
+    A piece whose coordinates have integral coefficients gives vectors of
+    int polynomials (see `fields.chart_ring`).
     """
-    if ring is None:
-        ring = PolyRing(QQ)
+    ring = PolyRing(QQ)
     kept: list = []
     for v in _span_vectors(param, pieces, ring):
         if rank_of_rows(ring, kept + [v]) > len(kept):
@@ -426,28 +420,28 @@ def compare_limit(param: VarietyParam, fam: SpanFamily,
 
 
 def span_of_limit_vs_limit_of_spans(param: VarietyParam, family_pieces,
-                                    limit_scheme: FiniteScheme, field=QQ) -> LimitComparison:
+                                    limit_scheme: FiniteScheme) -> LimitComparison:
     """Check that the span of the stated limit lies inside the limit of the spans.
 
     The family is a list of pieces whose chart data are polynomials in t; the
     flat limit at t=0 is supplied by the caller, not computed.
     """
-    return compare_limit(param, family_span(param, family_pieces, PolyRing(field)), limit_scheme)
+    return compare_limit(param, family_span(param, family_pieces), limit_scheme)
 
 
-def constant_family_pieces(pieces, field=QQ) -> list:
+def constant_family_pieces(pieces) -> list:
     """Lift a rational scheme to a constant-in-t family (each coordinate a constant polynomial)."""
-    ring = PolyRing(field)
+    ring = PolyRing(QQ)
     return [p.map_coords(ring.of) for p in pieces]
 
 
-def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2, field=QQ) -> list:
+def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2) -> list:
     """Random polynomial deformation of a scheme whose member at t=0 is the scheme itself.
 
     Constant terms are kept, higher t-coefficients are random integers, so the
     stated limit of the family is exactly the input scheme.
     """
-    ring = PolyRing(field)
+    ring = PolyRing(QQ)
 
     def wiggle(x):
         return ring.from_coeffs([x] + [rng.randint(-bound, bound) for _ in range(tdeg)])

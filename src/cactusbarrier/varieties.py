@@ -7,15 +7,14 @@ accordingly, so a point evaluation is just a vector of monomials; its leading
 entry is always 1, which keeps chart images away from zero.
 
 Jets of curve germs are computed by truncated polynomial composition, never by
-differentiating and dividing by factorials, so they stay correct over prime
-fields (subject to the characteristic guard below). Each monomial costs one
-product, and a tangent frame is the point plus its first partials, read off
-the point by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and
-products occur, so integral chart data run over the ring ZZ (see
-`fields.chart_ring`) on Python's own int `*`: `evaluate` and `random_point`
-give plain ints at integral chart points over QQ, Fractions at rational ones.
-Over ZZ each level of the Kronecker product is one list comprehension; other
-rings call their `mul` once per monomial of degree >= 2 (see `_kron`).
+differentiating and dividing by factorials. Each monomial costs one product,
+and a tangent frame is the point plus its first partials, read off the point
+by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and products
+occur, so integral chart data run over the ring ZZ (see `fields.chart_ring`)
+on Python's own int `*`: `evaluate` and `random_point` give plain ints at
+integral chart points, Fractions at rational ones. Over ZZ each level of the
+Kronecker product is one list comprehension; QQ and polynomial rings call
+their `mul` once per monomial of degree >= 2 (see `_kron`).
 
 Over ZZ, a jet of length L is one chart evaluation on packed ints (Kronecker
 substitution): coordinate j's series c_0 + c_1 t + ... becomes the int sum of
@@ -95,7 +94,6 @@ class VarietyParam:
         self.dim_X = sum(f.n for f in factors)
         self.factor_dims = tuple(f.dim for f in factors)
         self.dim_W = math.prod(self.factor_dims)
-        self.max_degree = max(f.d for f in factors)
         self.spec = spec
 
     def __repr__(self):
@@ -192,7 +190,7 @@ def _kron(vectors: list[list], mul) -> list:
 
 
 def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
-    """Chart map evaluated on coordinates that are elements of an arbitrary ring."""
+    """Chart map evaluated on coordinates that are elements of `ring` (ZZ, QQ or a `PolyRing`)."""
     if len(coords) != param.dim_X:
         raise ValueError(
             f"chart point has length {len(coords)}, expected {param.dim_X}"
@@ -202,21 +200,13 @@ def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
     return _kron(parts, mul)
 
 
-def evaluate(param: VarietyParam, chart_point, field=QQ) -> list:
+def evaluate(param: VarietyParam, chart_point) -> list:
     """Affine-cone point of the chart map; its leading coordinate is always 1.
 
-    Over QQ an integral chart point gives ints, which equal the rationals.
+    An integral chart point gives ints, which equal the rationals.
     """
-    ring = chart_ring(field, chart_point)
+    ring = chart_ring(QQ, chart_point)
     return evaluate_in_ring(param, [ring.of(x) for x in chart_point], ring)
-
-
-def check_characteristic(field, param: VarietyParam, jet_length: int) -> None:
-    if field.char and field.char <= param.max_degree * jet_length:
-        raise ValueError(
-            f"characteristic {field.char} too small for degree {param.max_degree} "
-            f"jets of length {jet_length}; need p > {param.max_degree * jet_length}"
-        )
 
 
 def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: int, ring) -> list[list]:
@@ -286,6 +276,6 @@ def random_chart_point(param: VarietyParam, bound: int, rng) -> tuple:
     return tuple(rng.randint(-bound, bound) for _ in range(param.dim_X))
 
 
-def random_point(param: VarietyParam, bound: int, rng, field=QQ) -> list:
+def random_point(param: VarietyParam, bound: int, rng) -> list:
     """Evaluate at a uniformly random integer chart point in [-bound, bound]^dim_X."""
-    return evaluate(param, random_chart_point(param, bound, rng), field)
+    return evaluate(param, random_chart_point(param, bound, rng))

@@ -4,9 +4,11 @@ These deliberately avoid the library's construction paths: flattenings are
 rebuilt by direct multi-index loops, catalecticants by dictionary lookup of
 coefficients, Koszul flattenings through the alternating-tensor embedding,
 jets by full (untruncated) convolution arithmetic on coefficient lists,
-polynomial arithmetic by a schoolbook loop over the base ring's own methods,
-and kernels, solves, membership and prime-field ranks by the field-element
-eliminations the library ran before its fraction-free echelon.
+polynomial arithmetic by a schoolbook loop, and kernels, solves, membership
+and prime-field ranks by the field-element eliminations the library ran
+before its fraction-free echelon. Scalars are added and multiplied by
+`Scalars`, never by a method of `cactusbarrier.fields`: a library field only
+names the arithmetic, through its modulus `p` or its name.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from cactusbarrier.exactalg import Matrix
-from cactusbarrier.fields import QQ
+from cactusbarrier.fields import QQ, PolyRing
 from cactusbarrier.varieties import (
     homogeneous_exponents,
     monomial_exponents,
@@ -150,18 +152,73 @@ def brute_jet_vectors(param, germ, length: int) -> list[list]:
     return [[poly[m] if m < len(poly) else Fraction(0) for poly in w] for m in range(length)]
 
 
-class SchoolbookPolyRing:
-    """Dense univariate polynomials that touch coefficients only through the base ring.
+class Scalars:
+    """Arithmetic on the elements of a library field, written out here.
 
-    Every coefficient operation is a call of `base.add`, `base.mul` or
-    `base.is_zero` (and `base.of` for constants); products are full
-    convolutions, truncated only at the end. Elements are normalized tuples
-    as in `fields.PolyRing`.
+    Over a field with a modulus `p`, ints mod p; over ZZ, ints; over QQ,
+    Fractions (ints pass as the rationals they equal).
+    """
+
+    def __init__(self, field):
+        self.p = getattr(field, "p", None)
+        self.integral = field.name == "ZZ"
+        exact = self.p is not None or self.integral
+        self.zero, self.one = (0, 1) if exact else (Fraction(0), Fraction(1))
+
+    def of(self, x):
+        q = Fraction(x)
+        if self.p is not None:
+            return q.numerator * pow(q.denominator, -1, self.p) % self.p
+        if self.integral:
+            if q.denominator != 1:
+                raise ValueError(f"{x} is not an integer")
+            return q.numerator
+        return q
+
+    def _reduce(self, a):
+        return a % self.p if self.p is not None else a
+
+    def add(self, a, b):
+        return self._reduce(a + b)
+
+    def sub(self, a, b):
+        return self._reduce(a - b)
+
+    def mul(self, a, b):
+        return self._reduce(a * b)
+
+    def neg(self, a):
+        return self._reduce(-a)
+
+    def inv(self, a):
+        return pow(a, -1, self.p) if self.p is not None else 1 / Fraction(a)
+
+    def is_zero(self, a) -> bool:
+        return not self._reduce(a)
+
+
+class SchoolbookPolyRing:
+    """Dense univariate polynomials over the oracle arithmetic of a library base ring.
+
+    Every coefficient operation is a call of `add`, `mul` or `is_zero` (and
+    `of` for constants) of the base's `Scalars`, or of a schoolbook ring
+    over a polynomial base; products are full convolutions, truncated only
+    at the end. Elements are normalized tuples as in `fields.PolyRing`.
     """
 
     def __init__(self, base, trunc=None):
-        self.base = base
+        if isinstance(base, PolyRing):
+            self.base = SchoolbookPolyRing(base.base, base.trunc)
+        else:
+            self.base = Scalars(base)
         self.trunc = trunc
+        self.zero, self.one = (), (self.base.one,)
+
+    def of(self, x) -> tuple:
+        return self.norm([self.base.of(x)])
+
+    def is_zero(self, a) -> bool:
+        return not a
 
     def norm(self, cs) -> tuple:
         cs = list(cs)[: self.trunc] if self.trunc is not None else list(cs)
@@ -182,9 +239,6 @@ class SchoolbookPolyRing:
     def scale(self, c, a) -> tuple:
         return tuple(self.base.mul(c, x) for x in a)
 
-    def sub(self, a, b) -> tuple:
-        return self.add(a, self.scale(self.base.of(-1), b))
-
     def mul(self, a, b) -> tuple:
         out = [self.base.zero] * max(len(a) + len(b) - 1, 0)
         for i, x in enumerate(a):
@@ -201,7 +255,7 @@ class ReducedEchelon:
     """
 
     def __init__(self, field, ambient_dim: int):
-        self.field = field
+        self.field = Scalars(field)
         self.ambient_dim = ambient_dim
         self.rows: list = []  # (pivot index, row with pivot normalized to 1)
 
@@ -247,6 +301,7 @@ def reduced_echelon(field, rows: list, ncols: int) -> ReducedEchelon:
 def rref_nullspace(field, rows: list, ncols: int) -> list[list]:
     """The RREF basis of {x : rows x = 0}: a 1 at each free column, minus its pivot entries."""
     pivots = reduced_echelon(field, rows, ncols).rows
+    field = Scalars(field)
     pivot_set = {pc for pc, _ in pivots}
     basis = []
     for j in range(ncols):
@@ -263,10 +318,11 @@ def rref_nullspace(field, rows: list, ncols: int) -> list[list]:
 def rref_solve_membership(field, basis: list, target: list):
     """Solve sum_i x_i * basis[i] = target with every free x_i zero; None when inconsistent."""
     k = len(basis)
+    f = Scalars(field)
     if k == 0:
-        return [] if all(field.is_zero(x) for x in target) else None
+        return [] if all(f.is_zero(x) for x in target) else None
     aug = [[b[r] for b in basis] + [target[r]] for r in range(len(target))]
-    x = [field.zero] * k
+    x = [f.zero] * k
     for pc, row in reduced_echelon(field, aug, k + 1).rows:
         if pc == k:
             return None
@@ -316,8 +372,9 @@ def fraction_sample_combination(field, vectors, bound, rng):
     """The span sampler as it was written over field elements: (coefficients, vector).
 
     Same rng draws as `exactalg.sample_combination`; every sum runs on the
-    field's own methods.
+    oracle arithmetic of the field (`Scalars`).
     """
+    field = Scalars(field)
     n = len(vectors[0])
     for _ in range(64):
         coeffs = [rng.randint(-bound, bound) for _ in range(len(vectors))]

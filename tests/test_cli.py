@@ -568,6 +568,18 @@ def test_bound_denominator_vanishing_mod_prime_is_input_error(tmp_path, capsys):
     assert code == 0 and "rank M(F) = 1" in out
 
 
+def test_bound_with_an_all_zero_custom_map_exits_2(tmp_path, capsys):
+    # an all-zero map has rank 0 on every chart point, so its k is 0: no bound
+    path = tmp_path / "zero.json"
+    save_tensor(path, DenseTensor((8, 2, 4), [0] * 64))
+    tensor = tmp_path / "t.json"
+    save_tensor(tensor, DenseTensor.diagonal((2, 2, 2), 2))
+    code, out = run(["bound", "--tensor", str(tensor), "--method", f"custom:file={path}"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "method constant k is zero" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "bound"])
 def test_custom_map_denominator_vanishing_mod_prime_is_input_error(tmp_path, capsys, command):
     # the first flattening of 2x2x2 with one coefficient 1/P, under the prime P

@@ -21,6 +21,7 @@ from cactusbarrier.exactalg import (
 )
 from cactusbarrier.fields import QQ, PolyRing, PrimeField
 from oracles import (
+    Scalars,
     fraction_sample_combination,
     in_span,
     rank_mod_p,
@@ -36,8 +37,7 @@ def mat(field, rows):
 
 
 def identity(field, n):
-    return Matrix(field, [[field.one if i == j else field.zero for j in range(n)]
-                          for i in range(n)])
+    return Matrix(field, [[field.of(int(i == j)) for j in range(n)] for i in range(n)])
 
 
 def test_rank_identity():
@@ -138,9 +138,9 @@ def _sympy_rank(field, rows, ncols) -> int:
 
 
 @st.composite
-def _oracle_matrices(draw):
-    """(field, rows, ncols): small, often tall, and often rank-deficient."""
-    field = draw(st.sampled_from(_ORACLE_FIELDS))
+def _oracle_matrices(draw, fields=_ORACLE_FIELDS):
+    """(field, rows, ncols) over one of `fields`: small, often tall, and often rank-deficient."""
+    field = draw(st.sampled_from(fields))
     if field == QQ:
         entry = st.fractions(-3, 3, max_denominator=4)
     else:
@@ -152,15 +152,16 @@ def _oracle_matrices(draw):
                          min_size=free, max_size=free))
     while len(rows) < nrows:  # integer combinations of earlier rows
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
-        rows.append([field.of(sum(field.mul(field.of(c), r[j]) for c, r in zip(coeffs, rows)))
+        rows.append([field.of(sum(c * r[j] for c, r in zip(coeffs, rows)))
                      for j in range(ncols)])
     return field, draw(st.permutations(rows)), ncols
 
 
 def _dot(field, a, b):
-    acc = field.zero
+    f = Scalars(field)
+    acc = f.zero
     for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
+        acc = f.add(acc, f.mul(x, y))
     return acc
 
 
@@ -172,11 +173,12 @@ def test_nullspace_matches_sympy(case):
     assert len(basis) == ncols - _sympy_rank(field, rows, ncols)
     assert _sympy_rank(field, basis, ncols) == len(basis)
     for v in basis:
-        assert all(field.is_zero(_dot(field, row, v)) for row in rows)
+        assert all(not _dot(field, row, v) for row in rows)
 
 
+# spans are built over QQ only; the oracles below serve the span assertions
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_oracle_matrices(), st.data())
+@given(_oracle_matrices([QQ]), st.data())
 def test_in_span_oracle_matches_sympy(case, data):
     # the membership oracle that span assertions in other tests rest on
     field, rows, ncols = case
@@ -197,7 +199,7 @@ def test_in_span_oracle_matches_sympy(case, data):
         if x is not None:
             assert len(x) == len(basis)
             for j in range(ncols):
-                assert field.is_zero(field.sub(_dot(field, x, [b[j] for b in basis]), target[j]))
+                assert _dot(field, x, [b[j] for b in basis]) == target[j]
 
 
 def _types(vectors):
@@ -215,7 +217,7 @@ def test_nullspace_equals_the_rref_oracle(case):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_oracle_matrices(), st.data())
+@given(_oracle_matrices([QQ]), st.data())
 def test_same_span_oracle_matches_sympy(case, data):
     field, rows, ncols = case
     a = subspace_from_vectors(field, ncols, rows)
@@ -461,7 +463,7 @@ def test_first_relation_matches_the_kernel_of_the_first_dependent_prefix(case):
     assert len(rel) == len(rows)
     assert rel[i] and not any(rel[i + 1:])
     for j in range(ncols):
-        assert field.is_zero(field.of(sum(c * row[j] for c, row in zip(rel, rows))))
+        assert not field.of(sum(c * row[j] for c, row in zip(rel, rows)))
     prefix = [[field.of(x) for x in col] for col in zip(*rows[:i + 1])]
     kernel = rref_nullspace(field, prefix, i + 1)[0]
     if field == QQ:

@@ -3,7 +3,8 @@
 No linter runs on this repository, so these tests stand in for the unused
 import and dead code checks: they parse each module under src/cactusbarrier/
 (the package `__init__.py` re-exports names and is skipped). Each imported
-name must be among the names the module's code refers to, and each
+name must be among the names the module's code refers to, and so must each
+name a test file under tests/ imports. Each
 module-level function or class whose name starts with `_` must be referred
 to somewhere in the module outside its own definition. A public one must be
 referred to in the package outside its own definition, be named in bench/
@@ -23,6 +24,7 @@ import cactusbarrier
 PACKAGE = pathlib.Path(cactusbarrier.__file__).parent
 ROOT = PACKAGE.parents[1]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 
 # public names that no program code uses, each with the reason it stays
 KEPT_PUBLIC = {
@@ -63,7 +65,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -25,7 +25,6 @@ from cactusbarrier.rankmethods import (
     integer_image,
     koszul_flattening,
     koszul_method,
-    lower_bound,
     map_rank,
     parse_method,
 )
@@ -36,6 +35,7 @@ from oracles import (
     brute_flattening_matrix,
     brute_koszul_matrix,
     perm_sign,
+    rank_mod_p,
     vector_coeff_lookup,
 )
 
@@ -239,21 +239,19 @@ def test_check_k_consistency_detects_undershoot():
         check_k_consistency(lying, p333, 50, 3, rng)
 
 
+def _lower_bound(method, vec):
+    """ceil(rank M(F) / k), as `cactus-barrier bound` reports it."""
+    return -(-map_rank(method.map, vec) // method.k)
+
+
 def test_lower_bound_examples():
     p333 = parse_variety("segre:3x3x3")
     diag = DenseTensor.diagonal((3, 3, 3), 3)
-    assert lower_bound(flattening_method(p333, (0,)), diag.to_vector()) == 3
-    assert lower_bound(flattening_method(p333, (0,)), DenseTensor.zero((3, 3, 3)).to_vector()) == 0
+    assert _lower_bound(flattening_method(p333, (0,)), diag.to_vector()) == 3
+    assert _lower_bound(flattening_method(p333, (0,)),
+                        DenseTensor.zero((3, 3, 3)).to_vector()) == 0
     x = random_point(p333, 2, random.Random(43))
-    assert lower_bound(koszul_method(p333, 1), x) == 1
-
-
-def test_lower_bound_rejects_vacuous_method():
-    p333 = parse_variety("segre:3x3x3")
-    m = flattening_method(p333, (0,))
-    m.k = 0
-    with pytest.raises(ValueError):
-        lower_bound(m, DenseTensor.zero((3, 3, 3)).to_vector())
+    assert _lower_bound(koszul_method(p333, 1), x) == 1
 
 
 def test_flattening_subadditivity():
@@ -308,11 +306,14 @@ def test_custom_method_gets_empirical_label():
     assert "empirical" in m.k_source
 
 
-def test_evaluate_map_over_prime_field():
+def test_map_rank_over_prime_field():
     gf = PrimeField(2**31 - 1)
     t = DenseTensor.diagonal((3, 3, 3), 2)
     m = flattening((3, 3, 3), (0,))
-    assert rank(evaluate_map(m, t.to_vector(gf), gf)) == 2
+    assert map_rank(m, t.to_vector(), gf) == 2
+    # 7 * e0 x e0 x e0 + e1 x e1 x e1 has rank 2 over QQ and 1 mod 7
+    t.entries[0] = Fraction(7)
+    assert (map_rank(m, t.to_vector()), map_rank(m, t.to_vector(), PrimeField(7))) == (2, 1)
 
 
 def test_symmetric_form_embedding_consistency():
@@ -385,7 +386,8 @@ def test_integer_image_ranks_match_evaluate_map(m, data):
             with pytest.raises(ZeroDivisionError):
                 integer_image(m, f, p)
             continue
-        expected = rank(evaluate_map(m, [gf.of(x) for x in f], gf))
+        # M(F) over QQ, reduced entry by entry
+        expected = rank_mod_p([[gf.of(x) for x in row] for row in evaluate_map(m, f, QQ).rows], p)
         assert rank_of_rows(gf, integer_image(m, f, p)) == expected
         assert map_rank(m, f, gf) == expected
 

@@ -16,7 +16,7 @@ from cactusbarrier.exactalg import (
     nullspace,
     rank_of_rows,
 )
-from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing, PrimeField
+from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing
 from cactusbarrier.fileformats import piece_from_dict, piece_to_dict
 from cactusbarrier.schemes import (
     CurvilinearGerm,
@@ -71,14 +71,6 @@ def test_piece_protocol(piece):
     assert all(type(x) is int for v in ints for x in v)
     assert ints == rational.span_vectors(param, QQ)  # entry for entry
     assert ReducedPoint(piece.support) != FirstNeighborhood(piece.support)
-
-
-def test_first_neighborhoods_obey_the_characteristic_guard():
-    p = parse_variety("veronese:1,3")
-    nbhd = FiniteScheme((FirstNeighborhood((fr(1),)),))
-    with pytest.raises(ValueError, match="characteristic 3 too small"):
-        scheme_span(p, nbhd, PrimeField(3))
-    assert scheme_span(p, nbhd, PrimeField(101)).dim == 2
 
 
 def test_degrees():
@@ -327,26 +319,26 @@ def _outcome(fn):
         return ("ValueError", str(e))
 
 
-def _family_outcomes(param, pieces, ring):
-    fam = family_span(param, pieces, ring)
+def _family_outcomes(param, pieces):
+    fam = family_span(param, pieces)
     return (fam.basis, generic_rank(fam), limit_of_spans(fam).basis)
 
 
-def _basis_outcomes(n, basis, ring):
-    fam = SpanFamily(n, basis, ring)
+def _basis_outcomes(n, basis):
+    fam = SpanFamily(n, basis, RQ)
     return (generic_rank(fam), _outcome(lambda: limit_of_spans(fam).basis))
 
 
-def _sympy_generic_rank(ring, rows):
-    """Rank over QQ(t) or GF(q)(t), by sympy's DomainMatrix."""
-    from sympy import GF, Rational, symbols
+def _sympy_generic_rank(rows):
+    """Rank over QQ(t), by sympy's DomainMatrix."""
     from sympy import QQ as SQQ
+    from sympy import Rational, symbols
     from sympy.polys.matrices import DomainMatrix
 
     if not rows:
         return 0
     t = symbols("t")
-    dom = (SQQ if ring.base == QQ else GF(ring.base.p)).frac_field(t)
+    dom = SQQ.frac_field(t)
 
     def conv(e):
         return dom.from_sympy(sum(Rational(c.numerator, c.denominator) * t**i
@@ -375,13 +367,12 @@ def _specializations(fn):
 
 
 RQ = PolyRing(QQ)
-R101 = PolyRing(PrimeField(101))
 _polys = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
                   max_size=3).map(RQ.from_coeffs)
 
 
-def _pieces(dim_x, ring):
-    point = st.tuples(*[_polys.map(ring.from_coeffs)] * dim_x)
+def _pieces(dim_x):
+    point = st.tuples(*[_polys] * dim_x)
     return st.lists(st.one_of(
         point.map(ReducedPoint),
         point.map(FirstNeighborhood),
@@ -395,35 +386,33 @@ def _pieces(dim_x, ring):
 def test_family_span_matches_a_sympy_greedy_selection(data):
     spec = data.draw(st.sampled_from(["veronese:1,3", "veronese:2,2", "segre:2x2"]))
     param = parse_variety(spec)
-    ring = data.draw(st.sampled_from([RQ, R101]))
-    pieces = data.draw(_pieces(param.dim_X, ring))
+    pieces = data.draw(_pieces(param.dim_X))
     kept = []
-    for v in schemes._span_vectors(param, pieces, ring):
-        if _sympy_generic_rank(ring, kept + [v]) > len(kept):
+    for v in schemes._span_vectors(param, pieces, RQ):
+        if _sympy_generic_rank(kept + [v]) > len(kept):
             kept.append(v)
-    basis, rank, lim = _family_outcomes(param, pieces, ring)
+    basis, rank, lim = _family_outcomes(param, pieces)
     assert basis == kept
     assert rank == len(lim) == len(kept)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.integers(1, 4), ring=st.sampled_from([RQ, R101]), data=st.data())
-def test_poly_rank_matches_sympy(n, ring, data):
-    # some drawn vectors, then R[t]-combinations of them so that generic
+@given(n=st.integers(1, 4), data=st.data())
+def test_poly_rank_matches_sympy(n, data):
+    # some drawn vectors, then QQ[t]-combinations of them so that generic
     # dependence with cancellation occurs, in a drawn order
-    polys = _polys.map(ring.from_coeffs)
-    basis = data.draw(st.lists(st.lists(polys, min_size=n, max_size=n),
+    basis = data.draw(st.lists(st.lists(_polys, min_size=n, max_size=n),
                                min_size=1, max_size=3))
-    for mults in data.draw(st.lists(st.lists(polys, min_size=len(basis),
+    for mults in data.draw(st.lists(st.lists(_polys, min_size=len(basis),
                                              max_size=len(basis)), max_size=2)):
-        combo = [ring.zero] * n
+        combo = [RQ.zero] * n
         for g, v in zip(mults, basis):
-            combo = [ring.add(c, ring.mul(g, x)) for c, x in zip(combo, v)]
+            combo = [RQ.add(c, RQ.mul(g, x)) for c, x in zip(combo, v)]
         basis.append(combo)
     basis = data.draw(st.permutations(basis))
-    expected = _sympy_generic_rank(ring, basis)
-    assert rank_of_rows(ring, basis) == expected
-    rank, lim = _basis_outcomes(n, basis, ring)
+    expected = _sympy_generic_rank(basis)
+    assert rank_of_rows(RQ, basis) == expected
+    rank, lim = _basis_outcomes(n, basis)
     assert rank == expected
     if expected < len(basis):
         assert lim[0] == "ValueError"
@@ -437,23 +426,17 @@ def test_poly_rank_needs_all_d_plus_one_points():
     f = RQ.mul(RQ.from_coeffs([-1, 1]), RQ.from_coeffs([-2, 1]))
     g = RQ.mul(RQ.from_coeffs([-3, 1]), RQ.from_coeffs([-4, 1]))
     rows = [[f, RQ.zero], [RQ.zero, g]]
-    assert _sympy_generic_rank(RQ, rows) == 2
+    assert _sympy_generic_rank(rows) == 2
     assert rank_of_rows(RQ, rows) == 2
     assert generic_rank(SpanFamily(2, rows, RQ)) == 2
-    # over GF(5), t = 5 is t = 0, still a fifth distinct point; GF(3) has too few
-    R5 = PolyRing(PrimeField(5))
-    assert rank_of_rows(R5, [[R5.from_coeffs(e) for e in row] for row in rows]) == 2
-    R3 = PolyRing(PrimeField(3))
-    with pytest.raises(ValueError, match="points"):
-        rank_of_rows(R3, [[R3.from_coeffs([1, 0, 1]), R3.zero], [R3.zero, R3.one]])
 
 
 def test_generic_rank_on_dependence_hidden_from_leading_terms():
     # v3 = v1 - v2, but the t-leading coefficients of v1, v2, v3 are independent
     t1 = RQ.from_coeffs([1, 1])
     basis = [[t1, RQ.zero, RQ.one], [RQ.t(), RQ.one, RQ.zero], [RQ.one, RQ.of(-1), RQ.one]]
-    assert _sympy_generic_rank(RQ, basis) == 2
-    assert _basis_outcomes(3, basis, RQ) == (
+    assert _sympy_generic_rank(basis) == 2
+    assert _basis_outcomes(3, basis) == (
         2, ("ValueError", "family basis drops rank generically (non-flat presentation)"))
 
 
@@ -462,7 +445,7 @@ def test_independent_rows_need_one_specialization():
     sch = random_scheme(p, 4, mix="reduced", bound=2, rng=random.Random(30))
     pieces = perturbed_family(sch, random.Random(31), bound=2, tdeg=2)
     (kept, rank, lim), poly, points = _specializations(
-        lambda: _family_outcomes(p, pieces, RQ))
+        lambda: _family_outcomes(p, pieces))
     assert len(kept) == rank == len(lim) == 4
     # four kept vectors, generic_rank, and the flatness check of limit_of_spans
     assert poly == points == 6
@@ -485,7 +468,7 @@ def test_family_span_cost_on_generically_dependent_vectors():
         return real(rows)
 
     with mock.patch.object(exactalg, "_rank_int_bareiss", counting):
-        fam = family_span(p, pieces, RQ)
+        fam = family_span(p, pieces)
     assert len(fam.basis) == 2
     # one elimination for each independent vector, which reaches full rank at
     # t = 1; the dependent one takes all D + 1 = 3 * 1 + 1 points, each
@@ -497,28 +480,14 @@ def test_generic_rank_with_a_denominator_divisible_by_2_31_minus_1():
     v = parse_variety("veronese:1,1")
     small = RQ.from_coeffs([0, Fraction(1, DEFAULT_PRIME)])
     pieces = [ReducedPoint((RQ.zero,)), ReducedPoint((small,))]
-    kept, rank, lim = _family_outcomes(v, pieces, RQ)
+    kept, rank, lim = _family_outcomes(v, pieces)
     assert len(kept) == rank == len(lim) == 2
-    assert _sympy_generic_rank(RQ, kept) == 2
+    assert _sympy_generic_rank(kept) == 2
 
 
-def test_poly_rank_over_a_prime_field_base():
-    q = 101
-    R = PolyRing(PrimeField(q))
-    p = parse_variety("veronese:1,2")
-    pieces = [ReducedPoint((R.zero,)), ReducedPoint((R.t(),)),
-              ReducedPoint((R.from_coeffs([q - 3, 1]),)),
-              CurvilinearGerm(Germ((R.of(5),), ((R.t(),),)), 2)]
-    kept, rank, lim = _family_outcomes(p, pieces, R)
-    assert len(kept) == rank == len(lim) == 3
-    assert _sympy_generic_rank(R, kept) == 3
-    # D = 2 * 51 needs 103 points, more than GF(101) has; one row needs 52
-    big = R.from_coeffs([0] * 51 + [1])
-    with pytest.raises(ValueError, match="points"):
-        rank_of_rows(R, [[big, R.zero], [R.zero, R.one]])
-    assert rank_of_rows(R, [[big, R.zero]]) == 1
+def test_poly_rank_refuses_truncated_rings():
     # a truncated ring has zero divisors, so it has no generic rank
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="not a domain"):
         rank_of_rows(PolyRing(QQ, trunc=3), [[RQ.one]])
 
 
@@ -558,13 +527,12 @@ def test_integral_span_vectors_equal_the_fraction_path(case):
     out = scheme_span_vectors(param, s, QQ)
     assert _entries_equal(out, _fraction_path(param, s, QQ))
     assert all(type(x) is int for v in out for x in v)
-    gf = PrimeField(101)
-    assert scheme_span_vectors(param, s, gf) == _fraction_path(param, s, gf)
 
 
 @pytest.mark.parametrize("spec", CAMPAIGN_VARIETIES)
 def test_integral_spans_and_points_take_no_ring_product(spec, monkeypatch):
-    # the int path multiplies with int `*`: neither ZZ's nor ZZ[t]'s method is called
+    # the int path multiplies with int `*`: ZZ[t]'s method is not called, nor is
+    # a ZZ method (ZZ has none; one planted here would be refused)
     param = parse_variety(spec)
     schemes_by_kind = [random_scheme(param, 2 * (param.dim_X + 1), mix=mix, bound=3,
                                      rng=random.Random(mix)) for mix in ("reduced", "curv", "nbhd")]
@@ -575,7 +543,7 @@ def test_integral_spans_and_points_take_no_ring_product(spec, monkeypatch):
         raise AssertionError("a ring product on the int path")
 
     monkeypatch.setattr(PolyRing, "mul", refuse)
-    monkeypatch.setattr(IntegerRing, "mul", refuse)
+    monkeypatch.setattr(IntegerRing, "mul", refuse, raising=False)
     for s, vectors in zip(schemes_by_kind, want):
         assert scheme_span_vectors(param, s) == vectors
         assert all(type(x) is int for v in vectors for x in v)
@@ -607,7 +575,7 @@ def test_rational_span_vectors_equal_the_fraction_path(case, den, which):
 FAMILY_VARIETIES = CAMPAIGN_VARIETIES + ("veronese:1,3",)
 
 
-def _collision(param, k, den, rng, ring=RQ):
+def _collision(param, k, den, rng):
     """k points gamma(lam t), lam = 0..k-1, colliding into the length-k jet of gamma.
 
     gamma's coefficients have denominator `den`, so for den > 1 every point
@@ -618,7 +586,7 @@ def _collision(param, k, den, rng, ring=RQ):
     coeffs = [tuple(Fraction(rng.choice((-2, -1, 1, 2)), den) for _ in range(n))
               for _ in range(k)]
     pieces = [ReducedPoint(tuple(
-        ring.from_coeffs([base[j]] + [c[j] * lam ** (i + 1) for i, c in enumerate(coeffs)])
+        RQ.from_coeffs([base[j]] + [c[j] * lam ** (i + 1) for i, c in enumerate(coeffs)])
         for j in range(n))) for lam in range(k)]
     return pieces, FiniteScheme((CurvilinearGerm(Germ(base, tuple(coeffs[:k - 1])), k),))
 
@@ -688,7 +656,7 @@ def _limit_by_products(fam, clear=False):
             return at0, steps
         steps += 1
         combo = nullspace(Matrix(base, [list(col) for col in zip(*at0)]))[0]
-        if clear and not isinstance(base, PrimeField):
+        if clear:
             combo = clear_denominators(combo)
         target = max(i for i, c in enumerate(combo) if not base.is_zero(c))
         new = [ring.zero] * n
@@ -702,7 +670,7 @@ def _limit_by_products(fam, clear=False):
 def _membership_compare(param, fam, limit_scheme):
     """compare_limit as it was: the stated limit's span, then membership in the limit."""
     lim = limit_of_spans(fam)
-    span0 = scheme_span(param, limit_scheme, fam.ring.base)
+    span0 = scheme_span(param, limit_scheme)
     return LimitComparison(span0.dim, lim.dim,
                            all(in_span(lim.field, lim.basis, v) for v in span0.basis))
 
@@ -719,18 +687,16 @@ def _entries_are_ints(vectors):
     return all(type(x) is int for v in vectors for x in v)
 
 
-def _check_against_fraction_path(param, pieces, limit, ring=RQ):
-    run = lambda: family_span(param, pieces, ring)
+def _check_against_fraction_path(param, pieces, limit):
+    run = lambda: family_span(param, pieces)
     fam, old = run(), _fraction_family_path(run)
-    assert fam.ring == old.ring == ring
+    assert fam.ring == old.ring == RQ
     assert _entries_equal(fam.basis, old.basis)
     # kept vectors are a subsequence of the raw ones; tag each with its piece
-    raw = [(v, _integral(p)) for p in pieces for v in schemes._span_vectors(param, [p], ring)]
+    raw = [(v, _integral(p)) for p in pieces for v in schemes._span_vectors(param, [p], RQ)]
     tags = iter(raw)
     for v in fam.basis:
         integral = next(i for r, i in tags if r == v)
-        if isinstance(ring.base, PrimeField):
-            continue
         assert _is_int_poly_vector(v) == integral
         assert integral or all(type(c) is Fraction for e in v for c in e)
     assert generic_rank(fam) == generic_rank(old)
@@ -744,7 +710,7 @@ def _check_against_fraction_path(param, pieces, limit, ring=RQ):
     assert ncalls == calls + 1  # one relation per step, and one for the final rows
     assert lim.dim == len(fam.basis)
     assert _entries_equal(lim.basis, by_kernel) and _entries_equal(lim.basis, old_lim.basis)
-    assert same_span(ring.base, lim.basis, by_products)
+    assert same_span(QQ, lim.basis, by_products)
 
     # a stated limit that is not the family's, where the inclusion can fail
     other = random_scheme(param, 2, mix="reduced", bound=3, rng=random.Random(len(fam.basis)))
@@ -785,13 +751,3 @@ def test_integral_collisions_saturate_on_ints():
                            lambda field, rows: ranked.append(field) or real(field, rows)):
         limit_of_spans(fam)
     assert ranked == [RQ]
-
-
-def test_prime_field_families_keep_their_path():
-    gf = PrimeField(101)
-    ring = PolyRing(gf)
-    p = parse_variety("segre-veronese:(1,2)x(2,1)")
-    pieces, limit = _collision(p, 4, 1, random.Random(3), ring)
-    fam, calls = _check_against_fraction_path(p, pieces, limit, ring)
-    assert calls > 0
-    assert all(0 <= c < 101 for v in fam.basis for e in v for c in e)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactusbarrier.exactalg import rank, subspace_from_vectors
-from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing, PrimeField
+from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing
 from cactusbarrier.schemes import CurvilinearGerm
 from cactusbarrier.varieties import (
     Germ,
@@ -40,8 +40,8 @@ def _jets(param, germ, length):
                                [[QQ.of(x) for x in c] for c in germ.coeffs], length, QQ)
 
 
-def _span(param, vectors, field=QQ):
-    return subspace_from_vectors(field, param.dim_W, vectors)
+def _span(param, vectors):
+    return subspace_from_vectors(QQ, param.dim_W, vectors)
 
 
 def test_monomial_order_small_cases():
@@ -181,22 +181,6 @@ def test_veronese_cube_points_have_rank_one_catalecticant():
         assert rank(m) == 1
 
 
-def test_evaluate_over_prime_field():
-    gf = PrimeField(2**31 - 1)
-    p = parse_variety("veronese:1,2")
-    assert evaluate(p, (2,), gf) == [1, 2, 4]
-
-
-def test_characteristic_guard_refuses_small_primes():
-    p = parse_variety("veronese:1,3")
-    piece = CurvilinearGerm(Germ((Fraction(0),), ((Fraction(1),),)), 2)
-    with pytest.raises(ValueError):
-        piece.span_vectors(p, PrimeField(5))
-    # large prime is fine
-    gf = PrimeField(2**31 - 1)
-    assert _span(p, piece.map_coords(gf.of).span_vectors(p, gf), gf).dim == 2
-
-
 def test_jet_span_requires_immersed_germ():
     with pytest.raises(ValueError, match="nonzero first-order direction"):
         CurvilinearGerm(Germ((Fraction(0),), ((Fraction(0),),)), 2).validate()
@@ -208,8 +192,8 @@ CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,
                       "segre-veronese:(1,2)x(2,1)")
 
 
-def _fraction_path(param, point, field):
-    return evaluate_in_ring(param, [field.of(x) for x in point], field)
+def _fraction_path(param, point):
+    return evaluate_in_ring(param, [QQ.of(x) for x in point], QQ)
 
 
 # the ladder's widest rungs, next to the campaign varieties
@@ -221,23 +205,20 @@ LADDER_VARIETIES = ("segre:5x5x5", "veronese:5,3")
        bound=st.integers(0, 5), den=st.integers(1, 7))
 def test_evaluate_and_random_point_equal_the_fraction_path(spec, seed, bound, den):
     p = parse_variety(spec)
-    gf = PrimeField(101)
-    for field in (QQ, gf):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        v = random_point(p, bound, rng, field)
-        point = random_chart_point(p, bound, ref_rng)
-        assert all(type(x) is int for x in point)
-        ref = _fraction_path(p, point, field)
-        assert len(v) == len(ref) and all(x == y for x, y in zip(v, ref))
-        assert rng.getstate() == ref_rng.getstate()
-        if field == QQ:
-            assert all(type(x) is int for x in v)
-            assert v == brute_jet_vectors(p, Germ(point), 1)[0]
-        scaled = [Fraction(x, den) for x in point]
-        w = evaluate(p, scaled, field)
-        assert w == _fraction_path(p, scaled, field)
-        if field == QQ and den > 1 and any(x.denominator > 1 for x in scaled):
-            assert all(type(x) is Fraction for x in w)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    v = random_point(p, bound, rng)
+    point = random_chart_point(p, bound, ref_rng)
+    assert all(type(x) is int for x in point)
+    ref = _fraction_path(p, point)
+    assert len(v) == len(ref) and all(x == y for x, y in zip(v, ref))
+    assert rng.getstate() == ref_rng.getstate()
+    assert all(type(x) is int for x in v)
+    assert v == brute_jet_vectors(p, Germ(point), 1)[0]
+    scaled = [Fraction(x, den) for x in point]
+    w = evaluate(p, scaled)
+    assert w == _fraction_path(p, scaled)
+    if den > 1 and any(x.denominator > 1 for x in scaled):
+        assert all(type(x) is Fraction for x in w)
 
 
 # -- product-rule tangent frames ----------------------------------------------
@@ -266,8 +247,8 @@ def _brute_frame(param, point):
 def test_tangent_vectors_equal_the_jet_oracle_along_each_axis(spec):
     p = parse_variety(spec)
     rng = random.Random(spec)
-    gf, zt = PrimeField(101), PolyRing(ZZ)
-    for ring in (ZZ, QQ, gf, zt):
+    zt = PolyRing(ZZ)
+    for ring in (ZZ, QQ, zt):
         if ring is zt:
             raw = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(p.dim_X)]
             coords = [zt.from_coeffs(c) for c in raw]
