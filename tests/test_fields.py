@@ -12,8 +12,6 @@ from cactusbarrier.fields import (
     chart_ring,
     is_probable_prime,
 )
-from cactusbarrier.schemes import FiniteScheme, ReducedPoint, scheme_span_vectors
-from cactusbarrier.varieties import parse_variety
 
 from oracles import SchoolbookPolyRing
 
@@ -55,18 +53,12 @@ def test_chart_ring_picks_integers_only_for_integral_rationals():
     assert chart_ring(QQ, ["3"]) is QQ  # parsed by the field, as before
 
 
-def test_prime_fields_refuse_polynomial_rings_and_charts():
-    # GF(p) only screens ranks: no polynomial ring over it, no chart evaluation
+def test_polyring_over_prime_field():
+    # GF(p) only screens ranks: there is no polynomial ring over it
     gf = PrimeField(101)
     for trunc in (None, 4):
         with pytest.raises(TypeError, match=r"no polynomial ring over GF\(101\)"):
             PolyRing(gf, trunc)
-    with pytest.raises(TypeError, match=r"no chart evaluation over GF\(101\)"):
-        chart_ring(gf, [Fraction(3), 4])
-    p = parse_variety("veronese:1,2")
-    with pytest.raises(TypeError, match=r"no chart evaluation over GF\(101\)"):
-        scheme_span_vectors(p, FiniteScheme((ReducedPoint((2,)),)), gf)
-    assert scheme_span_vectors(p, FiniteScheme((ReducedPoint((2,)),))) == [[1, 2, 4]]
 
 
 def test_jets_over_integers_match_rationals():

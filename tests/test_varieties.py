@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactusbarrier.exactalg import rank, subspace_from_vectors
-from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing
-from cactusbarrier.schemes import CurvilinearGerm
+from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing, PrimeField, chart_ring
+from cactusbarrier.schemes import CurvilinearGerm, FiniteScheme, ReducedPoint, scheme_span_vectors
 from cactusbarrier.varieties import (
     Germ,
     VarietySpecError,
@@ -70,6 +70,17 @@ def test_evaluate_segre_origin():
 def test_evaluate_veronese_points():
     assert evaluate(parse_variety("veronese:1,3"), (1,)) == qvec(1, 1, 1, 1)
     assert evaluate(parse_variety("veronese:1,2"), (2,)) == qvec(1, 2, 4)
+
+
+def test_evaluate_over_prime_field():
+    # GF(p) only screens ranks: chart points are evaluated over ZZ or QQ only
+    gf = PrimeField(101)
+    with pytest.raises(TypeError, match=r"no chart evaluation over GF\(101\)"):
+        chart_ring(gf, [Fraction(3), 4])
+    p = parse_variety("veronese:1,2")
+    with pytest.raises(TypeError, match=r"no chart evaluation over GF\(101\)"):
+        scheme_span_vectors(p, FiniteScheme((ReducedPoint((2,)),)), gf)
+    assert scheme_span_vectors(p, FiniteScheme((ReducedPoint((2,)),))) == [[1, 2, 4]]
 
 
 def test_evaluate_rejects_wrong_length():
