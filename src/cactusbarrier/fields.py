@@ -6,9 +6,9 @@ keeps the five methods that `exactalg.subspace_from_vectors` and
 `rankmethods.evaluate_map` call. `ZZ` marks integral chart data: chart
 evaluation and jets need only sums and products, so `chart_ring` runs them
 on ints when the target is QQ and every coordinate is integral, and on
-ZZ[t] when the target is an untruncated QQ[t] and every coefficient is
-integral; an int equals the Fraction it stands for. `PolyRing` over a
-nested `PolyRing` calls the base ring's `add` and `mul`.
+ZZ[t] (one shared instance) when the target is an untruncated QQ[t] and
+every coefficient is integral; an int equals the Fraction it stands for.
+`PolyRing` over a nested `PolyRing` calls the base ring's `add` and `mul`.
 
 `PrimeField` is a modulus, not a ring: the rank screen reduces integer rows
 mod p (see `exactalg`), and `PrimeField.of` tells whether a rational has an
@@ -151,7 +151,7 @@ def chart_ring(field, coords):
         raise TypeError(f"no chart evaluation over {field!r}; GF(p) only screens ranks")
     if isinstance(field, PolyRing):
         if field.trunc is None and chart_ring(field.base, [c for x in coords for c in x]) is ZZ:
-            return PolyRing(ZZ)
+            return _ZZ_T
         return field
     if isinstance(field, RationalField) and all(
         getattr(x, "denominator", None) == 1 for x in coords
@@ -263,3 +263,7 @@ class PolyRing:
 
     def __repr__(self):
         return self.name
+
+
+# the one ZZ[t] that `chart_ring` returns for integral family pieces
+_ZZ_T = PolyRing(ZZ)

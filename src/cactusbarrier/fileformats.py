@@ -2,6 +2,9 @@
 
 Rationals are serialized as strings like "3/4" so nothing is ever squeezed
 through a float. Every writer output re-parses to an identical object.
+Dense tensor entries are read in one flat pass (the nesting checked level
+by level, each distinct entry parsed once), and integer fields refuse bools
+and non-integral numbers instead of truncating them.
 """
 
 from __future__ import annotations
@@ -60,9 +63,12 @@ def _get(doc, key: str, kind: type = object):
 
 
 def _int(x) -> int:
+    """An integer-valued JSON number or integer string; a bool or a non-integral value raises."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise FileFormatError(f"not an integer: {x!r}")
     try:
         return int(x)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise FileFormatError(f"not an integer: {x!r}") from None
 
 
@@ -86,14 +92,27 @@ def _read_json(path):
             raise FileFormatError(f"{path}: invalid JSON: {e}") from None
 
 
-def _nested_entries(shape, entries, path=()):
-    if not shape:
-        yield path, entries
-        return
-    if not isinstance(entries, list) or len(entries) != shape[0]:
-        raise FileFormatError(f"dense entries at {path} do not match shape {shape}")
-    for i, sub in enumerate(entries):
-        yield from _nested_entries(shape[1:], sub, path + (i,))
+def _dense_entries(shape: tuple, entries) -> list:
+    """The nested dense entries as one row-major list of rationals.
+
+    The nesting is checked against `shape` one level at a time, and each
+    distinct leaf is parsed once: the memo is keyed by (type, value), so
+    `true` and `1.0` are not taken for a `1` seen before them.
+    """
+    level = [entries]
+    for depth, d in enumerate(shape):
+        for k, sub in enumerate(level):
+            if not isinstance(sub, list) or len(sub) != d:
+                path = tuple(k // math.prod(shape[i + 1:depth]) % shape[i] for i in range(depth))
+                raise FileFormatError(f"dense entries at {path} do not match shape {shape}")
+        level = [x for sub in level for x in sub]
+    memo: dict = {}
+    for x in level:
+        if isinstance(x, (list, dict)):  # unhashable, and never a rational
+            raise FileFormatError(f"not a rational: {x!r}")
+        if (type(x), x) not in memo:
+            memo[type(x), x] = parse_rational(x)
+    return [memo[type(x), x] for x in level]
 
 
 def tensor_from_dict(doc: dict):
@@ -102,14 +121,12 @@ def tensor_from_dict(doc: dict):
     kind = doc.get("kind")
     if kind in ("dense", "sparse"):
         shape = tuple(_int(d) for d in _get(doc, "shape", list))
+        if kind == "dense":
+            return DenseTensor(shape, _dense_entries(shape, _get(doc, "entries")))
         flat = [Fraction(0)] * math.prod(shape)
         strides = [1] * len(shape)
         for i in range(len(shape) - 2, -1, -1):
             strides[i] = strides[i + 1] * shape[i + 1]
-        if kind == "dense":
-            for path, val in _nested_entries(shape, _get(doc, "entries")):
-                flat[sum(i * s for i, s in zip(path, strides))] = parse_rational(val)
-            return DenseTensor(shape, flat)
         for item in _get(doc, "entries", list):
             idx = tuple(_int(i) for i in _get(item, "idx", list))
             if len(idx) != len(shape) or any(i < 0 or i >= d for i, d in zip(idx, shape)):

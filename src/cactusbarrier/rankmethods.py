@@ -12,10 +12,14 @@ every map has integer (or, for a custom map, rational) coefficients.
 
 Ranks of M(F) are taken on integer rows: `integer_image` evaluates
 M(lambda * mu * F) over Z, with lambda clearing the denominators of F and mu
-those of the map's coefficients (computed once per map). Those rows give the
-rational rank and, reduced mod p, the prime-field screen's rank (`map_rank`
-under a `PrimeField`). `evaluate_map` keeps building M(F) over QQ for callers
-that need Fraction entries, such as factor subspaces.
+those of the map's coefficients (computed once per map). When every cell
+of the map has at most one term, as in every builtin map, the rows are
+gathered from the distinct terms c * F[w] through a table cached on the
+map (`LinearMatrixMap.gather`); otherwise they are summed cell by cell.
+Those rows give the rational rank and, reduced mod p, the prime-field
+screen's rank (`map_rank` under a `PrimeField`). `evaluate_map` keeps
+building M(F) over QQ for callers that need Fraction entries, such as
+factor subspaces.
 """
 
 from __future__ import annotations
@@ -66,6 +70,24 @@ class LinearMatrixMap:
         return mu, {w: [(i, j, c.numerator * (mu // c.denominator)) for i, j, c in cs]
                     for w, cs in self.cells.items()}
 
+    @cached_property
+    def gather(self) -> tuple[list, list] | None:
+        """(terms, rows) locating each cell's one term of `integer_cells`, or None.
+
+        ``terms`` lists the distinct (w, c) pairs, and ``rows[i][j]`` is the
+        index in ``terms`` of the term of cell (i, j), or ``len(terms)`` for a
+        cell with none. None when some cell has more than one term.
+        """
+        terms: dict = {}
+        rows = [[None] * self.b for _ in range(self.a)]
+        for w, cs in self.integer_cells[1].items():
+            for i, j, c in cs:
+                if rows[i][j] is not None:
+                    return None
+                rows[i][j] = terms.setdefault((w, c), len(terms))
+        empty = len(terms)
+        return list(terms), [[empty if k is None else k for k in row] for row in rows]
+
 
 def integer_image(m: LinearMatrixMap, vec: list, prime: int | None = None) -> list[list[int]]:
     """Rows of M(lambda * mu * F) as ints, for a W-vector F of rationals or ints.
@@ -81,6 +103,11 @@ def integer_image(m: LinearMatrixMap, vec: list, prime: int | None = None) -> li
     if prime is not None and mu % prime == 0:
         raise ZeroDivisionError(f"a coefficient denominator of {m.spec} vanishes mod {prime}")
     f = clear_denominators(vec, prime)
+    if m.gather is not None:
+        terms, rows = m.gather
+        values = [c * f[w] for w, c in terms]
+        values.append(0)
+        return [[values[k] for k in row] for row in rows]
     out = [[0] * m.b for _ in range(m.a)]
     for w, cs in cells.items():
         fw = f[w]

@@ -11,9 +11,10 @@ chart coordinates are all integral are computed over ZZ, and those of a
 family piece whose coordinates are polynomials with integral coefficients
 over ZZ[t] (see `fields.chart_ring`; schemes and families share one
 per-piece loop): points, jets and tangent frames are sums of products of
-coordinates, so the ints equal the rational vectors entry by entry. Pieces
-with rational coordinates keep Fractions. The dimension of the stated
-limit's span and its inclusion in the limit of the spans are two ranks
+coordinates, so the ints equal the rational vectors entry by entry. A
+scheme piece whose coordinates are already ints is evaluated as it is.
+Pieces with rational coordinates keep Fractions. The dimension of the
+stated limit's span and its inclusion in the limit of the spans are two ranks
 (`rank_of_rows`, on integer rows over QQ), and each t-saturation step takes
 a primitive integer relation from one fraction-free elimination
 (`first_relation`), so Fractions remain only for rational coordinates.
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import Subspace, first_relation, rank_of_rows, subspace_from_vectors
-from .fields import QQ, PolyRing, chart_ring
+from .fields import QQ, ZZ, PolyRing, chart_ring
 from .varieties import (
     Germ,
     VarietyParam,
@@ -182,9 +183,13 @@ def _span_vectors(param: VarietyParam, pieces, field) -> list[list]:
     """Spanning vectors of the pieces over `field`, each piece in its `chart_ring`.
 
     `field` is a field for a scheme and a polynomial ring in t for a family.
+    Over QQ, a piece whose coordinates are ints is evaluated over ZZ as it is.
     """
     out = []
     for p in pieces:
+        if field is QQ and all(type(x) is int for x in p.coords):
+            out.extend(p.span_vectors(param, ZZ))
+            continue
         ring = chart_ring(field, p.coords)
         coerce = ring.from_coeffs if isinstance(ring, PolyRing) else ring.of
         out.extend(p.map_coords(coerce).span_vectors(param, ring))

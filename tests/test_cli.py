@@ -333,6 +333,22 @@ def test_germ_coefficient_row_of_the_wrong_length_is_input_error(tmp_path, capsy
         f"but the base has length {lengths[1]}\n")
 
 
+def test_non_integral_germ_length_is_input_error(tmp_path, capsys):
+    # int() read 2.9 as 2, so this file used to run as a length-2 germ and exit 0
+    path = tmp_path / "scheme.json"
+    piece = dict(_germ(["0", "0", "0"], ["1", "0", "0"]), length=2.9)
+    path.write_text(json.dumps({"pieces": [piece]}))
+    code, out = run(["verify", "--variety", "segre:2x2x2", "--method", "koszul:p=1",
+                     "--trials", "1", "--scheme", str(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: not an integer: 2.9\n"
+    piece["length"] = 2
+    path.write_text(json.dumps({"pieces": [piece]}))
+    code, _ = run(["verify", "--variety", "segre:2x2x2", "--method", "koszul:p=1",
+                   "--trials", "1", "--scheme", str(path)])
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv, doc, support", [
     (["limit", "--family"],
      _family_doc("schemes", [{"type": "reduced", "point": [["0", "1"]]}] * 2, _TWO_POINTS),

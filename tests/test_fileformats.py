@@ -7,6 +7,9 @@ asks for a large tensor. `parse_rational` is checked against `Fraction(s)`.
 """
 
 import copy
+import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,10 +19,13 @@ from hypothesis import strategies as st
 from cactusbarrier.fileformats import (
     FileFormatError,
     family_from_dict,
+    load_tensor,
     parse_rational,
+    save_tensor,
     scheme_from_dict,
     tensor_from_dict,
 )
+from cactusbarrier.rankmethods import DenseTensor
 
 PARSERS = (tensor_from_dict, scheme_from_dict, family_from_dict)
 
@@ -148,3 +154,94 @@ def test_parse_rational_matches_fraction(s):
                                "-007", "+" + "9" * 40])
 def test_parse_rational_cases(s):
     assert _outcome(s) == _fraction_outcome(s)
+
+
+# -- integer fields ------------------------------------------------------------
+
+# (parser, valid document, path to one of its integer fields)
+_INT_FIELDS = [
+    (tensor_from_dict, VALID[0][1], ("shape", 1)),
+    (tensor_from_dict, VALID[1][1], ("entries", 0, "idx", 0)),
+    (tensor_from_dict, VALID[2][1], ("vars",)),
+    (tensor_from_dict, VALID[2][1], ("degree",)),
+    (tensor_from_dict, VALID[2][1], ("terms", 1, "monomial", 1)),
+    (scheme_from_dict, _SCHEME, ("pieces", 1, "length")),
+]
+
+
+def _with(doc, path, value):
+    doc = copy.deepcopy(doc)
+    slot = doc
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 1.9, -0.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("parse, doc, path", _INT_FIELDS,
+                         ids=["shape", "idx", "vars", "degree", "monomial", "length"])
+def test_integer_fields_refuse_bools_and_non_integral_values(parse, doc, path, bad):
+    # int() used to truncate these: 2.5 read as 2, true as 1
+    with pytest.raises(FileFormatError, match=re.escape(f"not an integer: {bad!r}")):
+        parse(json.loads(json.dumps(_with(doc, path, bad))))
+
+
+@pytest.mark.parametrize("parse, doc, path", _INT_FIELDS,
+                         ids=["shape", "idx", "vars", "degree", "monomial", "length"])
+def test_integer_fields_take_integral_numbers_and_integer_strings(parse, doc, path):
+    slot = doc
+    for key in path:
+        slot = slot[key]
+    want = parse(doc)
+    for same in (float(slot), str(slot)):
+        assert parse(_with(doc, path, same)) == want
+
+
+# -- dense tensors, parsed in one flat pass -------------------------------------
+
+def _dense(shape, entries) -> dict:
+    return {"format": "tensorfile/1", "kind": "dense", "shape": shape, "entries": entries}
+
+
+_CUBE = [[["1", "0"], ["2", "-1/2"]], [["0", "3"], [4, "5/7"]]]
+
+
+@pytest.mark.parametrize("entries, where", [
+    (_CUBE[:1], ()),
+    ("1", ()),
+    ([_CUBE[0], _CUBE[1][:1]], (1,)),
+    ([_CUBE[0], ["3", "4"]], (1, 0)),
+    ([_CUBE[0], [_CUBE[1][0], ["4"]]], (1, 1)),
+    ([[["1"], ["2", "-1/2"]], _CUBE[1]], (0, 0)),
+    ([_CUBE[0], [_CUBE[1][0], ["4", "5", "6"]]], (1, 1)),
+], ids=["depth0_short", "depth0_scalar", "depth1_short", "depth2_scalars", "depth2_short",
+        "depth2_first", "depth2_long"])
+def test_dense_shape_mismatch_says_where(entries, where):
+    assert tensor_from_dict(_dense([2, 2, 2], _CUBE)).entries[-1] == Fraction(5, 7)
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"dense entries at {where} do not match shape (2, 2, 2)")):
+        tensor_from_dict(_dense([2, 2, 2], entries))
+
+
+@pytest.mark.parametrize("seen, bad", [(1, True), (1, 1.0), (1, None), (1, [1]), (1, {"v": 1}),
+                                       (0, False), (0, 0.0)])
+def test_dense_leaf_that_is_no_rational_raises_after_an_equal_int(seen, bad):
+    # the parse memo is keyed by (type, value): JSON true equals 1 as a Python value
+    doc = json.loads(json.dumps(_dense([2, 2], [[seen, "2"], [seen, bad]])))
+    with pytest.raises(FileFormatError, match="not a rational"):
+        tensor_from_dict(doc)
+
+
+def test_dense_tensor_save_load_round_trip_is_exact(tmp_path):
+    rng = random.Random(20260810)
+    entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3 * 4 * 2)]
+    t = DenseTensor((3, 4, 2), entries)
+    path = tmp_path / "t.json"
+    save_tensor(path, t)
+    back = load_tensor(path)
+    assert back == t
+    assert all(type(x) is Fraction for x in back.entries)
+    text = path.read_text(encoding="utf-8")
+    save_tensor(path, back)
+    assert path.read_text(encoding="utf-8") == text

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactusbarrier.exactalg import DEFAULT_PRIME, rank, rank_of_rows
+from cactusbarrier.exactalg import DEFAULT_PRIME, common_denominator, rank, rank_of_rows
 from cactusbarrier.fields import QQ, PrimeField
+from cactusbarrier.fileformats import custom_map_from_tensor
 from cactusbarrier.rankmethods import (
     DenseTensor,
     LinearMatrixMap,
@@ -403,3 +404,47 @@ def test_integer_image_scales_by_both_denominators():
             integer_image(m, [Fraction(1, 5), Fraction(1, 5)], p)
     with pytest.raises(ValueError, match="W-dimension"):
         integer_image(m, [Fraction(1)])
+
+
+# -- integer_image against evaluate_map, cleared by lambda * mu ---------------
+
+# the campaign's five varieties and the ladder's rungs
+_GATHER_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,3",
+                     "segre-veronese:(1,2)x(2,1)", "segre:4x4x4", "segre:5x5x5",
+                     "veronese:4,3", "veronese:5,3")
+_GATHER_MAPS = [meth.map for spec in _GATHER_VARIETIES
+                for meth in builtin_methods(parse_variety(spec), koszul_ps=(1, 2))]
+
+
+def _cleared_evaluate_map(m, f):
+    """M(lambda * mu * F) from the QQ `evaluate_map`, lambda and mu the two denominators."""
+    lam = common_denominator(f)
+    mu = common_denominator([c for cs in m.cells.values() for _, _, c in cs])
+    return [[int(x * lam * mu) for x in row] for row in evaluate_map(m, f, QQ).rows]
+
+
+def _multi_term_custom_map():
+    """A (3, 2, 2) coefficient tensor: cell (0, 1) has the three terms 1, -1/2 and 3."""
+    entries = [0, 1, 0, "2/3",
+               0, "-1/2", 5, 0,
+               4, 3, 0, 0]
+    return custom_map_from_tensor(DenseTensor((3, 2, 2), entries), "multi.json")
+
+
+def test_every_builtin_map_gathers_and_a_multi_term_cell_does_not():
+    assert all(m.gather is not None for m in _GATHER_MAPS)
+    assert {m.spec.split(":")[0] for m in _GATHER_MAPS} == {"flattening", "catalecticant", "koszul"}
+    m = _multi_term_custom_map()
+    assert m.gather is None
+    assert m.integer_cells[0] == 6
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_GATHER_MAPS + [_multi_term_custom_map()]), st.data())
+def test_integer_image_equals_the_cleared_evaluate_map(m, data):
+    # builtin maps take the gather table, the custom map the cell loop
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(-4, 4, max_denominator=10))
+    f = data.draw(st.lists(entry, min_size=m.w, max_size=m.w))
+    rows = integer_image(m, f)
+    assert all(type(x) is int for row in rows for x in row)
+    assert rows == _cleared_evaluate_map(m, f)

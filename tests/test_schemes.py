@@ -550,6 +550,59 @@ def test_integral_spans_and_points_take_no_ring_product(spec, monkeypatch):
     assert random_point(param, 5, random.Random(spec)) == point
 
 
+def _schemes_of_each_piece_type(param):
+    """One random scheme of reduced points, one of germs, one of first neighborhoods."""
+    return [random_scheme(param, 2 * (param.dim_X + 1), mix=mix, bound=3, rng=random.Random(mix))
+            for mix in ("reduced", "curv", "nbhd")]
+
+
+def _map_scheme(fn, scheme):
+    return FiniteScheme(tuple(p.map_coords(fn) for p in scheme.pieces))
+
+
+@pytest.mark.parametrize("spec", ["segre:3x3x3", "veronese:3,3"])
+def test_int_and_integral_fraction_coordinates_give_the_same_int_vectors(spec):
+    param = parse_variety(spec)
+    for s in _schemes_of_each_piece_type(param):
+        assert all(type(x) is int for p in s.pieces for x in p.coords)
+        ints = scheme_span_vectors(param, s)
+        assert all(type(x) is int for v in ints for x in v)
+        from_fractions = scheme_span_vectors(param, _map_scheme(Fraction, s))
+        assert all(type(x) is int for v in from_fractions for x in v)
+        assert from_fractions == ints == _fraction_path(param, s, QQ)
+        # x + 1/2 is never integral, so every piece keeps Fractions
+        halves = _map_scheme(lambda x: x + Fraction(1, 2), s)
+        rational = scheme_span_vectors(param, halves)
+        assert all(type(x) is Fraction for v in rational for x in v)
+        assert rational == _fraction_path(param, halves, QQ)
+
+
+@pytest.mark.parametrize("spec", ["segre:3x3x3", "veronese:3,3"])
+def test_int_coordinates_do_not_pass_through_zz_of(spec, monkeypatch):
+    # integral Fractions are converted by ZZ.of once per coordinate, ints not at all;
+    # the product rule's own ZZ.of(e) for an exponent e > 1 is the same in both runs
+    param = parse_variety(spec)
+    calls = []
+    real_of = IntegerRing.of
+
+    def counting_of(self, x):
+        calls.append(x)
+        return real_of(self, x)
+
+    monkeypatch.setattr(IntegerRing, "of", counting_of)
+
+    def count(scheme):
+        calls.clear()
+        scheme_span_vectors(param, scheme)
+        return len(calls)
+
+    for s in _schemes_of_each_piece_type(param):
+        ncoords = sum(len(p.coords) for p in s.pieces)
+        assert count(_map_scheme(Fraction, s)) == count(s) + ncoords
+        if spec.startswith("segre"):  # every exponent is 1
+            assert count(s) == 0
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=_random_schemes(), den=st.integers(2, 7), which=st.integers(0, 7))
 def test_rational_span_vectors_equal_the_fraction_path(case, den, which):
