@@ -138,7 +138,10 @@ def minimal_factor_subspace(m: LinearMatrixMap, u: Subspace) -> Subspace:
 
     Concretely the span of all rows of M(x) over a basis of u; when u is the
     span of a degree-r scheme and the method constant is k, its dimension is
-    at most k * r.
+    at most k * r. The rows come lazily, basis vector by basis vector, and
+    `subspace_from_vectors` stops once B' is all b columns, which no further
+    row can enlarge: M(x) is not built for the basis vectors after that, and
+    their rows are neither reduced nor length-checked.
     """
     if u.ambient_dim != m.w:
         raise ValueError(f"subspace lives in dimension {u.ambient_dim}, map needs {m.w}")

@@ -25,7 +25,9 @@ jets run over `fields.ZZ`), and `clear_rows` copies rows of ints without a
 denominator pass. A barrier trial clears its span vectors once and stays on
 ints: `sample_combination` sums on the entries' own operators. Spans and
 factor subspaces (`subspace_from_vectors`) still run a reduced row echelon
-form on field elements, Fractions over QQ. Ranks over a polynomial ring
+form on field elements, Fractions over QQ; it stops reading vectors once the
+span is the whole ambient space, which no later vector can enlarge, so later
+vectors are neither reduced nor length-checked. Ranks over a polynomial ring
 (generic ranks of one-parameter families) are the largest of enough integer
 specializations of t, each ranked over the base.
 """
@@ -311,6 +313,10 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
     Each vector is reduced against a fully reduced pivot system (every row
     is zero at every other row's pivot, which is 1), so it lies in the span
     when it reduces to zero; otherwise its reduction joins the system.
+    Reading stops once the basis has `ambient_dim` vectors: a span equal to
+    its ambient space cannot grow, so the basis is the one a full read
+    gives. Vectors after that point are not read, so they are not
+    length-checked either, and a lazy `vectors` is not advanced past it.
     """
     f = field
     rows = []  # (pivot index, row with pivot normalized to 1)
@@ -336,6 +342,8 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
                 rows[k] = (p, [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)])
         rows.append((piv, v))
         basis.append(list(vec))
+        if len(basis) == ambient_dim:
+            break
     return Subspace(field, ambient_dim, basis)
 
 

@@ -203,8 +203,11 @@ def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
 def evaluate(param: VarietyParam, chart_point) -> list:
     """Affine-cone point of the chart map; its leading coordinate is always 1.
 
-    An integral chart point gives ints, which equal the rationals.
+    An integral chart point gives ints, which equal the rationals; a point of
+    ints is evaluated over ZZ as it is.
     """
+    if all(type(x) is int for x in chart_point):
+        return evaluate_in_ring(param, chart_point, ZZ)
     ring = chart_ring(QQ, chart_point)
     return evaluate_in_ring(param, [ring.of(x) for x in chart_point], ring)
 
@@ -262,12 +265,12 @@ def _partial_sources(factors: tuple) -> tuple:
 def tangent_vectors_in_ring(param: VarietyParam, coords: list, ring) -> list[list]:
     """Chart point together with all first partial derivative vectors, by the product rule."""
     point = evaluate_in_ring(param, coords, ring)
-    mul = operator.mul if ring is ZZ else ring.mul
+    scale = operator.mul if ring is ZZ else (lambda e, x: ring.mul(ring.of(e), x))
     out = [point]
     for sources in _partial_sources(param.factors):
         v = [ring.zero] * param.dim_W
         for entry, src, e in sources:
-            v[entry] = point[src] if e == 1 else mul(ring.of(e), point[src])
+            v[entry] = point[src] if e == 1 else scale(e, point[src])
         out.append(v)
     return out
 

@@ -46,7 +46,7 @@ from cactusbarrier.schemes import (
     scheme_span_vectors,
 )
 from cactusbarrier.varieties import Germ, parse_variety, random_point
-from oracles import fraction_sample_combination, in_span, reduced_echelon
+from oracles import ReducedEchelon, fraction_sample_combination, in_span, reduced_echelon
 
 
 def fr(x):
@@ -363,6 +363,40 @@ def _instances(draw):
         assume(len(set(scheme.supports())) == len(scheme.pieces))
     methods = builtin_methods(param)
     return param, scheme, methods[draw(st.integers(0, len(methods) - 1))]
+
+
+# B' is the whole column space for about half the campaign's instances, and
+# `subspace_from_vectors` stops reading rows there; the oracle reads them all.
+@pytest.mark.parametrize("spec", CAMPAIGN_VARIETIES)
+def test_minimal_factor_subspace_equals_the_rref_oracle_on_every_row(spec, monkeypatch):
+    param = parse_variety(spec)
+    rng = random.Random(56)
+    built = []
+
+    def counted(m, x, field=QQ):
+        built.append(x)
+        return evaluate_map(m, x, field)
+
+    monkeypatch.setattr(barrier, "evaluate_map", counted)
+    seen = set()
+    for _ in range(12):
+        u = scheme_span(param, random_scheme(param, rng.randint(1, 8), mix="mixed", bound=3,
+                                             rng=rng))
+        for method in builtin_methods(param):
+            m = method.map
+            ech, basis, dims = ReducedEchelon(QQ, m.b), [], []
+            for x in u.basis:
+                basis += [row for row in evaluate_map(m, x, QQ).rows if ech.add(row)]
+                dims.append(len(basis))
+            built.clear()
+            bprime = minimal_factor_subspace(m, u)
+            assert (bprime.dim, bprime.basis) == (len(basis), basis)
+            # M(x) is built up to the basis vector whose rows fill all b columns
+            filled = dims.index(m.b) + 1 if m.b in dims else len(u.basis)
+            assert built == u.basis[:filled]
+            seen.add("B' < b" if bprime.dim < m.b else
+                     "B' = b, stopped early" if filled < len(u.basis) else "B' = b")
+    assert seen >= {"B' < b", "B' = b, stopped early"}
 
 
 def _oracle_rank(field, rows, ncols):

@@ -242,10 +242,32 @@ def test_same_span_oracle_matches_sympy(case, data):
 
 
 def test_subspace_from_vectors_rejects_a_vector_of_the_wrong_length():
-    # after an independent vector, short and long, and as the first vector
-    for vectors in ([[1, 0, 0], [1]], [[1, 0, 0], [1, 0, 0, 0]], [[0]]):
+    # after an independent vector, short and long, and as the first vector;
+    # then read before the span is full: after a dependent vector, after two
+    # independent ones, and a long vector whose first entries would fill it
+    for vectors in ([[1, 0, 0], [1]], [[1, 0, 0], [1, 0, 0, 0]], [[0]],
+                    [[1, 0, 0], [2, 0, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [1]],
+                    [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]]):
         with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
             subspace_from_vectors(QQ, 3, vectors)
+
+
+def test_subspace_from_vectors_stops_reading_once_the_span_is_full():
+    # a span equal to its ambient space cannot grow: the vector that fills it
+    # is the last one read, and nothing after it is length-checked
+    def then_fail(vectors):
+        yield from vectors
+        raise AssertionError("read past the vector that fills the space")
+
+    for vectors, basis in (([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+                           ([[0, 0], [2, 4], [1, 2], [0, 3]], [[2, 4], [0, 3]]),
+                           ([[Fraction(1, 2), 1], [1, Fraction(1, 3)]],
+                            [[Fraction(1, 2), 1], [1, Fraction(1, 3)]])):
+        assert subspace_from_vectors(QQ, 2, then_fail(vectors)).basis == basis
+    full = subspace_from_vectors(QQ, 2, [[1, 1], [1, -1], [1], [0, 0, 0]])
+    assert full.basis == [[1, 1], [1, -1]]
+    with pytest.raises(AssertionError, match="read past"):  # a span short of full reads on
+        subspace_from_vectors(QQ, 2, then_fail([[1, 1], [2, 2]]))
 
 
 # -- integer rows: Bareiss against sympy, denominator clearing, sampling ------
