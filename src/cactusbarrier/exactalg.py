@@ -193,9 +193,12 @@ def rank_qq_and_mod_p(rows: list[list[int]], p: int) -> tuple[int, int]:
     r x r minor of the rows, r the rational rank. If p does not divide that
     minor, the rank mod p is at least r; it is never more than the rational
     rank, since a minor that is nonzero mod p is nonzero. So it is r, and
-    only when p divides the minor are the rows ranked again, mod p.
+    only when p divides the minor are the rows ranked again, mod p. When
+    rows outnumber columns the transpose is eliminated instead, on the side
+    with fewer rows: it has the same ranks, and its minors are the rows'.
     """
-    r, minor = _rank_int_bareiss([row[:] for row in rows])
+    tall = rows and len(rows) > len(rows[0])
+    r, minor = _rank_int_bareiss([list(c) for c in zip(*rows)] if tall else [row[:] for row in rows])
     if minor % p:
         return r, r
     return r, rank_of_rows(PrimeField(p), rows)

@@ -24,18 +24,20 @@ explicitly stated limit, and the code checks that the span of the stated limit
 sits inside the limit of the family's spans, which it computes exactly by
 t-saturation over the polynomial ring.
 
-Generic ranks over the polynomial ring (which vectors `family_span` keeps,
-and whether a family basis is flat) are the largest rank among the
-specializations t = 1, ..., D + 1, where D bounds the degree of every minor
-(see `exactalg.rank_of_rows`). Each specialization is ranked on integer rows
-over QQ, so no polynomial elimination runs.
+A family proves its independence once. Specializing never raises a rank,
+so `family_span` keeps every vector before the first one dependent at t = 1
+with no generic rank, and `limit_of_spans` checks flatness only when the
+constant terms are dependent. A generic rank, where one still runs, is the
+largest rank among the specializations t = 1, ..., D + 1, D a bound on the
+degree of every minor (see `exactalg.rank_of_rows`), each ranked on integer
+rows over QQ, so no polynomial elimination runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import Subspace, first_relation, rank_of_rows, subspace_from_vectors
+from .exactalg import Subspace, _echelon, first_relation, rank_of_rows, subspace_from_vectors
 from .fields import QQ, ZZ, PolyRing, chart_ring
 from .varieties import (
     Germ,
@@ -191,7 +193,10 @@ def _span_vectors(param: VarietyParam, pieces, field) -> list[list]:
             out.extend(p.span_vectors(param, ZZ))
             continue
         ring = chart_ring(field, p.coords)
-        coerce = ring.from_coeffs if isinstance(ring, PolyRing) else ring.of
+        if isinstance(ring, PolyRing):  # ZZ[t] takes the integral coefficients as they are
+            coerce = ring.from_coeffs if ring is field else lambda x: tuple(c.numerator for c in x)
+        else:
+            coerce = ring.of
         out.extend(p.map_coords(coerce).span_vectors(param, ring))
     return out
 
@@ -336,10 +341,12 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     elimination per step) divided by the largest possible power of t;
     repeat. The output dimension equals the generic rank of the family.
 
-    The basis must have full generic rank (see `generic_rank`), or
-    ValueError is raised. Over QQ[t] the relation is the primitive integer
-    one, a nonzero multiple of the rational kernel vector, so the steps and
-    the limit are the same, and int vectors stay ints.
+    The basis must have full generic rank, or ValueError is raised. Its
+    `generic_rank` runs only when the first constant terms are dependent:
+    independent ones prove it, and a dependent basis has dependent constant
+    terms. Over QQ[t] the relation is the primitive integer one, a nonzero
+    multiple of the rational kernel vector, so the steps and the limit are
+    the same, and int vectors stay ints.
     """
     ring = fam.ring
     base = ring.base
@@ -355,15 +362,14 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
         if shift:
             for j in range(fam.ambient_dim):
                 v[j] = ring.shift_down(v[j], shift)
-    if generic_rank(SpanFamily(fam.ambient_dim, vecs, ring)) != m:
-        raise ValueError("family basis drops rank generically (non-flat presentation)")
-
     max_steps = sum(max(ring.degree(e), 0) for v in vecs for e in v) + m + 8
-    for _ in range(max_steps):
+    for step in range(max_steps):
         at0 = [[e[0] if e else 0 for e in v] for v in vecs]  # constant terms
         combo = first_relation(base, at0)
         if combo is None:
             return Subspace(base, fam.ambient_dim, at0)
+        if not step and generic_rank(SpanFamily(fam.ambient_dim, vecs, ring)) != m:
+            raise ValueError("family basis drops rank generically (non-flat presentation)")
         target = max(i for i, c in enumerate(combo) if c)
         new = [ring.zero] * fam.ambient_dim
         for i, c in enumerate(combo):
@@ -383,14 +389,19 @@ def family_span(param: VarietyParam, pieces) -> SpanFamily:
     """SpanFamily over QQ[t] of a scheme family, keeping a generically independent subset.
 
     Raw spanning vectors are scanned in order, and each is kept when it is
-    generically independent of those kept before it: when appending it
-    raises the generic rank (`rank_of_rows` over the polynomial ring).
-    A piece whose coordinates have integral coefficients gives vectors of
-    int polynomials (see `fields.chart_ring`).
+    generically independent of those kept before it. Every vector before
+    the first one dependent at t = 1 (found by one echelon of the t = 1
+    values) is kept with no generic rank: specializing never raises a rank.
+    From that one on, a vector is kept when appending it raises the generic
+    rank (`rank_of_rows` over the polynomial ring). Integral pieces give
+    vectors of int polynomials (see `fields.chart_ring`).
     """
     ring = PolyRing(QQ)
-    kept: list = []
-    for v in _span_vectors(param, pieces, ring):
+    raw = _span_vectors(param, pieces, ring)
+    at1 = ([sum(e) for e in v] for v in raw)  # read up to the first row dependent at t = 1
+    first, _ = next(_echelon(QQ, at1, relations=False), (len(raw), None))
+    kept = raw[:first]
+    for v in raw[first:]:
         if rank_of_rows(ring, kept + [v]) > len(kept):
             kept.append(v)
     return SpanFamily(param.dim_W, kept, ring)

@@ -729,7 +729,12 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
                for r in reports)
     # some ranks stay below k*r: the rational rank is reported there too
     assert any(r["rank"] < r["bound"] for r in reports)
-    assert [rows for rows in eliminated if rows in images] == images
+    # each M(F) is eliminated once, on its side with fewer rows (koszul:p=1 on
+    # segre:4x4x4 is 24 x 16, so its transpose)
+    sides = [[list(c) for c in zip(*rows)] if len(rows) > len(rows[0]) else rows
+             for rows in images]
+    assert any(side != rows for side, rows in zip(sides, images))
+    assert [rows for rows in eliminated if rows in sides] == sides
     assert not [rows for rows in mod_p if rows in images]
     # the counter sees the fallback: the minor 7 vanishes mod 7
     seen = len(mod_p)

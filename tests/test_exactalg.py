@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cactusbarrier.exactalg as exactalg
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
     Matrix,
@@ -405,6 +407,40 @@ def test_rank_qq_and_mod_p_matches_sympy_and_elimination_mod_p(case, p):
     assert minor != 0
     if r == len(rows) == ncols:
         assert abs(minor) == abs(SMatrix(rows).det())
+
+
+@st.composite
+def _shaped_int_matrices(draw):
+    """Tall, wide or square int rows of a drawn rank: a product of an m x r and an r x n matrix."""
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    short = draw(st.integers(1, 6))
+    long = short if shape == "square" else short + draw(st.integers(1, 4))
+    m, n = (long, short) if shape == "tall" else (short, long)
+    r = draw(st.integers(0, min(m, n)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**4, 10**4))
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * n
+            for row in left]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_shaped_int_matrices(), st.sampled_from([2, 3, 5, 7, DEFAULT_PRIME]))
+def test_rank_qq_and_mod_p_eliminates_the_side_with_fewer_rows(rows, p):
+    # tall rows are eliminated as their transpose, wide and square ones as they are
+    m, n = len(rows), len(rows[0])
+    expected = (_sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], n),
+                rank_mod_p(rows, p))
+    seen = []
+    real = exactalg._rank_int_bareiss
+
+    def bareiss(a):
+        seen.append([row[:] for row in a])
+        return real(a)
+
+    with mock.patch.object(exactalg, "_rank_int_bareiss", bareiss):
+        assert rank_qq_and_mod_p(rows, p) == expected
+    assert seen[0] == ([list(c) for c in zip(*rows)] if m > n else rows)
 
 
 def test_first_relation_pins():

@@ -14,8 +14,11 @@ its reason. The README's library example runs as it stands.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -152,3 +155,16 @@ def test_the_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S)
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_multiprocessing():
+    # each is imported where it is used: hashlib (for sha256 seeds) loads
+    # OpenSSL's libcrypto, several MB of RSS, and multiprocessing only serves
+    # --jobs above 1, so a process that never derives a seed or forks pays for neither
+    code = ("import sys, cactusbarrier, cactusbarrier.cli; "
+            "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

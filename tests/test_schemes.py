@@ -1,3 +1,5 @@
+import io
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cactusbarrier.exactalg as exactalg
+from cactusbarrier import cli
 import cactusbarrier.schemes as schemes
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
@@ -349,9 +352,10 @@ def _sympy_generic_rank(rows):
 
 
 def _specializations(fn):
-    """fn's result, how many ranks over a polynomial ring it computed, and
-    how many specializations those ranks took."""
-    poly, base = [], []
+    """fn's result, how many ranks over a polynomial ring it computed, how
+    many specializations those ranks took, and how many t = 1 echelons
+    `family_span` ran."""
+    poly, base, echelons = [], [], []
     real = exactalg.rank_of_rows
 
     def counting(calls):
@@ -360,10 +364,15 @@ def _specializations(fn):
             return real(field, rows)
         return rank
 
+    def echelon(field, rows, relations=True):
+        echelons.append(field)
+        return exactalg._echelon(field, rows, relations)
+
     with mock.patch.object(schemes, "rank_of_rows", counting(poly)), \
-            mock.patch.object(exactalg, "rank_of_rows", counting(base)):
+            mock.patch.object(exactalg, "rank_of_rows", counting(base)), \
+            mock.patch.object(schemes, "_echelon", echelon):
         out = fn()
-    return out, sum(isinstance(f, PolyRing) for f in poly), len(base)
+    return out, sum(isinstance(f, PolyRing) for f in poly), len(base), len(echelons)
 
 
 RQ = PolyRing(QQ)
@@ -440,19 +449,37 @@ def test_generic_rank_on_dependence_hidden_from_leading_terms():
         2, ("ValueError", "family basis drops rank generically (non-flat presentation)"))
 
 
-def test_independent_rows_need_one_specialization():
+def _perturbed_reduced_family():
     p = parse_variety("segre:2x2x2")
     sch = random_scheme(p, 4, mix="reduced", bound=2, rng=random.Random(30))
-    pieces = perturbed_family(sch, random.Random(31), bound=2, tdeg=2)
-    (kept, rank, lim), poly, points = _specializations(
+    return p, perturbed_family(sch, random.Random(31), bound=2, tdeg=2)
+
+
+def test_independent_rows_need_one_specialization():
+    p, pieces = _perturbed_reduced_family()
+    (kept, rank, lim), poly, points, echelons = _specializations(
         lambda: _family_outcomes(p, pieces))
     assert len(kept) == rank == len(lim) == 4
-    # four kept vectors, generic_rank, and the flatness check of limit_of_spans
-    assert poly == points == 6
+    # family_span keeps all four on one t = 1 echelon; generic_rank takes one
+    # specialization; limit_of_spans, on independent constant terms, none
+    assert (poly, points, echelons) == (1, 1, 1)
     # dependent rows take every point: the second row is t times the first
     rows = [[RQ.one, RQ.t()], [RQ.t(), RQ.mul(RQ.t(), RQ.t())]]
-    rank, poly, points = _specializations(lambda: generic_rank(SpanFamily(2, rows, RQ)))
+    rank, poly, points, _ = _specializations(lambda: generic_rank(SpanFamily(2, rows, RQ)))
     assert (rank, poly, points) == (1, 1, 2 * 2 + 1)
+
+
+def test_limit_of_spans_ranks_generically_only_on_dependent_constant_terms():
+    # independent constant terms prove generic independence: no flatness rank
+    p, pieces = _perturbed_reduced_family()
+    fam = family_span(p, pieces)
+    lim, poly, points, _ = _specializations(lambda: limit_of_spans(fam))
+    assert (lim.dim, poly, points) == (4, 0, 0)
+    # two points colliding at (0, 0): dependent constant terms, one flatness rank
+    collide = SpanFamily(4, [[RQ.one, RQ.zero, RQ.zero, RQ.zero],
+                             [RQ.one, RQ.zero, RQ.t(), RQ.zero]], RQ)
+    lim, poly, points, _ = _specializations(lambda: limit_of_spans(collide))
+    assert (lim.basis, poly, points) == ([[1, 0, 0, 0], [0, 0, 1, 0]], 1, 1)
 
 
 def test_family_span_cost_on_generically_dependent_vectors():
@@ -461,19 +488,69 @@ def test_family_span_cost_on_generically_dependent_vectors():
     p = parse_variety("segre:2x2")
     pieces = [ReducedPoint((RQ.from_coeffs([0, i]), RQ.zero)) for i in range(3)]
     calls = []
-    real = exactalg._rank_int_bareiss
+    real, real_echelon = exactalg._rank_int_bareiss, exactalg._echelon
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    with mock.patch.object(exactalg, "_rank_int_bareiss", counting):
+    def echelon(field, rows, relations=True):
+        calls.append("t = 1")
+        return real_echelon(field, rows, relations)
+
+    with mock.patch.object(exactalg, "_rank_int_bareiss", counting), \
+            mock.patch.object(schemes, "_echelon", echelon):
         fam = family_span(p, pieces)
     assert len(fam.basis) == 2
-    # one elimination for each independent vector, which reaches full rank at
-    # t = 1; the dependent one takes all D + 1 = 3 * 1 + 1 points, each
+    # one t = 1 echelon keeps the two vectors before the first one dependent
+    # at t = 1; that one takes all D + 1 = 3 * 1 + 1 points, each
     # re-eliminating the kept rows with it
-    assert calls == [1, 2] + [3] * 4
+    assert calls == ["t = 1"] + [3] * 4
+
+
+def test_family_span_falls_back_to_the_generic_rank_after_t_1():
+    # reduced points (0, 0), (t - 1, 0), (2t, 0) on segre:2x2 give
+    # (1, 0, x, 0): the second is dependent at t = 1 but generically
+    # independent, so it is kept; the third is independent at t = 1 of the
+    # rows the echelon kept, but generically in the span of the first two.
+    # A mutant that keeps every vector independent at t = 1 keeps the third.
+    p = parse_variety("segre:2x2")
+    pieces = [ReducedPoint((RQ.from_coeffs(c), RQ.zero)) for c in ([], [-1, 1], [0, 2])]
+    raw = schemes._span_vectors(p, pieces, RQ)
+    oracle = []
+    for v in raw:
+        if _sympy_generic_rank(oracle + [v]) > len(oracle):
+            oracle.append(v)
+    assert family_span(p, pieces).basis == oracle == raw[:2]
+
+
+def test_a_cycling_dependent_basis_is_refused_as_non_flat(tmp_path, capsys):
+    """The rows 1 + t and 1 + 2t are dependent, and t-saturation on them
+    cycles (each step swaps in t, then a constant) until its step limit.
+
+    The flatness check runs only once the constant terms are dependent;
+    the mutant that drops it ends in RuntimeError and fails here, through
+    `limit_of_spans`, `compare_limit` and `cactus-barrier limit` alike.
+    """
+    msg = "family basis drops rank generically (non-flat presentation)"
+    with pytest.raises(ValueError) as err:
+        limit_of_spans(SpanFamily(1, [[RQ.from_coeffs([1, 1])], [RQ.from_coeffs([1, 2])]], RQ))
+    assert str(err.value) == msg
+    # the same rows padded into veronese:1,2, whose W has dimension 3
+    p = parse_variety("veronese:1,2")
+    padded = [[RQ.from_coeffs([1, c]), RQ.zero, RQ.zero] for c in (1, 2)]
+    limit = FiniteScheme((reduced(0), reduced(1)))
+    with pytest.raises(ValueError) as err:
+        compare_limit(p, SpanFamily(3, padded, RQ), limit)
+    assert str(err.value) == msg
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "format": "spanfamily/1", "variety": "veronese:1,2",
+        "family": {"kind": "basis", "basis": [[["1", c], ["0"], ["0"]] for c in ("1", "2")]},
+        "limit": {"pieces": [{"type": "reduced", "point": [x]} for x in ("0", "1")]},
+    }))
+    assert cli.main(["limit", "--family", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"error: {msg}\n"
 
 
 def test_generic_rank_with_a_denominator_divisible_by_2_31_minus_1():
