@@ -6,7 +6,9 @@ linear matrix map whose rank on chart points is at most k. Each instance
 clears the span vectors once, to integer rows, draws F on them and ranks
 M(F) once, by one fraction-free elimination over the integers, which gives
 the rational rank that every report states and, as `fp_rank`, the rank over
-a large prime field (the screen). So every report is confirmed over QQ,
+a large prime field (the screen). A Koszul flattening eliminates a Schur
+complement through an invertible slice of F instead, where it has one
+(`rankmethods.koszul_ranks`). So every report is confirmed over QQ,
 and a violation is a build-stopping bug, never a discovery, since only
 smooth varieties are in scope here.
 
@@ -29,7 +31,7 @@ from .exactalg import (
     subspace_from_vectors,
 )
 from .fields import QQ
-from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image
+from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image, koszul_ranks
 from .schemes import FiniteScheme, scheme_span, scheme_span_vectors
 from .varieties import VarietyParam, parse_variety
 
@@ -84,10 +86,11 @@ def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, de
     f / d for an integer combination f of the rows. `integer_image` gets
     lambda * F = f // gcd(d, f), lambda the least denominator of F (a prime
     dividing lambda raises ZeroDivisionError, as `common_denominator` does).
-    The rows of M(F) are ranked once: with a prime, `rank_qq_and_mod_p` also
-    gives fp_rank (never above the rational rank), else fp_rank is None. At
-    degree zero nothing is drawn, the report is all zeros and the
-    coefficients are None.
+    `koszul_ranks` answers first, for a Koszul flattening with an invertible
+    slice; otherwise the rows of M(F) are ranked once: with a prime,
+    `rank_qq_and_mod_p` also gives fp_rank (never above the rational rank),
+    else fp_rank is None. At degree zero nothing is drawn, the report is all
+    zeros and the coefficients are None.
     """
     head = (param.spec, method.spec, method.k, method.k_source)
     if degree == 0:
@@ -99,11 +102,11 @@ def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, de
         if prime is not None and den // g % prime == 0:
             raise ZeroDivisionError(f"the denominator {den // g} of F vanishes mod {prime}")
         f = [x // g for x in f]
-    rows = integer_image(method.map, f, prime)
-    if prime is None:
-        rk, fp_rank = rank_of_rows(QQ, rows), None
-    else:
-        rk, fp_rank = rank_qq_and_mod_p(rows, prime)
+    ranks = koszul_ranks(method.map, f, prime)
+    if ranks is None:
+        rows = integer_image(method.map, f, prime)
+        ranks = (rank_of_rows(QQ, rows), None) if prime is None else rank_qq_and_mod_p(rows, prime)
+    rk, fp_rank = ranks
     cap = method.k * degree
     return coeffs, BarrierReport(*head, degree, rank_of_rows(QQ, ints), rk, cap, rk <= cap,
                                  fp_rank=fp_rank, seed=seed, kind=kind, extra=extra)

@@ -58,12 +58,29 @@ class CliError(Exception):
     """Usage-level error; maps to exit code 2."""
 
 
+@functools.cache
+def _seed_hash():
+    """The sha256 constructor, imported at the first seed derived.
+
+    It is the interpreter's own (`_sha2` from Python 3.12, `_sha256`
+    before), as `random` takes its sha512; `hashlib`, the fallback, loads
+    OpenSSL's libcrypto, which costs a fresh process about 3.5 MB and a few ms.
+    The digests are the same.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def derive_seed(root: int, *parts) -> int:
     """Deterministic per-trial seed: first 8 bytes of sha256 over root and parts."""
-    import hashlib  # imported here: only verify, bound and estimate-k derive seeds
-
     text = ":".join([str(root)] + [str(p) for p in parts])
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    return int.from_bytes(_seed_hash()(text.encode()).digest()[:8], "big")
 
 
 def _root_seed(args) -> int:

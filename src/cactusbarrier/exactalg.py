@@ -11,7 +11,9 @@ fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
   check ranks the integer rows of M(F) (see `rankmethods.integer_image`)
   once, by `rank_qq_and_mod_p`, which takes int rows as they are: the last
   Bareiss pivot is a nonzero r x r minor, r the rational rank, and when the
-  prime does not divide it the rank mod p is r as well.
+  prime does not divide it the rank mod p is r as well. A Koszul flattening
+  ranks a smaller Schur complement by the same rule instead, through
+  `rank_and_minor` (see `rankmethods.koszul_ranks`).
 - Everything incremental uses one row-incremental fraction-free echelon
   (`_echelon`), on ints mod q over GF(q). It yields each row that lies in
   the span of the rows kept before it, with that row's relation:
@@ -197,11 +199,21 @@ def rank_qq_and_mod_p(rows: list[list[int]], p: int) -> tuple[int, int]:
     rows outnumber columns the transpose is eliminated instead, on the side
     with fewer rows: it has the same ranks, and its minors are the rows'.
     """
-    tall = rows and len(rows) > len(rows[0])
-    r, minor = _rank_int_bareiss([list(c) for c in zip(*rows)] if tall else [row[:] for row in rows])
+    r, minor = rank_and_minor(rows)
     if minor % p:
         return r, r
     return r, rank_of_rows(PrimeField(p), rows)
+
+
+def rank_and_minor(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, last Bareiss pivot) of rows of ints, which are left as they are.
+
+    The pivot is, up to sign, an r x r minor of the rows, r the rank (1 at
+    rank 0). When rows outnumber columns the transpose is eliminated, the
+    side with fewer rows.
+    """
+    tall = rows and len(rows) > len(rows[0])
+    return _rank_int_bareiss([list(c) for c in zip(*rows)] if tall else [row[:] for row in rows])
 
 
 def _echelon(field, rows: list, relations: bool = True):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cactusbarrier.cli as cli
 from cactusbarrier.barrier import BarrierReport
@@ -646,7 +648,7 @@ def test_malformed_input_file_exits_2(tmp_path, command, doc):
 
 def test_limit_and_ceiling_import_neither_multiprocessing_nor_hashlib():
     # both are imported on demand: multiprocessing only for --jobs > 1 and
-    # hashlib only when a seed is derived
+    # hashlib only when a seed is derived without a builtin sha256
     script = (
         "import io, sys\n"
         "import cactusbarrier.cli as cli\n"
@@ -654,6 +656,38 @@ def test_limit_and_ceiling_import_neither_multiprocessing_nor_hashlib():
         " io.StringIO()) == 0\n"
         "assert cli.main(['ceiling', '--variety', 'segre:3x3x3'], io.StringIO()) == 0\n"
         "print(sorted(m for m in ('multiprocessing', 'hashlib') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.binary(max_size=300), st.integers(), st.lists(st.one_of(st.integers(), st.text())))
+def test_seed_digests_equal_hashlib_sha256(data, root, parts):
+    import hashlib
+
+    assert cli._seed_hash()(data).digest() == hashlib.sha256(data).digest()
+    text = ":".join([str(root)] + [str(p) for p in parts]).encode()
+    assert cli.derive_seed(root, *parts) == int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
+
+
+def test_verify_derives_seeds_without_hashlib():
+    # the interpreter's builtin sha256 serves the seeds, so a verify run
+    # loads neither hashlib nor OpenSSL's _hashlib
+    import importlib.util
+
+    if not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")):
+        pytest.skip("this interpreter has no builtin sha256 module")
+    script = (
+        "import io, sys\n"
+        "import cactusbarrier.cli as cli\n"
+        "assert cli.main(['verify', '--variety', 'segre:2x2x2', '--scheme', 'random:deg=2',"
+        " '--method', 'koszul:p=1', '--trials', '2', '--seed', '5'], io.StringIO()) == 0\n"
+        "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ,
@@ -686,18 +720,19 @@ def test_verify_negative_count_is_usage_error(option, capsys):
     assert code == 0 and out
 
 
-def test_default_verify_ranks_each_instance_once(monkeypatch):
-    # every instance reports its rational rank, and one integer elimination
-    # of M(F) gives it together with the GF(p) screen
+def _record_ranks(monkeypatch):
+    """Logs, as copies, of the rows of each M(F) image, each Bareiss elimination,
+    each M(F) or Schur complement ranked, and each rank over a prime field."""
     import cactusbarrier.barrier as barrier
     import cactusbarrier.exactalg as exactalg
+    import cactusbarrier.rankmethods as rankmethods
 
-    images, eliminated, mod_p = [], [], []
+    images, eliminated, ranked, mod_p = [], [], [], []
 
     def recording(log, real):
-        def wrapper(rows, *args):
+        def wrapper(rows):
             log.append([list(row) for row in rows])
-            return real(rows, *args)
+            return real(rows)
         return wrapper
 
     real_image = barrier.integer_image
@@ -710,6 +745,9 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
     monkeypatch.setattr(barrier, "integer_image", image)
     monkeypatch.setattr(exactalg, "_rank_int_bareiss",
                         recording(eliminated, exactalg._rank_int_bareiss))
+    by_minor = recording(ranked, exactalg.rank_and_minor)
+    monkeypatch.setattr(exactalg, "rank_and_minor", by_minor)
+    monkeypatch.setattr(rankmethods, "rank_and_minor", by_minor)
     real_rank = exactalg.rank_of_rows
 
     def rank_of_rows(field, rows):
@@ -718,22 +756,60 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
         return real_rank(field, rows)
 
     monkeypatch.setattr(exactalg, "rank_of_rows", rank_of_rows)
+    return images, eliminated, ranked, mod_p
+
+
+def test_default_verify_ranks_each_instance_once(monkeypatch):
+    # every instance reports its rational rank, and one integer elimination
+    # gives it together with the GF(p) screen. On segre:4x4x4, koszul:p=1
+    # goes through an invertible slice: that elimination is of the Schur
+    # complement, C(3, 2) * 4 x C(3, 0) * 4 = 12 x 4, on its transpose, and
+    # the 24 x 16 M(F) is never built
+    images, eliminated, ranked, mod_p = _record_ranks(monkeypatch)
     trials = 4
     code, out = run(["verify", "--variety", "segre:4x4x4", "--scheme", "random:deg=5",
                      "--method", "koszul:p=1", "--trials", str(trials), "--seed", "3",
                      "--validate-k", "0", "--format", "json"])
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()[:-1]]
-    assert len(reports) == len(images) == trials
+    assert len(reports) == len(ranked) == trials and not images and not mod_p
     assert all(r["qq_confirmed"] and r["field"] == "QQ" and r["fp_rank"] == r["rank"]
                for r in reports)
     # some ranks stay below k*r: the rational rank is reported there too
     assert any(r["rank"] < r["bound"] for r in reports)
-    # each M(F) is eliminated once, on its side with fewer rows (koszul:p=1 on
-    # segre:4x4x4 is 24 x 16, so its transpose)
-    sides = [[list(c) for c in zip(*rows)] if len(rows) > len(rows[0]) else rows
-             for rows in images]
-    assert any(side != rows for side, rows in zip(sides, images))
+    assert all(len(rows) == 12 and len(rows[0]) == 4 for rows in ranked)
+    # the span ranks eliminate the 5 span vectors; every other elimination is
+    # a Schur complement's, one per trial, on its 4 x 12 transpose
+    transposes = [[list(c) for c in zip(*rows)] for rows in ranked]
+    assert [rows for rows in eliminated if len(rows) != 5] == transposes
+    # rank M(F) = C(3, 1) * 4 + the Schur complement's rank
+    assert [r["rank"] for r in reports] == [12 + _sympy_rank(rows) for rows in ranked]
+
+
+def _sympy_rank(rows) -> int:
+    from sympy import Matrix
+
+    return Matrix(rows).rank()
+
+
+def test_default_verify_ranks_each_whole_image_once(monkeypatch):
+    # a map without the slice reduction (a catalecticant, 15 x 5 on
+    # veronese:4,3) builds M(F) once and eliminates it once, on its side
+    # with fewer rows, which gives both ranks
+    import cactusbarrier.exactalg as exactalg
+
+    images, eliminated, ranked, mod_p = _record_ranks(monkeypatch)
+    trials = 4
+    code, out = run(["verify", "--variety", "veronese:4,3", "--scheme", "random:deg=4",
+                     "--method", "catalecticant:i=1", "--trials", str(trials), "--seed", "3",
+                     "--validate-k", "0", "--format", "json"])
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert len(reports) == len(images) == trials and ranked == images
+    assert all(r["qq_confirmed"] and r["field"] == "QQ" and r["fp_rank"] == r["rank"]
+               for r in reports)
+    sides = [[list(c) for c in zip(*rows)] for rows in images]
+    assert all(len(rows) == 15 and len(rows[0]) == 5 for rows in images)
     assert [rows for rows in eliminated if rows in sides] == sides
     assert not [rows for rows in mod_p if rows in images]
     # the counter sees the fallback: the minor 7 vanishes mod 7

@@ -158,9 +158,10 @@ def test_the_readme_library_example_runs():
 
 
 def test_importing_the_cli_loads_neither_hashlib_nor_multiprocessing():
-    # each is imported where it is used: hashlib (for sha256 seeds) loads
-    # OpenSSL's libcrypto, several MB of RSS, and multiprocessing only serves
-    # --jobs above 1, so a process that never derives a seed or forks pays for neither
+    # each is imported where it is used: hashlib (sha256 seeds, where the
+    # interpreter has no builtin sha256) loads OpenSSL's libcrypto, several
+    # MB of RSS, and multiprocessing only serves --jobs above 1, so a
+    # process that never derives a seed or forks pays for neither
     code = ("import sys, cactusbarrier, cactusbarrier.cli; "
             "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

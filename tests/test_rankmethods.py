@@ -2,12 +2,20 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactusbarrier.exactalg import DEFAULT_PRIME, common_denominator, rank, rank_of_rows
+from cactusbarrier import rankmethods
+from cactusbarrier.exactalg import (
+    DEFAULT_PRIME,
+    common_denominator,
+    rank,
+    rank_of_rows,
+    rank_qq_and_mod_p,
+)
 from cactusbarrier.fields import QQ, PrimeField
 from cactusbarrier.fileformats import custom_map_from_tensor
 from cactusbarrier.rankmethods import (
@@ -26,6 +34,7 @@ from cactusbarrier.rankmethods import (
     integer_image,
     koszul_flattening,
     koszul_method,
+    koszul_ranks,
     map_rank,
     parse_method,
 )
@@ -448,3 +457,139 @@ def test_integer_image_equals_the_cleared_evaluate_map(m, data):
     rows = integer_image(m, f)
     assert all(type(x) is int for row in rows for x in row)
     assert rows == _cleared_evaluate_map(m, f)
+
+
+# -- Koszul ranks through an invertible slice, against the whole M(F) ---------
+
+def _sympy_ranks(rows, prime):
+    """(rank over QQ, rank mod prime or None) of int rows, by sympy."""
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    shape = (len(rows), len(rows[0]))
+    qq = DomainMatrix([[ZZ(x) for x in row] for row in rows], shape, ZZ).to_field().rank()
+    if prime is None:
+        return qq, None
+    gf = GF(prime)
+    return qq, DomainMatrix([[gf(x) for x in row] for row in rows], shape, gf).rank()
+
+
+def _slice_dets(a, n, f):
+    """sympy's det of each slice F[i, :, :]."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return [DomainMatrix([[ZZ(f[(i * n + j) * n + l]) for l in range(n)] for j in range(n)],
+                         (n, n), ZZ).det() for i in range(a)]
+
+
+def _whole_ranks(m, f, prime):
+    """(rank, fp_rank) of all of M(F), as the barrier takes them without the reduction."""
+    rows = integer_image(m, f, prime)
+    return (rank_of_rows(QQ, rows), None) if prime is None else rank_qq_and_mod_p(rows, prime)
+
+
+def _any_size_koszul_ranks(m, f, prime):
+    with mock.patch.object(rankmethods, "SCHUR_MIN_SIDE", 0):
+        return koszul_ranks(m, f, prime)
+
+
+@st.composite
+def _koszul_cases(draw):
+    """(map, F) on shape (a, n, n): F sums n - 1 to n + 2 rank-one terms, so tight or slack.
+
+    With n - 1 terms every slice is singular; a zero first-mode coordinate
+    leaves a slice singular among invertible ones.
+    """
+    a, n = draw(st.sampled_from((3, 4, 5))), draw(st.integers(2, 5))
+    p = draw(st.integers(1, a - 1))
+    rng = draw(st.randoms(use_true_random=False))
+    f = [0] * (a * n * n)
+    for _ in range(rng.randint(n - 1, n + 2)):
+        u, v, w = ([rng.randint(-3, 3) for _ in range(k)] for k in (a, n, n))
+        for i in range(a):
+            for j in range(n):
+                for l in range(n):
+                    f[(i * n + j) * n + l] += u[i] * v[j] * w[l]
+    return koszul_flattening((a, n, n), p), f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_koszul_cases(), st.sampled_from((None, 2, 3, 5, DEFAULT_PRIME)))
+def test_koszul_ranks_match_the_whole_elimination_and_sympy(case, prime):
+    m, f = case
+    (a, n, _), _ = m.koszul
+    whole = _whole_ranks(m, f, prime)
+    assert whole == _sympy_ranks(integer_image(m, f), prime)
+    got = _any_size_koszul_ranks(m, f, prime)
+    dets = _slice_dets(a, n, f)
+    if not any(dets):
+        assert got is None
+    elif prime is None:
+        # an invertible slice and no prime: the reduction always answers
+        assert got == whole
+    elif next(d for d in dets if d) % prime == 0:
+        assert got is None
+    else:
+        # None only when the prime divides the Schur complement's last pivot
+        assert got in (whole, None)
+
+
+def _slices_to_f(slices):
+    """The W-vector of F with F[i, j, l] = slices[i][j][l]."""
+    return [x for sl in slices for row in sl for x in row]
+
+
+def test_koszul_ranks_falls_back_when_the_prime_divides_the_slice_determinant():
+    # F = e_0 (x) diag(1, 3): M(F) has two blocks diag(1, 3), so rank 4, and 2 mod 3
+    m = koszul_flattening((3, 2, 2), 1)
+    zero = [[0, 0], [0, 0]]
+    f = _slices_to_f([[[1, 0], [0, 3]], zero, zero])
+    assert _whole_ranks(m, f, 3) == (4, 2)
+    assert _any_size_koszul_ranks(m, f, 3) is None
+    assert _any_size_koszul_ranks(m, f, 5) == _whole_ranks(m, f, 5) == (4, 4)
+    assert _any_size_koszul_ranks(m, f, None) == (4, None)
+
+
+def test_koszul_ranks_passes_over_singular_slices():
+    # the first two slices are singular and the third is not, so x = 2
+    rng = random.Random(7)
+    for a, n, p in ((3, 2, 1), (4, 3, 2), (5, 3, 2), (5, 4, 3)):
+        m = koszul_flattening((a, n, n), p)
+        for _ in range(5):
+            terms = [([0, 0] + [rng.randint(-3, 3) or 1 for _ in range(a - 2)],
+                      [rng.randint(-3, 3) for _ in range(n)],
+                      [rng.randint(-3, 3) for _ in range(n)]) for _ in range(n)]
+            terms.append(([1] + [0] * (a - 1), [1] + [0] * (n - 1), [1] + [0] * (n - 1)))
+            f = [sum(u[i] * v[j] * w[l] for u, v, w in terms)
+                 for i in range(a) for j in range(n) for l in range(n)]
+            dets = _slice_dets(a, n, f)
+            if dets[2] == 0:
+                continue
+            assert dets[:2] == [0, 0]
+            for prime in (None, DEFAULT_PRIME):
+                assert _any_size_koszul_ranks(m, f, prime) == _whole_ranks(m, f, prime)
+
+
+def test_koszul_ranks_size_rule_and_the_maps_it_leaves_alone():
+    rng = random.Random(3)
+
+    def full(shape):
+        return [rng.randint(-5, 5) for _ in range(math.prod(shape))]
+
+    # M(F) at least 12 x 12: segre:4x4x4 and up take the reduction
+    for shape, p in (((4, 4, 4), 1), ((4, 4, 4), 2), ((5, 5, 5), 1), ((5, 5, 5), 2)):
+        m = koszul_flattening(shape, p)
+        f = full(shape)
+        assert koszul_ranks(m, f, DEFAULT_PRIME) == _whole_ranks(m, f, DEFAULT_PRIME)
+    # smaller M(F), non-square slices, and every other map take the whole M(F)
+    kmap = koszul_flattening((3, 3, 3), 1)
+    entries = [0] * (kmap.w * kmap.a * kmap.b)
+    for w, cells in kmap.cells.items():
+        for i, j, c in cells:
+            entries[(w * kmap.a + i) * kmap.b + j] = c
+    custom = custom_map_from_tensor(DenseTensor((kmap.w, kmap.a, kmap.b), entries), "k.json")
+    for m in (kmap, koszul_flattening((5, 5, 5), 4), koszul_flattening((4, 4, 5), 1),
+              custom, flattening((5, 5, 5), (0,)), catalecticant(5, 3, 1)):
+        assert koszul_ranks(m, full((m.w,)), DEFAULT_PRIME) is None
+    assert _any_size_koszul_ranks(kmap, full((27,)), None) is not None
