@@ -148,8 +148,8 @@ def minimal_factor_subspace(m: LinearMatrixMap, u: Subspace) -> Subspace:
     """
     if u.ambient_dim != m.w:
         raise ValueError(f"subspace lives in dimension {u.ambient_dim}, map needs {m.w}")
-    rows = (row for x in u.basis for row in evaluate_map(m, x, u.field).rows)
-    return subspace_from_vectors(u.field, m.b, rows)
+    rows = (row for x in u.basis for row in evaluate_map(m, x).rows)
+    return subspace_from_vectors(m.b, rows)
 
 
 def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,

@@ -26,12 +26,13 @@ Span vectors of integral chart points arrive as ints (chart evaluation and
 jets run over `fields.ZZ`), and `clear_rows` copies rows of ints without a
 denominator pass. A barrier trial clears its span vectors once and stays on
 ints: `sample_combination` sums on the entries' own operators. Spans and
-factor subspaces (`subspace_from_vectors`) still run a reduced row echelon
-form on field elements, Fractions over QQ; it stops reading vectors once the
-span is the whole ambient space, which no later vector can enlarge, so later
-vectors are neither reduced nor length-checked. Ranks over a polynomial ring
-(generic ranks of one-parameter families) are the largest of enough integer
-specializations of t, each ranked over the base.
+factor subspaces (`subspace_from_vectors`, always over QQ) still run a
+reduced row echelon form, on the entries' own operators too: ints and
+Fractions, scaled by the Fraction inverse of each pivot. It stops reading
+vectors once the span is the whole ambient space, which no later vector can
+enlarge, so later vectors are neither reduced nor length-checked. Ranks over
+a polynomial ring (generic ranks of one-parameter families) are the largest
+of enough integer specializations of t, each ranked over the base.
 """
 
 from __future__ import annotations
@@ -303,12 +304,11 @@ def nullspace(m: Matrix) -> list[list]:
 
 @dataclass
 class Subspace:
-    """A linear subspace given by an independent list of spanning vectors.
+    """A linear subspace over QQ given by an independent list of spanning vectors.
 
     Dimensions here are always vector-space (cone) dimensions.
     """
 
-    field: object
     ambient_dim: int
     basis: list
 
@@ -322,8 +322,8 @@ def _check_length(ambient_dim: int, vec: list) -> None:
         raise ValueError("vector length does not match ambient dimension")
 
 
-def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
-    """The span of `vectors`, with the vectors that raise its dimension, in order, as basis.
+def subspace_from_vectors(ambient_dim: int, vectors) -> Subspace:
+    """The span over QQ of `vectors`, with the vectors that raise its dimension, in order, as basis.
 
     Each vector is reduced against a fully reduced pivot system (every row
     is zero at every other row's pivot, which is 1), so it lies in the span
@@ -332,8 +332,8 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
     its ambient space cannot grow, so the basis is the one a full read
     gives. Vectors after that point are not read, so they are not
     length-checked either, and a lazy `vectors` is not advanced past it.
+    Entries are ints or Fractions.
     """
-    f = field
     rows = []  # (pivot index, row with pivot normalized to 1)
     basis = []
     for vec in vectors:
@@ -341,25 +341,22 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
         v = list(vec)
         for piv, row in rows:
             c = v[piv]
-            if f.is_zero(c):
-                continue
-            for j in range(ambient_dim):
-                if not f.is_zero(row[j]):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+            if c:
+                v = [x - c * y if y else x for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             continue
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, x) for x in v]
+        inv = 1 / Fraction(v[piv])
+        v = [inv * x for x in v]
         for k, (p, row) in enumerate(rows):
             c = row[piv]
-            if not f.is_zero(c):
-                rows[k] = (p, [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)])
+            if c:
+                rows[k] = (p, [x - c * y for x, y in zip(row, v)])
         rows.append((piv, v))
         basis.append(list(vec))
         if len(basis) == ambient_dim:
             break
-    return Subspace(field, ambient_dim, basis)
+    return Subspace(ambient_dim, basis)
 
 
 def sample_combination(vectors: list, bound: int, rng) -> tuple[list, list]:

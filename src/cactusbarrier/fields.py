@@ -1,14 +1,14 @@
 """Exact scalars: rationals, integers, dense univariate polynomials, prime moduli.
 
 Nothing is floating point. Elements are plain Python data (Fraction, int,
-tuple), added, multiplied and tested for zero on their own operators; `QQ`
-keeps the five methods that `exactalg.subspace_from_vectors` and
-`rankmethods.evaluate_map` call. `ZZ` marks integral chart data: chart
-evaluation and jets need only sums and products, so `chart_ring` runs them
-on ints when the target is QQ and every coordinate is integral, and on
-ZZ[t] (one shared instance) when the target is an untruncated QQ[t] and
-every coefficient is integral; an int equals the Fraction it stands for.
-`PolyRing` over a nested `PolyRing` calls the base ring's `add` and `mul`.
+tuple), added, multiplied, divided and tested for zero on their own
+operators; `QQ` and `ZZ` are markers, with `of` and no arithmetic. `ZZ`
+marks integral chart data: chart evaluation and jets need only sums and
+products, so `chart_ring` runs them on ints when the target is QQ and every
+coordinate is integral, and on ZZ[t] (one shared instance) when the target
+is an untruncated QQ[t] and every coefficient is integral; an int equals
+the Fraction it stands for. `PolyRing` over a nested `PolyRing` calls the
+base ring's `add` and `mul`.
 
 `PrimeField` is a modulus, not a ring: the rank screen reduces integer rows
 mod p (see `exactalg`), and `PrimeField.of` tells whether a rational has an
@@ -56,23 +56,6 @@ class RationalField:
 
     def of(self, x) -> Fraction:
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(a.denominator, a.numerator)
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -212,7 +212,7 @@ def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> 
 
 def scheme_span(param: VarietyParam, scheme: FiniteScheme) -> Subspace:
     """Linear span of the scheme over QQ; its dimension never exceeds the degree."""
-    return subspace_from_vectors(QQ, param.dim_W, scheme_span_vectors(param, scheme))
+    return subspace_from_vectors(param.dim_W, scheme_span_vectors(param, scheme))
 
 
 _MIX_KINDS = {
@@ -352,7 +352,7 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     base = ring.base
     m = len(fam.basis)
     if m == 0:
-        return Subspace(base, fam.ambient_dim, [])
+        return Subspace(fam.ambient_dim, [])
     vecs = [list(v) for v in fam.basis]
     for v in vecs:
         vals = [ring.valuation(e) for e in v if e]
@@ -367,7 +367,7 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
         at0 = [[e[0] if e else 0 for e in v] for v in vecs]  # constant terms
         combo = first_relation(base, at0)
         if combo is None:
-            return Subspace(base, fam.ambient_dim, at0)
+            return Subspace(fam.ambient_dim, at0)
         if not step and generic_rank(SpanFamily(fam.ambient_dim, vecs, ring)) != m:
             raise ValueError("family basis drops rank generically (non-flat presentation)")
         target = max(i for i, c in enumerate(combo) if c)

@@ -12,8 +12,8 @@ and a tangent frame is the point plus its first partials, read off the point
 by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and products
 occur, so integral chart data run over the ring ZZ (see `fields.chart_ring`)
 on Python's own int `*`: `evaluate` and `random_point` give plain ints at
-integral chart points, Fractions at rational ones. Over ZZ each level of the
-Kronecker product is one list comprehension; QQ and polynomial rings call
+integral chart points, Fractions at rational ones. Over ZZ and QQ each level
+of the Kronecker product is one list comprehension; polynomial rings call
 their `mul` once per monomial of degree >= 2 (see `_kron`).
 
 Over ZZ, a jet of length L is one chart evaluation on packed ints (Kronecker
@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .fields import QQ, ZZ, PolyRing, chart_ring
+from .fields import QQ, ZZ, IntegerRing, PolyRing, RationalField, chart_ring
+
+_MARKERS = (IntegerRing, RationalField)  # rings whose elements multiply on their own `*`
 
 
 class VarietySpecError(ValueError):
@@ -195,7 +197,7 @@ def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
         raise ValueError(
             f"chart point has length {len(coords)}, expected {param.dim_X}"
         )
-    mul = operator.mul if ring is ZZ else ring.mul  # a subclass keeps its own product
+    mul = operator.mul if type(ring) in _MARKERS else ring.mul  # a subclass keeps its own product
     parts = [_factor_monomials(f, list(u), ring.one, mul) for f, u in _split_coords(param, coords)]
     return _kron(parts, mul)
 
@@ -265,7 +267,7 @@ def _partial_sources(factors: tuple) -> tuple:
 def tangent_vectors_in_ring(param: VarietyParam, coords: list, ring) -> list[list]:
     """Chart point together with all first partial derivative vectors, by the product rule."""
     point = evaluate_in_ring(param, coords, ring)
-    scale = operator.mul if ring is ZZ else (lambda e, x: ring.mul(ring.of(e), x))
+    scale = operator.mul if type(ring) in _MARKERS else (lambda e, x: ring.mul(ring.of(e), x))
     out = [point]
     for sources in _partial_sources(param.factors):
         v = [ring.zero] * param.dim_W

@@ -25,7 +25,7 @@ from cactusbarrier.exactalg import (
     sample_combination,
     subspace_from_vectors,
 )
-from cactusbarrier.fields import QQ, PrimeField
+from cactusbarrier.fields import QQ, PrimeField, RationalField
 from cactusbarrier.rankmethods import (
     builtin_methods,
     catalecticant_method,
@@ -33,6 +33,7 @@ from cactusbarrier.rankmethods import (
     flattening,
     flattening_method,
     integer_image,
+    koszul_flattening,
     koszul_method,
     map_rank,
 )
@@ -45,7 +46,13 @@ from cactusbarrier.schemes import (
     scheme_span,
     scheme_span_vectors,
 )
-from cactusbarrier.varieties import Germ, parse_variety, random_point
+from cactusbarrier.varieties import (
+    Germ,
+    evaluate,
+    parse_variety,
+    random_point,
+    tangent_vectors_in_ring,
+)
 from oracles import ReducedEchelon, fraction_sample_combination, in_span, reduced_echelon
 
 
@@ -137,14 +144,46 @@ def test_minimal_factor_subspace_single_vector():
     rng = random.Random(54)
     m = flattening((3, 3, 3), (0,))
     x = random_point(p, 3, rng)
-    u = subspace_from_vectors(QQ, 27, [x])
+    u = subspace_from_vectors(27, [x])
     bprime = minimal_factor_subspace(m, u)
     assert bprime.dim == rank(evaluate_map(m, x)) == 1
 
 
 def test_minimal_factor_subspace_zero_space():
     m = flattening((3, 3, 3), (0,))
-    assert minimal_factor_subspace(m, Subspace(QQ, 27, [])).dim == 0
+    assert minimal_factor_subspace(m, Subspace(27, [])).dim == 0
+
+
+def test_rational_data_take_no_qq_method(monkeypatch):
+    # spans, factor subspaces, M(F) and chart maps combine Fractions on their
+    # own operators: QQ has no arithmetic method, and one planted here would
+    # be refused
+    p = parse_variety("segre:3x3x3")
+    rng = random.Random(56)
+    halves = lambda x: Fraction(x, 2)
+    scheme = FiniteScheme(tuple(piece.map_coords(halves) for piece in
+                                random_scheme(p, 9, mix="mixed", bound=3, rng=rng).pieces))
+    coords = [halves(x) for x in range(1, p.dim_X + 1)]
+    maps = [flattening((3, 3, 3), (0,)), koszul_flattening((3, 3, 3), 1)]
+
+    def run():
+        span = scheme_span(p, scheme)
+        f = [sum(Fraction(k + 1, 3) * v[j] for k, v in enumerate(span.basis)) for j in range(27)]
+        return (span.basis, [minimal_factor_subspace(m, span).basis for m in maps],
+                [evaluate_map(m, f).rows for m in maps], evaluate(p, coords),
+                tangent_vectors_in_ring(p, coords, QQ))
+
+    want = run()
+    assert all(type(x) is Fraction for x in want[3])
+    # any instance of the marker, not only QQ itself
+    assert tangent_vectors_in_ring(p, coords, RationalField()) == want[4]
+
+    def refuse(self, *args):
+        raise AssertionError("a QQ method on rational data")
+
+    for name in ("add", "sub", "mul", "inv", "is_zero"):
+        monkeypatch.setattr(RationalField, name, refuse, raising=False)
+    assert run() == want
 
 
 def test_minimal_factor_subspace_scheme_bound():
@@ -219,11 +258,11 @@ def test_grassmann_containment_witness():
     sch = random_scheme(p, 4, mix="mixed", bound=3, rng=rng)
     span = scheme_span(p, sch)
     # planes sampled inside the span are contained
-    e_in = subspace_from_vectors(QQ, 8, span.basis[:2])
+    e_in = subspace_from_vectors(8, span.basis[:2])
     assert grassmann_containment(e_in, p, sch)
     # a line through a generic outside vector is not
     outside = [fr(rng.randint(1, 5)) for _ in range(8)]
-    e_out = subspace_from_vectors(QQ, 8, [outside])
+    e_out = subspace_from_vectors(8, [outside])
     if not grassmann_containment(e_out, p, sch):
         assert True
     else:
@@ -243,7 +282,7 @@ def test_grassmann_containment_matches_membership_in_the_rref_oracle(spec, degre
                 for j in range(p.dim_W)] for _ in range(data.draw(st.integers(1, 3)))]
     if data.draw(st.booleans()):
         vectors.append([QQ.of(rng.randint(-3, 3)) for _ in range(p.dim_W)])
-    e = subspace_from_vectors(QQ, p.dim_W, vectors)
+    e = subspace_from_vectors(p.dim_W, vectors)
     ech = reduced_echelon(QQ, span.basis, p.dim_W)
     assert grassmann_containment(e, p, sch) == all(ech.contains(v) for v in e.basis)
 
@@ -254,9 +293,9 @@ def test_grassmann_containment_line_case_matches_membership():
     sch = FiniteScheme((ReducedPoint((fr(0),)), ReducedPoint((fr(1),))))
     span = scheme_span(p, sch)
     v = [a + b for a, b in zip(span.basis[0], span.basis[1])]
-    assert grassmann_containment(subspace_from_vectors(QQ, 4, [v]), p, sch)
+    assert grassmann_containment(subspace_from_vectors(4, [v]), p, sch)
     assert not grassmann_containment(
-        subspace_from_vectors(QQ, 4, [[fr(0), fr(1), fr(0), fr(0)]]), p, sch
+        subspace_from_vectors(4, [[fr(0), fr(1), fr(0), fr(0)]]), p, sch
     )
 
 

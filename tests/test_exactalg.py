@@ -184,7 +184,7 @@ def test_nullspace_matches_sympy(case):
 def test_in_span_oracle_matches_sympy(case, data):
     # the membership oracle that span assertions in other tests rest on
     field, rows, ncols = case
-    s = subspace_from_vectors(field, ncols, rows)
+    s = subspace_from_vectors(ncols, rows)
     assert s.dim == _sympy_rank(field, rows, ncols)
     if data.draw(st.booleans()):  # a combination of the rows
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
@@ -222,7 +222,7 @@ def test_nullspace_equals_the_rref_oracle(case):
 @given(_oracle_matrices([QQ]), st.data())
 def test_same_span_oracle_matches_sympy(case, data):
     field, rows, ncols = case
-    a = subspace_from_vectors(field, ncols, rows)
+    a = subspace_from_vectors(ncols, rows)
     kind = data.draw(st.sampled_from(["recombined", "one more", "random"]))
     if kind == "random":
         other = [[field.of(x) for x in data.draw(
@@ -237,7 +237,7 @@ def test_same_span_oracle_matches_sympy(case, data):
                 st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))])
     ra = _sympy_rank(field, a.basis, ncols)
     # the other side's basis as spanned and as drawn, which may be dependent
-    for basis in (subspace_from_vectors(field, ncols, other).basis, other):
+    for basis in (subspace_from_vectors(ncols, other).basis, other):
         expected = ra == _sympy_rank(field, basis, ncols) == _sympy_rank(field, a.basis + basis,
                                                                          ncols)
         assert same_span(field, a.basis, basis) == same_span(field, basis, a.basis) == expected
@@ -251,7 +251,7 @@ def test_subspace_from_vectors_rejects_a_vector_of_the_wrong_length():
                     [[1, 0, 0], [2, 0, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [1]],
                     [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]]):
         with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
-            subspace_from_vectors(QQ, 3, vectors)
+            subspace_from_vectors(3, vectors)
 
 
 def test_subspace_from_vectors_stops_reading_once_the_span_is_full():
@@ -265,11 +265,11 @@ def test_subspace_from_vectors_stops_reading_once_the_span_is_full():
                            ([[0, 0], [2, 4], [1, 2], [0, 3]], [[2, 4], [0, 3]]),
                            ([[Fraction(1, 2), 1], [1, Fraction(1, 3)]],
                             [[Fraction(1, 2), 1], [1, Fraction(1, 3)]])):
-        assert subspace_from_vectors(QQ, 2, then_fail(vectors)).basis == basis
-    full = subspace_from_vectors(QQ, 2, [[1, 1], [1, -1], [1], [0, 0, 0]])
+        assert subspace_from_vectors(2, then_fail(vectors)).basis == basis
+    full = subspace_from_vectors(2, [[1, 1], [1, -1], [1], [0, 0, 0]])
     assert full.basis == [[1, 1], [1, -1]]
     with pytest.raises(AssertionError, match="read past"):  # a span short of full reads on
-        subspace_from_vectors(QQ, 2, then_fail([[1, 1], [2, 2]]))
+        subspace_from_vectors(2, then_fail([[1, 1], [2, 2]]))
 
 
 # -- integer rows: Bareiss against sympy, denominator clearing, sampling ------

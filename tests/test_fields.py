@@ -27,11 +27,6 @@ def test_primality():
 
 def test_rational_field_basics():
     assert QQ.of("3/4") == Fraction(3, 4)
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert QQ.is_zero(Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        QQ.inv(Fraction(0))
 
 
 def test_integer_ring_basics():

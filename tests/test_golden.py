@@ -10,17 +10,25 @@ from the repository root:
     PYTHONPATH=src python tests/test_golden.py
 
 It rewrites only the streams whose exit code or bytes changed, and prints
-`changed`, `unchanged` or `new` for each case.
+`changed`, `unchanged` or `new` for each case. With `--check` it writes
+nothing: it prints the cases that are changed or new and exits 1 if there
+are any, which replays the streams under an interpreter without pytest.
 """
 
+import argparse
 import io
 import json
 import os
 from pathlib import Path
 
-import pytest
-
 from cactusbarrier import cli
+
+try:
+    from pytest import mark
+    parametrize = mark.parametrize
+except ModuleNotFoundError:  # recording and --check (below) run without pytest
+    def parametrize(*args, **kwargs):
+        return lambda fn: fn
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -35,7 +43,7 @@ def run_case(case: dict) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
+@parametrize("case", CASES, ids=lambda c: c["name"])
 def test_golden_stream(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code, stream = run_case(case)
@@ -46,7 +54,7 @@ def test_golden_stream(case, monkeypatch):
 VERIFY_JSON = [c for c in CASES if c["argv"][0] == "verify" and "json" in c["argv"]]
 
 
-@pytest.mark.parametrize("case", VERIFY_JSON, ids=lambda c: c["name"])
+@parametrize("case", VERIFY_JSON, ids=lambda c: c["name"])
 def test_verify_stream_is_certified(case):
     # every recorded verify record states a rational rank, and the summary
     # counts the records it follows
@@ -65,7 +73,12 @@ def test_verify_stream_is_certified(case):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Re-record the golden CLI streams.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if a stream is changed or new")
+    check = parser.parse_args().check
     os.chdir(GOLDEN)
+    differ = 0
     for case in CASES:
         code, stream = run_case(case)
         out_path = GOLDEN / f"{case['name']}.out"
@@ -78,6 +91,12 @@ if __name__ == "__main__":
         else:
             status = "changed"
         if status != "unchanged":
-            out_path.write_bytes(stream)
-            exit_path.write_text(exit_text, encoding="utf-8")
-        print(f"{case['name']}: {status}, exit {code}, {len(stream)} bytes")
+            differ += 1
+            if not check:
+                out_path.write_bytes(stream)
+                exit_path.write_text(exit_text, encoding="utf-8")
+        if status != "unchanged" or not check:
+            print(f"{case['name']}: {status}, exit {code}, {len(stream)} bytes")
+    if check:
+        print(f"{differ} of {len(CASES)} streams changed or new")
+        raise SystemExit(1 if differ else 0)

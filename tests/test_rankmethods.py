@@ -68,6 +68,13 @@ def test_evaluate_map_zero_vector():
     assert all(all(x == 0 for x in row) for row in out.rows)
 
 
+def test_evaluate_map_is_built_over_qq_only():
+    # ranks mod p take the integer image; Fraction entries are never labelled GF(p)
+    m = flattening((2, 2, 2), (0,))
+    with pytest.raises(TypeError, match=r"no M\(F\) over GF\(101\)"):
+        evaluate_map(m, [1] * 8, PrimeField(101))
+
+
 def test_evaluate_map_rank_one_point():
     p = parse_variety("segre:2x2x2")
     m = flattening((2, 2, 2), (0,))
@@ -569,6 +576,19 @@ def test_koszul_ranks_passes_over_singular_slices():
             assert dets[:2] == [0, 0]
             for prime in (None, DEFAULT_PRIME):
                 assert _any_size_koszul_ranks(m, f, prime) == _whole_ranks(m, f, prime)
+
+
+def test_koszul_ranks_reject_a_vector_of_the_wrong_length():
+    # as `integer_image` does, before any slice is taken: a short F would
+    # otherwise be ranked as the tensor its slices happen to cut out
+    f = [random.Random(9).randint(-5, 5) for _ in range(65)]
+    for m in (koszul_flattening((4, 4, 4), 1), flattening((4, 4, 4), (0,))):
+        for vec in (f[:63], f):
+            for prime in (None, DEFAULT_PRIME):
+                for fn in (koszul_ranks, integer_image):
+                    with pytest.raises(ValueError, match=f"vector length {len(vec)} does not "
+                                                         "match W-dimension 64"):
+                        fn(m, vec, prime)
 
 
 def test_koszul_ranks_size_rule_and_the_maps_it_leaves_alone():

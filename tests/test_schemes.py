@@ -42,7 +42,7 @@ from cactusbarrier.schemes import (
     validate_scheme,
 )
 from cactusbarrier.varieties import Germ, parse_variety, random_point
-from oracles import in_span, same_span
+from oracles import Scalars, in_span, same_span
 
 
 def fr(x):
@@ -775,6 +775,7 @@ def _limit_by_products(fam, clear=False):
     are a basis of the limit, and the number of saturation steps.
     """
     ring, base, n = fam.ring, fam.ring.base, fam.ambient_dim
+    scalars = Scalars(base)
     vecs = []
     for v in fam.basis:
         shift = min(ring.valuation(e) for e in v if e)
@@ -788,10 +789,10 @@ def _limit_by_products(fam, clear=False):
         combo = nullspace(Matrix(base, [list(col) for col in zip(*at0)]))[0]
         if clear:
             combo = clear_denominators(combo)
-        target = max(i for i, c in enumerate(combo) if not base.is_zero(c))
+        target = max(i for i, c in enumerate(combo) if not scalars.is_zero(c))
         new = [ring.zero] * n
         for c, v in zip(combo, vecs):
-            if not base.is_zero(c):
+            if not scalars.is_zero(c):
                 new = [ring.add(a, ring.mul(ring.from_elems([c]), e)) for a, e in zip(new, v)]
         shift = min(ring.valuation(e) for e in new if e)
         vecs[target] = [ring.shift_down(e, shift) for e in new]
@@ -802,7 +803,7 @@ def _membership_compare(param, fam, limit_scheme):
     lim = limit_of_spans(fam)
     span0 = scheme_span(param, limit_scheme)
     return LimitComparison(span0.dim, lim.dim,
-                           all(in_span(lim.field, lim.basis, v) for v in span0.basis))
+                           all(in_span(QQ, lim.basis, v) for v in span0.basis))
 
 
 def _integral(piece):

@@ -41,7 +41,7 @@ def _jets(param, germ, length):
 
 
 def _span(param, vectors):
-    return subspace_from_vectors(QQ, param.dim_W, vectors)
+    return subspace_from_vectors(param.dim_W, vectors)
 
 
 def test_monomial_order_small_cases():
