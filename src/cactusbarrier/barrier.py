@@ -19,7 +19,7 @@ fill the ambient space, which cap every bound any such method can certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (
     DEFAULT_PRIME,
@@ -203,14 +203,7 @@ class CeilingReport:
     notes: list
 
     def to_dict(self) -> dict:
-        return {
-            "variety": self.variety,
-            "cactus_ceiling": self.cactus_ceiling,
-            "secant_fill_in": self.secant_fill_in,
-            "grassmann_ceiling": self.grassmann_ceiling,
-            "labels": self.labels,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def ceilings(variety) -> CeilingReport:

@@ -155,14 +155,13 @@ def rank_of_rows(field, rows: list) -> int:
     rank m of their first 2m columns: a nonzero m x m minor there is one of
     the whole matrix, and m rows cap the rank. Only a smaller rank goes on.
 
-    Over an untruncated polynomial ring R[t], the rank is the one over the
+    Over a polynomial ring R[t], the rank is the one over the
     fraction field of R[t] (the generic rank), taken from specializations.
     Let d be the largest entry degree and D = min(#rows, #cols) * d. Every
     r x r minor is a polynomial of degree at most r * d <= D, and a nonzero
     polynomial of degree at most D is nonzero at one of any D + 1 points.
     Specializing never raises a rank, so the largest rank over R among
-    t = 1, ..., D + 1 is the generic rank. A truncated ring is not a domain
-    and raises TypeError.
+    t = 1, ..., D + 1 is the generic rank.
     """
     rows = [row for row in rows if row]
     if not rows:
@@ -175,8 +174,6 @@ def rank_of_rows(field, rows: list) -> int:
     if isinstance(field, PrimeField):
         return len(rows) - sum(1 for _ in _echelon(field, rows, relations=False))
     if isinstance(field, PolyRing):
-        if field.trunc is not None:
-            raise TypeError(f"{field!r} truncated below degree {field.trunc} is not a domain")
         full = min(len(rows), len(rows[0]))
         points = full * max(max(len(e) for row in rows for e in row) - 1, 0) + 1
         best = 0

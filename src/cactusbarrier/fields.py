@@ -3,12 +3,11 @@
 Nothing is floating point. Elements are plain Python data (Fraction, int,
 tuple), added, multiplied, divided and tested for zero on their own
 operators; `QQ` and `ZZ` are markers, with `of` and no arithmetic. `ZZ`
-marks integral chart data: chart evaluation and jets need only sums and
-products, so `chart_ring` runs them on ints when the target is QQ and every
-coordinate is integral, and on ZZ[t] (one shared instance) when the target
-is an untruncated QQ[t] and every coefficient is integral; an int equals
-the Fraction it stands for. `PolyRing` over a nested `PolyRing` calls the
-base ring's `add` and `mul`.
+marks integral chart data: chart evaluation needs only sums and products,
+so `chart_ring` runs it on ints when the target is QQ and every coordinate
+is integral, and on ZZ[t] (one shared instance) when the target is QQ[t]
+and every coefficient is integral; an int equals the Fraction it stands
+for. `PolyRing` is a flat ring of polynomials over ZZ or QQ.
 
 `PrimeField` is a modulus, not a ring: the rank screen reduces integer rows
 mod p (see `exactalg`), and `PrimeField.of` tells whether a rational has an
@@ -125,15 +124,15 @@ def chart_ring(field, coords):
     """The ring to evaluate chart coordinates `coords` in, for results over `field`.
 
     ZZ when `field` is QQ and every coordinate is integral; ZZ[t] when
-    `field` is an untruncated QQ[t] and every coefficient of every coordinate
-    (a polynomial in t) is integral; else `field`. Vectors over the returned
+    `field` is QQ[t] and every coefficient of every coordinate (a
+    polynomial in t) is integral; else `field`. Vectors over the returned
     ring are vectors over `field`, entry for entry. A prime field raises
     TypeError: nothing is evaluated over GF(p).
     """
     if isinstance(field, PrimeField):
         raise TypeError(f"no chart evaluation over {field!r}; GF(p) only screens ranks")
     if isinstance(field, PolyRing):
-        if field.trunc is None and chart_ring(field.base, [c for x in coords for c in x]) is ZZ:
+        if chart_ring(field.base, [c for x in coords for c in x]) is ZZ:
             return _ZZ_T
         return field
     if isinstance(field, RationalField) and all(
@@ -144,28 +143,22 @@ def chart_ring(field, coords):
 
 
 class PolyRing:
-    """Dense univariate polynomials over ZZ, QQ or another `PolyRing`.
+    """Dense univariate polynomials over ZZ or QQ.
 
-    Elements are tuples of base elements with no trailing zeros; the zero
-    polynomial is the empty tuple. With ``trunc=L`` every result is cut to
-    degree < L (truncated power series), which is how jet expansions avoid
-    any division by factorials. Any other base raises TypeError.
+    Elements are tuples of ints or Fractions with no trailing zeros, added
+    and multiplied on the coefficients' own operators; the zero polynomial
+    is the empty tuple. Any other base raises TypeError.
     """
 
-    def __init__(self, base, trunc: int | None = None):
-        if not isinstance(base, (IntegerRing, RationalField, PolyRing)):
+    def __init__(self, base):
+        if not isinstance(base, (IntegerRing, RationalField)):
             raise TypeError(f"no polynomial ring over {base!r}")
         self.base = base
-        self.trunc = trunc
         self.name = f"{base.name}[t]"
         self.zero = ()
         self.one = (base.one,)
-        # ints and Fractions compute on their own +, *; nested tuples call the base ring
-        self.native = not isinstance(base, PolyRing)
 
     def _norm(self, cs: list) -> tuple:
-        if self.trunc is not None:
-            cs = cs[: self.trunc]
         n = len(cs)
         while n and not cs[n - 1]:
             n -= 1
@@ -190,37 +183,23 @@ class PolyRing:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c if self.native else self.base.add(out[i], c)
+            out[i] += c
         return self._norm(out)
 
     def scale(self, c, a):
         """c * a for a nonzero base element c; the base has no zero divisors."""
-        return tuple(c * x for x in a) if self.native else tuple(self.base.mul(c, x) for x in a)
+        return tuple(c * x for x in a)
 
     def mul(self, a, b):
         if not a or not b:
             return ()
-        n = len(a) + len(b) - 1
-        if self.trunc is not None:
-            n = min(n, self.trunc)
-        out = [self.base.zero] * n
-        if self.native:
-            for i, ca in enumerate(a[:n]):
-                if ca:
-                    for k, cb in enumerate(b[: n - i], i):
-                        if cb:
-                            out[k] += ca * cb
-            return self._norm(out)
-        base = self.base
-        for i, ca in enumerate(a[:n]):
+        out = [self.base.zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
             if ca:
-                for k, cb in enumerate(b[: n - i], i):
+                for k, cb in enumerate(b, i):
                     if cb:
-                        out[k] = base.add(out[k], base.mul(ca, cb))
+                        out[k] += ca * cb
         return self._norm(out)
-
-    def coeff(self, a, m: int):
-        return a[m] if m < len(a) else self.base.zero
 
     def degree(self, a) -> int:
         return len(a) - 1
@@ -235,14 +214,10 @@ class PolyRing:
         return a[v:] if v else a
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and other.base == self.base
-            and other.trunc == self.trunc
-        )
+        return isinstance(other, PolyRing) and other.base == self.base
 
     def __hash__(self):
-        return hash(("poly", self.base, self.trunc))
+        return hash(("poly", self.base))
 
     def __repr__(self):
         return self.name

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .fields import QQ, PolyRing
-from .rankmethods import DenseTensor, LinearMatrixMap, SymmetricForm
+from .rankmethods import DenseTensor, LinearMatrixMap, SymmetricForm, _flat_index, _strides
 from .schemes import CurvilinearGerm, FiniteScheme, FirstNeighborhood, ReducedPoint
 from .varieties import Germ, parse_variety
 
@@ -124,14 +124,12 @@ def tensor_from_dict(doc: dict):
         if kind == "dense":
             return DenseTensor(shape, _dense_entries(shape, _get(doc, "entries")))
         flat = [Fraction(0)] * math.prod(shape)
-        strides = [1] * len(shape)
-        for i in range(len(shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
+        strides = _strides(shape)
         for item in _get(doc, "entries", list):
             idx = tuple(_int(i) for i in _get(item, "idx", list))
             if len(idx) != len(shape) or any(i < 0 or i >= d for i, d in zip(idx, shape)):
                 raise FileFormatError(f"sparse index {idx} outside shape {shape}")
-            flat[sum(i * s for i, s in zip(idx, strides))] += parse_rational(_get(item, "value"))
+            flat[_flat_index(idx, strides)] += parse_rational(_get(item, "value"))
         return DenseTensor(shape, flat)
     if kind == "symmetric":
         nvars = _int(_get(doc, "vars"))

@@ -370,7 +370,7 @@ def koszul_ranks(m: LinearMatrixMap, f: list[int], prime: int | None = None) -> 
         return None
     n = b
     slices = [[f[i * n * n + l:(i + 1) * n * n:n] for l in range(n)] for i in range(a)]
-    x = next((i for i, g in enumerate(slices) if _adjugate_solve(g, [[]] * n)[0]), None)
+    x = next((i for i, g in enumerate(slices) if rank_and_minor(g)[0] == n), None)
     if x is None:
         return None
     others = [y for y in range(a) if y != x]

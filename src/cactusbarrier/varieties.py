@@ -6,7 +6,7 @@ product over factors. Chart coordinates of the ambient tensor space are indexed
 accordingly, so a point evaluation is just a vector of monomials; its leading
 entry is always 1, which keeps chart images away from zero.
 
-Jets of curve germs are computed by truncated polynomial composition, never by
+Jets of curve germs are computed by polynomial composition, never by
 differentiating and dividing by factorials. Each monomial costs one product,
 and a tangent frame is the point plus its first partials, read off the point
 by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and products
@@ -16,11 +16,13 @@ integral chart points, Fractions at rational ones. Over ZZ and QQ each level
 of the Kronecker product is one list comprehension; polynomial rings call
 their `mul` once per monomial of degree >= 2 (see `_kron`).
 
-Over ZZ, a jet of length L is one chart evaluation on packed ints (Kronecker
-substitution): coordinate j's series c_0 + c_1 t + ... becomes the int sum of
-c_m 2^(K m), so a product of series is one int product, read back as K-bit
-digits; `jet_vectors_in_ring` bounds every digit by 2^(K-2), so that none
-borrows from the next. Other rings compose in `fields.PolyRing`.
+A jet of length L is one chart evaluation on packed ints (Kronecker
+substitution), whatever the chart ring: a rational germ is first scaled to
+an integral one, and coordinate j's series c_0 + c_1 s + ... becomes the int
+sum of c_m 2^(K T m), where c_m, a polynomial in t over ZZ[t] and QQ[t],
+fills T K-bit digits (T = 1 over ZZ and QQ). A product of series is then one
+int product, read back as K-bit digits; `jet_vectors_in_ring` bounds every
+digit by 2^(K-2), so that none borrows from the next.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -214,35 +217,63 @@ def evaluate(param: VarietyParam, chart_point) -> list:
     return evaluate_in_ring(param, [ring.of(x) for x in chart_point], ring)
 
 
+@lru_cache(maxsize=None)
+def _chart_degrees(factors: tuple) -> tuple:
+    """Per chart entry, the total degree of its monomial in the chart variables."""
+    out = [0]
+    for f in factors:
+        out = [g + sum(e) for g in out for e in monomial_exponents(f.n, f.d)]
+    return tuple(out)
+
+
 def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: int, ring) -> list[list]:
     """Coefficient vectors of orders 0..length-1 of the chart map along a germ.
 
-    `base` and each entry of `coeffs` are ring elements; rows of `coeffs` past
-    order length-1 are unused. By truncated polynomial composition, over ZZ on
-    packed ints: coordinate j becomes the sum of c_m 2^(K m) over m < L =
-    length. An entry is a product of at most D (the sum of the factor degrees)
-    series of l1 norm at most L h, h = max(1, largest |c_m|), so its
-    coefficients are at most (L h)^D < 2^(K-2) for K = bit_length((L h)^D) + 2.
-    So with 2^(K-1) added at each order below L, digit m less 2^(K-1) is the
-    order-m coefficient; higher orders add multiples of 2^(K L).
+    `base` and each entry of `coeffs` are elements of `ring` (ZZ, QQ, or a
+    `PolyRing` over either); rows of `coeffs` past order length-1 are unused.
+    A rational germ is scaled by q, the common denominator of all its
+    coefficients, so an entry whose chart monomial has degree g scales by
+    q^g, and is divided back. Coefficient i of t in the order-m coefficient
+    of a coordinate becomes K-bit digit i + T m, with T = D e + 1, D the sum
+    of the factor degrees and e the largest degree in t: a product of at
+    most D coordinates has degree at most D e < T in t, so no order spills
+    into the next. Each coordinate's digits have l1 norm at most L T h, for
+    L = length and h = max(1, largest |scaled coefficient|), so an entry's
+    digits are at most (L T h)^D < 2^(K-2) for K = bit_length((L T h)^D) + 2.
+    With 2^(K-1) added at each digit below T L, digit k less 2^(K-1) is the
+    coefficient there; higher orders add multiples of 2^(K T L). Over ZZ,
+    T = 1 and q = 1.
     """
     if length < 1:
         raise ValueError("jet length must be at least 1")
+    poly = isinstance(ring, PolyRing)
+    rational = isinstance(ring.base if poly else ring, RationalField)
+    d = sum(f.d for f in param.factors)
     rows = [base, *coeffs[: length - 1]]
-    if ring is ZZ:
-        h = max(abs(x) for r in rows for x in r) or 1
-        k = ((length * h) ** sum(f.d for f in param.factors)).bit_length() + 2
-        packed = list(rows[-1])
-        for r in rows[-2::-1]:
-            packed = [(x << k) + c for x, c in zip(packed, r)]
-        half, mask, shifts = 1 << (k - 1), (1 << k) - 1, range(0, k * length, k)
-        offset = sum(half << s for s in shifts)
-        w = [x + offset for x in evaluate_in_ring(param, packed, ZZ)]
-        return [[((x >> s) & mask) - half for x in w] for s in shifts]
-    pr = PolyRing(ring, trunc=length)
-    coords = [pr.from_elems([r[j] for r in rows]) for j in range(param.dim_X)]
-    w = evaluate_in_ring(param, coords, pr)
-    return [[pr.coeff(entry, m) for entry in w] for m in range(length)]
+    # planes[i + width m][j] is coefficient i of t at order m of coordinate j; width is T
+    width, planes = 1, rows
+    if poly:
+        width = d * max(0, *(len(c) - 1 for r in rows for c in r)) + 1
+        planes = [[c[i] if i < len(c) else 0 for c in r] for r in rows for i in range(width)]
+    if rational:
+        q = math.lcm(*(x.denominator for p in planes for x in p))
+        planes = [[x.numerator * (q // x.denominator) for x in p] for p in planes]
+    h = max(abs(x) for p in planes for x in p) or 1
+    k = ((length * width * h) ** d).bit_length() + 2
+    packed = [0] * param.dim_X
+    for p in planes[::-1]:
+        packed = [(x << k) + c for x, c in zip(packed, p)]
+    half, mask, shifts = 1 << (k - 1), (1 << k) - 1, range(0, k * width * length, k)
+    offset = sum(half << s for s in shifts)
+    w = [x + offset for x in evaluate_in_ring(param, packed, ZZ)]
+    planes = [[((x >> s) & mask) - half for x in w] for s in shifts]
+    if rational:
+        dens = [q**g for g in _chart_degrees(param.factors)]
+        planes = [[Fraction(x, n) for x, n in zip(p, dens)] for p in planes]
+    if not poly:
+        return planes
+    return [[ring.from_elems(c) for c in zip(*planes[m * width:(m + 1) * width])]
+            for m in range(length)]
 
 
 @lru_cache(maxsize=None)

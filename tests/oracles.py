@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from cactusbarrier.exactalg import Matrix
-from cactusbarrier.fields import QQ, PolyRing
+from cactusbarrier.fields import QQ
 from cactusbarrier.varieties import (
     homogeneous_exponents,
     monomial_exponents,
@@ -201,17 +201,12 @@ class SchoolbookPolyRing:
     """Dense univariate polynomials over the oracle arithmetic of a library base ring.
 
     Every coefficient operation is a call of `add`, `mul` or `is_zero` (and
-    `of` for constants) of the base's `Scalars`, or of a schoolbook ring
-    over a polynomial base; products are full convolutions, truncated only
-    at the end. Elements are normalized tuples as in `fields.PolyRing`.
+    `of` for constants) of the base's `Scalars`; products are full
+    convolutions. Elements are normalized tuples as in `fields.PolyRing`.
     """
 
-    def __init__(self, base, trunc=None):
-        if isinstance(base, PolyRing):
-            self.base = SchoolbookPolyRing(base.base, base.trunc)
-        else:
-            self.base = Scalars(base)
-        self.trunc = trunc
+    def __init__(self, base):
+        self.base = Scalars(base)
         self.zero, self.one = (), (self.base.one,)
 
     def of(self, x) -> tuple:
@@ -221,7 +216,7 @@ class SchoolbookPolyRing:
         return not a
 
     def norm(self, cs) -> tuple:
-        cs = list(cs)[: self.trunc] if self.trunc is not None else list(cs)
+        cs = list(cs)
         while cs and self.base.is_zero(cs[-1]):
             cs.pop()
         return tuple(cs)

@@ -762,9 +762,10 @@ def _record_ranks(monkeypatch):
 def test_default_verify_ranks_each_instance_once(monkeypatch):
     # every instance reports its rational rank, and one integer elimination
     # gives it together with the GF(p) screen. On segre:4x4x4, koszul:p=1
-    # goes through an invertible slice: that elimination is of the Schur
-    # complement, C(3, 2) * 4 x C(3, 0) * 4 = 12 x 4, on its transpose, and
-    # the 24 x 16 M(F) is never built
+    # goes through an invertible slice, found by ranking the 4 x 4 slices of F
+    # in turn: the rank's elimination is of the Schur complement,
+    # C(3, 2) * 4 x C(3, 0) * 4 = 12 x 4, on its transpose, and the 24 x 16
+    # M(F) is never built
     images, eliminated, ranked, mod_p = _record_ranks(monkeypatch)
     trials = 4
     code, out = run(["verify", "--variety", "segre:4x4x4", "--scheme", "random:deg=5",
@@ -772,18 +773,21 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
                      "--validate-k", "0", "--format", "json"])
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()[:-1]]
-    assert len(reports) == len(ranked) == trials and not images and not mod_p
+    slices = [rows for rows in ranked if len(rows) == 4]
+    schur = [rows for rows in ranked if len(rows) != 4]
+    assert len(reports) == len(schur) == trials and not images and not mod_p
+    assert len(slices) >= trials and all(len(rows[0]) == 4 for rows in slices)
     assert all(r["qq_confirmed"] and r["field"] == "QQ" and r["fp_rank"] == r["rank"]
                for r in reports)
     # some ranks stay below k*r: the rational rank is reported there too
     assert any(r["rank"] < r["bound"] for r in reports)
-    assert all(len(rows) == 12 and len(rows[0]) == 4 for rows in ranked)
+    assert all(len(rows) == 12 and len(rows[0]) == 4 for rows in schur)
     # the span ranks eliminate the 5 span vectors; every other elimination is
-    # a Schur complement's, one per trial, on its 4 x 12 transpose
-    transposes = [[list(c) for c in zip(*rows)] for rows in ranked]
-    assert [rows for rows in eliminated if len(rows) != 5] == transposes
+    # a slice's, or a Schur complement's, one per trial, on its 4 x 12 transpose
+    transposes = [[list(c) for c in zip(*rows)] for rows in schur]
+    assert [rows for rows in eliminated if len(rows) != 5 and rows not in slices] == transposes
     # rank M(F) = C(3, 1) * 4 + the Schur complement's rank
-    assert [r["rank"] for r in reports] == [12 + _sympy_rank(rows) for rows in ranked]
+    assert [r["rank"] for r in reports] == [12 + _sympy_rank(rows) for rows in schur]
 
 
 def _sympy_rank(rows) -> int:

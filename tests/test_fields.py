@@ -50,14 +50,12 @@ def test_chart_ring_picks_integers_only_for_integral_rationals():
 
 def test_polyring_over_prime_field():
     # GF(p) only screens ranks: there is no polynomial ring over it
-    gf = PrimeField(101)
-    for trunc in (None, 4):
-        with pytest.raises(TypeError, match=r"no polynomial ring over GF\(101\)"):
-            PolyRing(gf, trunc)
+    with pytest.raises(TypeError, match=r"no polynomial ring over GF\(101\)"):
+        PolyRing(PrimeField(101))
 
 
 def test_jets_over_integers_match_rationals():
-    R, S = PolyRing(ZZ, trunc=4), PolyRing(QQ, trunc=4)
+    R, S = PolyRing(ZZ), PolyRing(QQ)
     a, b = R.from_coeffs([2, -1, 3]), S.from_coeffs([2, -1, 3])
     assert R.mul(R.mul(a, a), a) == S.mul(S.mul(b, b), b)
     assert all(type(c) is int for c in R.mul(a, a))
@@ -77,8 +75,6 @@ def test_prime_field_arithmetic():
 def test_field_identity():
     assert QQ == QQ and hash(QQ) == hash(QQ)
     assert PolyRing(QQ) == PolyRing(QQ) and hash(PolyRing(QQ)) == hash(PolyRing(QQ))
-    assert PolyRing(QQ, trunc=3) != PolyRing(QQ)
-    assert PolyRing(PolyRing(ZZ)) != PolyRing(PolyRing(QQ))
     assert QQ != PrimeField(7)
 
 
@@ -90,38 +86,17 @@ def test_polyring_arithmetic():
     q = R.mul(p, p)                        # 1 + 2t + t^2
     assert q == (Fraction(1), Fraction(2), Fraction(1))
     assert R.add(q, R.scale(Fraction(-1), q)) == ()
-    assert R.coeff(q, 1) == 2
+    assert q[1] == 2
     assert R.degree(q) == 2
     assert R.valuation(R.mul(t, q)) == 1
     assert R.shift_down(R.mul(t, q), 1) == q
 
 
-def test_polyring_truncation():
-    R = PolyRing(QQ, trunc=3)
-    p = R.from_coeffs([1, 1])
-    cube = R.mul(R.mul(p, p), p)           # (1+t)^3 cut to order < 3
-    assert cube == (Fraction(1), Fraction(3), Fraction(3))
+# -- ZZ/QQ polynomial arithmetic against a schoolbook oracle -----------------
 
-
-def test_nested_polyring():
-    # polynomials in s whose coefficients are polynomials in t
-    Rt = PolyRing(QQ)
-    Rst = PolyRing(Rt, trunc=3)
-    s_plus_t = Rst.from_elems([Rt.t(), Rt.one])
-    sq = Rst.mul(s_plus_t, s_plus_t)
-    # (t + s)^2 = t^2 + 2ts + s^2
-    assert Rst.coeff(sq, 0) == (Fraction(0), Fraction(0), Fraction(1))
-    assert Rst.coeff(sq, 1) == (Fraction(0), Fraction(2))
-    assert Rst.coeff(sq, 2) == (Fraction(1),)
-
-
-# -- native ZZ/QQ polynomial arithmetic against a schoolbook oracle -----------
-
-ZT = PolyRing(ZZ)
 _COEFFS = {
     ZZ: st.integers(-30, 30),
     QQ: st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=6),
-    ZT: st.lists(st.integers(-3, 3), max_size=3).map(ZT.from_coeffs),
 }
 
 
@@ -131,18 +106,14 @@ def _same_entries(got, want):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data(), base=st.sampled_from(list(_COEFFS)),
-       trunc=st.sampled_from([None, 2, 4, 8]))
-def test_polyring_matches_the_schoolbook_oracle(data, base, trunc):
-    R, O = PolyRing(base, trunc), SchoolbookPolyRing(base, trunc)
-    assert R.native == (base in (ZZ, QQ))
+@given(data=st.data(), base=st.sampled_from(list(_COEFFS)))
+def test_polyring_matches_the_schoolbook_oracle(data, base):
+    R, O = PolyRing(base), SchoolbookPolyRing(base)
     coeff = _COEFFS[base]
-    elem = (lambda x: x) if base is ZT else base.of  # ZZ[t] coefficients are drawn as elements
-    a, b = (O.norm(map(elem, data.draw(st.lists(coeff, max_size=7)))) for _ in range(2))
-    c = elem(data.draw(coeff.filter(lambda x: bool(elem(x)))))
-    if base is not ZT:
-        raw = data.draw(st.lists(coeff, max_size=7))
-        _same_entries(R.from_coeffs(raw), O.from_coeffs(raw))
+    a, b = (O.norm(map(base.of, data.draw(st.lists(coeff, max_size=7)))) for _ in range(2))
+    c = base.of(data.draw(coeff.filter(bool)))
+    raw = data.draw(st.lists(coeff, max_size=7))
+    _same_entries(R.from_coeffs(raw), O.from_coeffs(raw))
     _same_entries(R.mul(a, b), O.mul(a, b))
     _same_entries(R.add(a, b), O.add(a, b))
     _same_entries(R.scale(c, a), O.scale(c, a))
@@ -157,7 +128,9 @@ def test_native_polyring_keeps_fraction_zeros():
     assert square == (1, 0, 0, 0, -1) and all(type(c) is Fraction for c in square)
 
 
-def test_only_integer_and_rational_bases_take_the_native_path():
-    assert PolyRing(ZZ).native and PolyRing(QQ, trunc=3).native
-    assert not PolyRing(PolyRing(ZZ), trunc=2).native
-    assert not PolyRing(PolyRing(QQ)).native
+def test_polyring_takes_only_integer_and_rational_bases():
+    # no nested or truncated rings: jets of every chart ring are packed ints
+    with pytest.raises(TypeError, match=r"no polynomial ring over QQ\[t\]"):
+        PolyRing(PolyRing(QQ))
+    with pytest.raises(TypeError):
+        PolyRing(QQ, 3)

@@ -578,6 +578,22 @@ def test_koszul_ranks_passes_over_singular_slices():
                 assert _any_size_koszul_ranks(m, f, prime) == _whole_ranks(m, f, prime)
 
 
+def test_koszul_slice_screen_inverts_no_singular_slice():
+    # the screen tests det K_i != 0 by a forward elimination; only the chosen
+    # slice is inverted, so F with every slice singular solves nothing
+    rng = random.Random(11)
+    a, n = 4, 4
+    terms = [[[rng.randint(-3, 3) for _ in range(k)] for k in (a, n, n)] for _ in range(n - 1)]
+    f = [sum(u[i] * v[j] * w[l] for u, v, w in terms)
+         for i in range(a) for j in range(n) for l in range(n)]
+    assert not any(_slice_dets(a, n, f))
+    m = koszul_flattening((a, n, n), 1)
+    with mock.patch.object(rankmethods, "_adjugate_solve",
+                           wraps=rankmethods._adjugate_solve) as solve:
+        assert koszul_ranks(m, f, DEFAULT_PRIME) is None
+    assert solve.call_count == 0
+
+
 def test_koszul_ranks_reject_a_vector_of_the_wrong_length():
     # as `integer_image` does, before any slice is taken: a short F would
     # otherwise be ranked as the tensor its slices happen to cut out

@@ -562,12 +562,6 @@ def test_generic_rank_with_a_denominator_divisible_by_2_31_minus_1():
     assert _sympy_generic_rank(kept) == 2
 
 
-def test_poly_rank_refuses_truncated_rings():
-    # a truncated ring has zero divisors, so it has no generic rank
-    with pytest.raises(TypeError, match="not a domain"):
-        rank_of_rows(PolyRing(QQ, trunc=3), [[RQ.one]])
-
-
 # -- span vectors over ZZ for integral chart points -------------------------
 
 CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,3",

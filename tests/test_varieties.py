@@ -35,7 +35,7 @@ def qvec(*xs):
 
 
 def _jets(param, germ, length):
-    """Jet vectors over QQ, through `PolyRing(QQ, trunc=length)`."""
+    """Jet vectors over QQ, the germ taken in as Fractions."""
     return jet_vectors_in_ring(param, [QQ.of(x) for x in germ.base],
                                [[QQ.of(x) for x in c] for c in germ.coeffs], length, QQ)
 
@@ -329,3 +329,50 @@ def test_int_jets_equal_the_oracle_and_the_rational_path(spec, length, rows, h, 
                                    [[Fraction(x) for x in c] for c in coeffs], length, QQ)
     assert ours == rational
     assert ours == brute_jet_vectors(p, Germ(tuple(base), tuple(map(tuple, coeffs))), length)
+
+
+# -- jets over QQ, ZZ[t] and QQ[t] on the same packed ints ----------------------
+
+_JET_RINGS = {"QQ": QQ, "ZZ[t]": PolyRing(ZZ), "QQ[t]": PolyRing(QQ)}
+
+
+def _at(poly, x):
+    return sum(c * x**i for i, c in enumerate(poly))
+
+
+# a jet entry has degree at most D e in t (D the sum of the factor degrees,
+# e the largest degree of a coordinate), so D e + 1 values of t fix it
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(CAMPAIGN_VARIETIES + ("veronese:1,7",)),
+       name=st.sampled_from(sorted(_JET_RINGS)), length=st.integers(1, 8),
+       rows=st.integers(0, 8), e=st.integers(0, 3),
+       h=st.sampled_from((1, 2, 10, 10**6, 10**12)), den=st.sampled_from((1, 2, 6, 10**6)),
+       signs=st.sampled_from(("mixed", "+", "-", "top")), seed=st.integers(0, 2**32))
+def test_packed_jets_over_every_ring_equal_the_oracle(spec, name, length, rows, e, h, den,
+                                                      signs, seed):
+    p, ring = parse_variety(spec), _JET_RINGS[name]
+    rng = random.Random(seed)
+    scalar = int if name == "ZZ[t]" else Fraction
+
+    def coefficient():
+        x = _coordinate(rng, h, signs)
+        return x if scalar is int else Fraction(x, rng.randint(1, den))
+
+    def coordinate():
+        if ring is QQ:
+            return coefficient()
+        return ring.from_elems([coefficient() for _ in range(rng.randint(0, e + 1))])
+
+    base, *coeffs = [[coordinate() for _ in range(p.dim_X)] for _ in range(rows + 1)]
+    ours = jet_vectors_in_ring(p, base, coeffs, length, ring)
+    assert len(ours) == length and all(len(v) == p.dim_W for v in ours)
+    if ring is QQ:
+        assert all(type(x) is Fraction for v in ours for x in v)
+        assert ours == brute_jet_vectors(p, Germ(tuple(base), tuple(map(tuple, coeffs))), length)
+        return
+    assert all(type(c) is scalar for v in ours for x in v for c in x)
+    assert all(x[-1] for v in ours for x in v if x)  # no trailing zeros
+    for t in range(sum(f.d for f in p.factors) * e + 1):
+        germ = Germ(tuple(_at(x, t) for x in base),
+                    tuple(tuple(_at(x, t) for x in c) for c in coeffs))
+        assert [[_at(x, t) for x in v] for v in ours] == brute_jet_vectors(p, germ, length)
