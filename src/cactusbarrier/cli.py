@@ -19,7 +19,7 @@ import traceback
 from contextlib import contextmanager
 
 from .barrier import UnsupportedVarietyError, ceilings, verify_instance
-from .exactalg import DEFAULT_PRIME, clear_denominators
+from .exactalg import DEFAULT_PRIME, clear_denominators, common_denominator
 from .fields import QQ, PolyRing, PrimeField, is_probable_prime
 from .fileformats import (
     FileFormatError,
@@ -194,7 +194,7 @@ def _prime_reduction(path=None):
     """
     try:
         yield
-    except ZeroDivisionError as e:  # raised by PrimeField.of or integer_image
+    except ZeroDivisionError as e:  # raised by common_denominator or integer_image
         where = f"{path}: " if path else ""
         raise CliError(f"{where}{e}; use --field q") from None
 
@@ -203,10 +203,9 @@ def _load_verify_scheme(path, param, prime):
     scheme = load_scheme(path)
     validate_scheme(param, scheme)
     if prime is not None:
-        gf = PrimeField(prime)
         with _prime_reduction(path):
             for piece in scheme.pieces:
-                piece.map_coords(gf.of)
+                common_denominator(piece.coords, prime)
     return scheme
 
 

@@ -1,8 +1,9 @@
 """Exact dense linear algebra: ranks, kernels, spans, span sampling.
 
-Two eliminations run on plain Python ints, after rational rows are cleared
-of denominators through `.numerator` and `.denominator`; over QQ both are
-fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
+Two eliminations here run on plain Python ints, after rational rows are
+cleared of denominators through `.numerator` and `.denominator`; over QQ
+both are fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only
+exactly:
 
 - Batch ranks over QQ use fraction-free (Bareiss) elimination, so
   coefficient growth stays polynomial; `rank_of_rows` clears all rows over
@@ -22,17 +23,21 @@ fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only exactly:
   number of rows it keeps. A prime field is only ever such a modulus for
   ranks and relations of int rows: no span is built over it.
 
-Span vectors of integral chart points arrive as ints (chart evaluation and
-jets run over `fields.ZZ`), and `clear_rows` copies rows of ints without a
-denominator pass. A barrier trial clears its span vectors once and stays on
-ints: `sample_combination` sums on the entries' own operators. Spans and
-factor subspaces (`subspace_from_vectors`, always over QQ) still run a
-reduced row echelon form, on the entries' own operators too: ints and
-Fractions, scaled by the Fraction inverse of each pivot. It stops reading
-vectors once the span is the whole ambient space, which no later vector can
-enlarge, so later vectors are neither reduced nor length-checked. Ranks over
-a polynomial ring (generic ranks of one-parameter families) are the largest
-of enough integer specializations of t, each ranked over the base.
+A third, `rankmethods._adjugate_solve`, is fraction-free Gauss-Jordan on
+ints: it solves through the invertible slice of a Koszul flattening.
+
+Span vectors of integral chart points arrive as ints (chart maps take their
+arithmetic from their coordinates; see `varieties`), and `clear_rows` copies
+rows of ints without a denominator pass. A barrier trial clears its span
+vectors once and stays on ints: `sample_combination` sums on the entries'
+own operators. Spans and factor subspaces (`subspace_from_vectors`, always
+over QQ) still run a reduced row echelon form, on the entries' own operators
+too: ints and Fractions, scaled by the Fraction inverse of each pivot. It
+stops reading vectors once the span is the whole ambient space, which no
+later vector can enlarge, so later vectors are neither reduced nor
+length-checked. Ranks over a polynomial ring (generic ranks of one-parameter
+families) are the largest of enough integer specializations of t, each
+ranked over the base.
 """
 
 from __future__ import annotations
@@ -108,8 +113,9 @@ def _rank_int_bareiss(rows: list[list[int]]) -> tuple[int, int]:
 def common_denominator(xs, prime: int | None = None) -> int:
     """Least common denominator of the rationals (or ints) `xs`.
 
-    With `prime`, a denominator that the prime divides raises the
-    ZeroDivisionError of `PrimeField.of`: `xs` has no image mod the prime.
+    With `prime`, a denominator that the prime divides raises
+    ZeroDivisionError, naming the first such entry of `xs`: `xs` has no
+    image mod the prime. This is the one place that decides it.
     """
     den = math.lcm(*[x.denominator for x in xs])
     if prime is not None and den % prime == 0:

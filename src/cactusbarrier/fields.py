@@ -1,18 +1,16 @@
-"""Exact scalars: rationals, integers, dense univariate polynomials, prime moduli.
+"""Exact scalars: rationals, dense univariate polynomials, prime moduli.
 
 Nothing is floating point. Elements are plain Python data (Fraction, int,
 tuple), added, multiplied, divided and tested for zero on their own
-operators; `QQ` and `ZZ` are markers, with `of` and no arithmetic. `ZZ`
-marks integral chart data: chart evaluation needs only sums and products,
-so `chart_ring` runs it on ints when the target is QQ and every coordinate
-is integral, and on ZZ[t] (one shared instance) when the target is QQ[t]
-and every coefficient is integral; an int equals the Fraction it stands
-for. `PolyRing` is a flat ring of polynomials over ZZ or QQ.
+operators; `QQ` is a marker, with `of` and no arithmetic, and an int
+equals the Fraction it stands for. `PolyRing` is the flat ring QQ[t]:
+its products sum from int 0, so polynomials with int coefficients keep
+int coefficients. Chart maps take no ring: the coordinates' own types
+pick their arithmetic (see `varieties`).
 
 `PrimeField` is a modulus, not a ring: the rank screen reduces integer rows
-mod p (see `exactalg`), and `PrimeField.of` tells whether a rational has an
-image mod p. Nothing is evaluated, spanned or deformed over GF(p), so
-`PolyRing` and `chart_ring` refuse a prime field.
+mod p (see `exactalg`). Nothing is evaluated, spanned or deformed over
+GF(p), so `PolyRing` refuses a prime field.
 """
 
 from __future__ import annotations
@@ -69,34 +67,6 @@ class RationalField:
 QQ = RationalField()
 
 
-class IntegerRing:
-    """The integers, for chart data; elements are ints, added and multiplied on their own operators."""
-
-    name = "ZZ"
-    zero = 0
-    one = 1
-
-    def of(self, x) -> int:
-        if isinstance(x, int):
-            return int(x)
-        q = x if isinstance(x, Fraction) else Fraction(x)
-        if q.denominator != 1:
-            raise ValueError(f"{x} is not an integer")
-        return q.numerator
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("ZZ")
-
-    def __repr__(self):
-        return "ZZ"
-
-
-ZZ = IntegerRing()
-
-
 class PrimeField:
     """A prime modulus p: the rank screen's field GF(p), whose elements are ints in [0, p)."""
 
@@ -106,44 +76,12 @@ class PrimeField:
         self.p = p
         self.name = f"GF({p})"
 
-    def of(self, x) -> int:
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(
-                    f"denominator of {x} vanishes mod {self.p}"
-                )
-            return x.numerator * pow(den, self.p - 2, self.p) % self.p
-        return int(x) % self.p
-
     def __repr__(self):
         return self.name
 
 
-def chart_ring(field, coords):
-    """The ring to evaluate chart coordinates `coords` in, for results over `field`.
-
-    ZZ when `field` is QQ and every coordinate is integral; ZZ[t] when
-    `field` is QQ[t] and every coefficient of every coordinate (a
-    polynomial in t) is integral; else `field`. Vectors over the returned
-    ring are vectors over `field`, entry for entry. A prime field raises
-    TypeError: nothing is evaluated over GF(p).
-    """
-    if isinstance(field, PrimeField):
-        raise TypeError(f"no chart evaluation over {field!r}; GF(p) only screens ranks")
-    if isinstance(field, PolyRing):
-        if chart_ring(field.base, [c for x in coords for c in x]) is ZZ:
-            return _ZZ_T
-        return field
-    if isinstance(field, RationalField) and all(
-        getattr(x, "denominator", None) == 1 for x in coords
-    ):
-        return ZZ
-    return field
-
-
 class PolyRing:
-    """Dense univariate polynomials over ZZ or QQ.
+    """Dense univariate polynomials over QQ.
 
     Elements are tuples of ints or Fractions with no trailing zeros, added
     and multiplied on the coefficients' own operators; the zero polynomial
@@ -151,7 +89,7 @@ class PolyRing:
     """
 
     def __init__(self, base):
-        if not isinstance(base, (IntegerRing, RationalField)):
+        if not isinstance(base, RationalField):
             raise TypeError(f"no polynomial ring over {base!r}")
         self.base = base
         self.name = f"{base.name}[t]"
@@ -193,7 +131,7 @@ class PolyRing:
     def mul(self, a, b):
         if not a or not b:
             return ()
-        out = [self.base.zero] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for k, cb in enumerate(b, i):
@@ -214,14 +152,11 @@ class PolyRing:
         return a[v:] if v else a
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and other.base == self.base
+        return isinstance(other, PolyRing)
 
     def __hash__(self):
-        return hash(("poly", self.base))
+        return hash("QQ[t]")
 
     def __repr__(self):
         return self.name
 
-
-# the one ZZ[t] that `chart_ring` returns for integral family pieces
-_ZZ_T = PolyRing(ZZ)

@@ -105,7 +105,7 @@ def integer_image(m: LinearMatrixMap, vec: list, prime: int | None = None) -> li
     lambda clears the denominators of F and mu those of the map (see
     `LinearMatrixMap.integer_cells`). The scaling keeps the rank over QQ,
     and the rank mod `prime` when the prime divides neither; when it divides
-    one, ZeroDivisionError is raised, as `PrimeField.of` raises it.
+    one, ZeroDivisionError is raised, as `exactalg.common_denominator` raises it.
     """
     _check_length(m, vec)
     mu, cells = m.integer_cells
@@ -303,20 +303,20 @@ def _schur_blocks(a: int, p: int, x: int) -> tuple[int, int, list]:
     return len(row_idx), len(col_idx), blocks
 
 
-def _adjugate_solve(g: list[list[int]], rhs: list[list[int]]) -> tuple[int, list | None]:
-    """(d, d * g^-1 * rhs) with d = +-det g, or (0, None) for a singular g.
+def _adjugate_solve(g: list[list[int]], rhs: list[list[int]]) -> tuple[int, list]:
+    """(d, d * g^-1 * rhs) with d = +-det g, for an invertible g.
 
     Fraction-free Gauss-Jordan on [g | rhs] (Bareiss's division by the
     previous pivot, on the rows above the pivot too): every division is
     exact, and the last pivot is det g, its sign flipped by each row swap.
+    g must be invertible: `koszul_ranks` passes only a slice that
+    `rank_and_minor` has found to have full rank.
     """
     n = len(g)
     w = [gr + rr for gr, rr in zip(g, rhs)]
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if w[i][k]), None)
-        if piv is None:
-            return 0, None
+        piv = next(i for i in range(k, n) if w[i][k])
         w[k], w[piv] = w[piv], w[k]
         wk = w[k]
         pk = wk[k]

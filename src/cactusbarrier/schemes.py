@@ -6,18 +6,18 @@ span computations and already realize the span-degeneration phenomena this
 package verifies; arbitrary zero-dimensional ideals are out of scope. Each
 piece class carries its own `span_vectors`, `map_coords` and `validate`.
 
-Spans are over QQ and families over QQ[t]. Span vectors of a piece whose
-chart coordinates are all integral are computed over ZZ, and those of a
-family piece whose coordinates are polynomials with integral coefficients
-over ZZ[t] (see `fields.chart_ring`; schemes and families share one
-per-piece loop): points, jets and tangent frames are sums of products of
-coordinates, so the ints equal the rational vectors entry by entry. A
-scheme piece whose coordinates are already ints is evaluated as it is.
-Pieces with rational coordinates keep Fractions. The dimension of the
-stated limit's span and its inclusion in the limit of the spans are two ranks
-(`rank_of_rows`, on integer rows over QQ), and each t-saturation step takes
-a primitive integer relation from one fraction-free elimination
-(`first_relation`), so Fractions remain only for rational coordinates.
+Spans are over QQ and families over QQ[t]. A piece's span vectors take
+their arithmetic from its chart coordinates (see `varieties`; schemes and
+families share one per-piece loop): points, jets and tangent frames are
+sums of products of coordinates, so a piece whose coordinates are all
+integral, or polynomials with integral coefficients, gives ints, or
+polynomials with int coefficients, equal to the rational vectors entry by
+entry. Pieces with rational coordinates give Fractions among their
+entries. The dimension of the stated limit's span and its inclusion in the
+limit of the spans are two ranks (`rank_of_rows`, on integer rows over QQ),
+and each t-saturation step takes a primitive integer relation from one
+fraction-free elimination (`first_relation`), so Fractions remain only for
+rational coordinates.
 
 Flat limits are never computed here. A one-parameter family carries its own
 explicitly stated limit, and the code checks that the span of the stated limit
@@ -38,14 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import Subspace, _echelon, first_relation, rank_of_rows, subspace_from_vectors
-from .fields import QQ, ZZ, PolyRing, chart_ring
-from .varieties import (
-    Germ,
-    VarietyParam,
-    evaluate_in_ring,
-    jet_vectors_in_ring,
-    tangent_vectors_in_ring,
-)
+from .fields import QQ, PolyRing, RationalField
+from .varieties import Germ, VarietyParam, evaluate, jet_vectors, tangent_vectors
 
 
 class OverlappingSupportsError(ValueError):
@@ -85,9 +79,9 @@ class ReducedPoint(_PointPiece):
     def degree(self) -> int:
         return 1
 
-    def span_vectors(self, param: VarietyParam, ring) -> list[list]:
-        """The chart point, its coordinates elements of `ring`."""
-        return [evaluate_in_ring(param, list(self.point), ring)]
+    def span_vectors(self, param: VarietyParam) -> list[list]:
+        """The chart point."""
+        return [evaluate(param, self.point)]
 
 
 class FirstNeighborhood(_PointPiece):
@@ -97,9 +91,9 @@ class FirstNeighborhood(_PointPiece):
     def degree(self) -> int:
         return len(self.point) + 1
 
-    def span_vectors(self, param: VarietyParam, ring) -> list[list]:
-        """The chart point and its first partials, its coordinates elements of `ring`."""
-        return tangent_vectors_in_ring(param, list(self.point), ring)
+    def span_vectors(self, param: VarietyParam) -> list[list]:
+        """The chart point and its first partials."""
+        return tangent_vectors(param, self.point)
 
 
 @dataclass(frozen=True)
@@ -137,10 +131,9 @@ class CurvilinearGerm:
         if not self.germ.coeffs or not any(self.germ.coeffs[0]):
             raise ValueError("curvilinear germ needs a nonzero first-order direction")
 
-    def span_vectors(self, param: VarietyParam, ring) -> list[list]:
-        """The jets of orders 0..length-1, the germ's coordinates elements of `ring`."""
-        return jet_vectors_in_ring(
-            param, list(self.germ.base), [list(c) for c in self.germ.coeffs], self.length, ring)
+    def span_vectors(self, param: VarietyParam) -> list[list]:
+        """The jets of orders 0..length-1."""
+        return jet_vectors(param, self.germ.base, self.germ.coeffs, self.length)
 
 
 Piece = ReducedPoint | CurvilinearGerm | FirstNeighborhood
@@ -181,33 +174,21 @@ def validate_scheme(param: VarietyParam, scheme: FiniteScheme) -> None:
         p.validate()
 
 
-def _span_vectors(param: VarietyParam, pieces, field) -> list[list]:
-    """Spanning vectors of the pieces over `field`, each piece in its `chart_ring`.
-
-    `field` is a field for a scheme and a polynomial ring in t for a family.
-    Over QQ, a piece whose coordinates are ints is evaluated over ZZ as it is.
-    """
-    out = []
-    for p in pieces:
-        if field is QQ and all(type(x) is int for x in p.coords):
-            out.extend(p.span_vectors(param, ZZ))
-            continue
-        ring = chart_ring(field, p.coords)
-        if isinstance(ring, PolyRing):  # ZZ[t] takes the integral coefficients as they are
-            coerce = ring.from_coeffs if ring is field else lambda x: tuple(c.numerator for c in x)
-        else:
-            coerce = ring.of
-        out.extend(p.map_coords(coerce).span_vectors(param, ring))
-    return out
+def _span_vectors(param: VarietyParam, pieces) -> list[list]:
+    """Spanning vectors of the pieces, concatenated piece by piece."""
+    return [v for p in pieces for v in p.span_vectors(param)]
 
 
 def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> list[list]:
-    """Raw spanning vectors of the scheme, concatenated piece by piece.
+    """Raw spanning vectors of the scheme over QQ, concatenated piece by piece.
 
-    Over QQ, a piece with integral coordinates gives int vectors.
+    A piece with integral coordinates gives int vectors. `field` must be
+    QQ; any other raises TypeError.
     """
+    if not isinstance(field, RationalField):
+        raise TypeError(f"no span vectors over {field!r}")
     validate_scheme(param, scheme)
-    return _span_vectors(param, scheme.pieces, field)
+    return _span_vectors(param, scheme.pieces)
 
 
 def scheme_span(param: VarietyParam, scheme: FiniteScheme) -> Subspace:
@@ -394,10 +375,10 @@ def family_span(param: VarietyParam, pieces) -> SpanFamily:
     values) is kept with no generic rank: specializing never raises a rank.
     From that one on, a vector is kept when appending it raises the generic
     rank (`rank_of_rows` over the polynomial ring). Integral pieces give
-    vectors of int polynomials (see `fields.chart_ring`).
+    vectors of int polynomials (see `varieties`).
     """
     ring = PolyRing(QQ)
-    raw = _span_vectors(param, pieces, ring)
+    raw = _span_vectors(param, pieces)
     at1 = ([sum(e) for e in v] for v in raw)  # read up to the first row dependent at t = 1
     first, _ = next(_echelon(QQ, at1, relations=False), (len(raw), None))
     kept = raw[:first]

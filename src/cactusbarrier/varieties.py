@@ -10,19 +10,21 @@ Jets of curve germs are computed by polynomial composition, never by
 differentiating and dividing by factorials. Each monomial costs one product,
 and a tangent frame is the point plus its first partials, read off the point
 by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and products
-occur, so integral chart data run over the ring ZZ (see `fields.chart_ring`)
-on Python's own int `*`: `evaluate` and `random_point` give plain ints at
-integral chart points, Fractions at rational ones. Over ZZ and QQ each level
-of the Kronecker product is one list comprehension; polynomial rings call
-their `mul` once per monomial of degree >= 2 (see `_kron`).
+occur, so the chart maps take no ring: coordinates are ints, Fractions or
+polynomials in t (tuples of them), and `_exact` first turns every integral
+rational, and every integral coefficient, into an int. Scalars then
+multiply on their own `*`, each level of the Kronecker product one list
+comprehension, so integral data give ints, equal to the rationals entry by
+entry; polynomials call `PolyRing.mul` once per monomial of degree >= 2 (see
+`_kron`).
 
 A jet of length L is one chart evaluation on packed ints (Kronecker
-substitution), whatever the chart ring: a rational germ is first scaled to
-an integral one, and coordinate j's series c_0 + c_1 s + ... becomes the int
-sum of c_m 2^(K T m), where c_m, a polynomial in t over ZZ[t] and QQ[t],
-fills T K-bit digits (T = 1 over ZZ and QQ). A product of series is then one
-int product, read back as K-bit digits; `jet_vectors_in_ring` bounds every
-digit by 2^(K-2), so that none borrows from the next.
+substitution): a rational germ is first scaled to an integral one, and
+coordinate j's series c_0 + c_1 s + ... becomes the int sum of
+c_m 2^(K T m), where c_m, a polynomial in t, fills T K-bit digits (T = 1 for
+scalars). A product of series is then one int product, read back as K-bit
+digits; `jet_vectors` bounds every digit by 2^(K-2), so that none borrows
+from the next.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .fields import QQ, ZZ, IntegerRing, PolyRing, RationalField, chart_ring
+from .fields import QQ, PolyRing
 
-_MARKERS = (IntegerRing, RationalField)  # rings whose elements multiply on their own `*`
+_POLY = PolyRing(QQ)  # polynomial coordinates multiply on its `mul`
 
 
 class VarietySpecError(ValueError):
@@ -179,8 +181,9 @@ def _factor_monomials(factor: Factor, u: list, one, mul) -> list:
 def _kron(vectors: list[list], mul) -> list:
     """Kronecker product of vectors that each lead with 1.
 
-    On ints (`operator.mul`) a level is one comprehension, products by 1 included;
-    other rings copy the products with a leading 1 and `mul` only the rest.
+    On scalars (`operator.mul`) a level is one comprehension, products by 1
+    included; polynomials copy the products with a leading 1 and `mul` only
+    the rest.
     """
     out = vectors[0]
     for nxt in vectors[1:]:
@@ -194,27 +197,28 @@ def _kron(vectors: list[list], mul) -> list:
     return out
 
 
-def evaluate_in_ring(param: VarietyParam, coords: list, ring) -> list:
-    """Chart map evaluated on coordinates that are elements of `ring` (ZZ, QQ or a `PolyRing`)."""
+def _exact(x):
+    """x with an integral rational, or each integral coefficient of a polynomial (tuple), as an int."""
+    if isinstance(x, tuple):
+        return tuple(map(_exact, x))
+    return x.numerator if x.denominator == 1 else x
+
+
+def evaluate(param: VarietyParam, coords) -> list:
+    """Affine-cone point of the chart map; its leading coordinate is always 1.
+
+    Coordinates are ints, Fractions or polynomials (tuples); integral data
+    give ints, or polynomials with int coefficients. Ints are taken as they are.
+    """
     if len(coords) != param.dim_X:
         raise ValueError(
             f"chart point has length {len(coords)}, expected {param.dim_X}"
         )
-    mul = operator.mul if type(ring) in _MARKERS else ring.mul  # a subclass keeps its own product
-    parts = [_factor_monomials(f, list(u), ring.one, mul) for f, u in _split_coords(param, coords)]
+    if not all(type(x) is int for x in coords):
+        coords = [_exact(x) for x in coords]
+    mul, one = (_POLY.mul, (1,)) if isinstance(coords[0], tuple) else (operator.mul, 1)
+    parts = [_factor_monomials(f, list(u), one, mul) for f, u in _split_coords(param, coords)]
     return _kron(parts, mul)
-
-
-def evaluate(param: VarietyParam, chart_point) -> list:
-    """Affine-cone point of the chart map; its leading coordinate is always 1.
-
-    An integral chart point gives ints, which equal the rationals; a point of
-    ints is evaluated over ZZ as it is.
-    """
-    if all(type(x) is int for x in chart_point):
-        return evaluate_in_ring(param, chart_point, ZZ)
-    ring = chart_ring(QQ, chart_point)
-    return evaluate_in_ring(param, [ring.of(x) for x in chart_point], ring)
 
 
 @lru_cache(maxsize=None)
@@ -226,11 +230,11 @@ def _chart_degrees(factors: tuple) -> tuple:
     return tuple(out)
 
 
-def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: int, ring) -> list[list]:
+def jet_vectors(param: VarietyParam, base: list, coeffs: list, length: int) -> list[list]:
     """Coefficient vectors of orders 0..length-1 of the chart map along a germ.
 
-    `base` and each entry of `coeffs` are elements of `ring` (ZZ, QQ, or a
-    `PolyRing` over either); rows of `coeffs` past order length-1 are unused.
+    `base` and each entry of `coeffs` are ints and Fractions, or all
+    polynomials (tuples); rows of `coeffs` past order length-1 are unused.
     A rational germ is scaled by q, the common denominator of all its
     coefficients, so an entry whose chart monomial has degree g scales by
     q^g, and is divided back. Coefficient i of t in the order-m coefficient
@@ -241,13 +245,12 @@ def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: i
     L = length and h = max(1, largest |scaled coefficient|), so an entry's
     digits are at most (L T h)^D < 2^(K-2) for K = bit_length((L T h)^D) + 2.
     With 2^(K-1) added at each digit below T L, digit k less 2^(K-1) is the
-    coefficient there; higher orders add multiples of 2^(K T L). Over ZZ,
-    T = 1 and q = 1.
+    coefficient there; higher orders add multiples of 2^(K T L). For
+    scalars T = 1, and for integral data q = 1 and the entries are ints.
     """
     if length < 1:
         raise ValueError("jet length must be at least 1")
-    poly = isinstance(ring, PolyRing)
-    rational = isinstance(ring.base if poly else ring, RationalField)
+    poly = isinstance(base[0], tuple)
     d = sum(f.d for f in param.factors)
     rows = [base, *coeffs[: length - 1]]
     # planes[i + width m][j] is coefficient i of t at order m of coordinate j; width is T
@@ -255,9 +258,8 @@ def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: i
     if poly:
         width = d * max(0, *(len(c) - 1 for r in rows for c in r)) + 1
         planes = [[c[i] if i < len(c) else 0 for c in r] for r in rows for i in range(width)]
-    if rational:
-        q = math.lcm(*(x.denominator for p in planes for x in p))
-        planes = [[x.numerator * (q // x.denominator) for x in p] for p in planes]
+    q = math.lcm(*(x.denominator for p in planes for x in p))
+    planes = [[x.numerator * (q // x.denominator) for x in p] for p in planes]
     h = max(abs(x) for p in planes for x in p) or 1
     k = ((length * width * h) ** d).bit_length() + 2
     packed = [0] * param.dim_X
@@ -265,14 +267,14 @@ def jet_vectors_in_ring(param: VarietyParam, base: list, coeffs: list, length: i
         packed = [(x << k) + c for x, c in zip(packed, p)]
     half, mask, shifts = 1 << (k - 1), (1 << k) - 1, range(0, k * width * length, k)
     offset = sum(half << s for s in shifts)
-    w = [x + offset for x in evaluate_in_ring(param, packed, ZZ)]
+    w = [x + offset for x in evaluate(param, packed)]
     planes = [[((x >> s) & mask) - half for x in w] for s in shifts]
-    if rational:
+    if q > 1:
         dens = [q**g for g in _chart_degrees(param.factors)]
         planes = [[Fraction(x, n) for x, n in zip(p, dens)] for p in planes]
     if not poly:
         return planes
-    return [[ring.from_elems(c) for c in zip(*planes[m * width:(m + 1) * width])]
+    return [[_POLY.from_elems(c) for c in zip(*planes[m * width:(m + 1) * width])]
             for m in range(length)]
 
 
@@ -295,13 +297,13 @@ def _partial_sources(factors: tuple) -> tuple:
     return tuple(out)
 
 
-def tangent_vectors_in_ring(param: VarietyParam, coords: list, ring) -> list[list]:
+def tangent_vectors(param: VarietyParam, coords) -> list[list]:
     """Chart point together with all first partial derivative vectors, by the product rule."""
-    point = evaluate_in_ring(param, coords, ring)
-    scale = operator.mul if type(ring) in _MARKERS else (lambda e, x: ring.mul(ring.of(e), x))
+    point = evaluate(param, coords)
+    zero, scale = ((), _POLY.scale) if isinstance(point[0], tuple) else (0, operator.mul)
     out = [point]
     for sources in _partial_sources(param.factors):
-        v = [ring.zero] * param.dim_W
+        v = [zero] * param.dim_W
         for entry, src, e in sources:
             v[entry] = point[src] if e == 1 else scale(e, point[src])
         out.append(v)

@@ -19,6 +19,7 @@ from itertools import combinations, permutations, product
 from cactusbarrier.exactalg import Matrix
 from cactusbarrier.fields import QQ
 from cactusbarrier.varieties import (
+    Germ,
     homogeneous_exponents,
     monomial_exponents,
 )
@@ -152,27 +153,41 @@ def brute_jet_vectors(param, germ, length: int) -> list[list]:
     return [[poly[m] if m < len(poly) else Fraction(0) for poly in w] for m in range(length)]
 
 
+def brute_piece_vectors(param, piece) -> list[list]:
+    """Span vectors of a scheme piece with rational coordinates, by `brute_jet_vectors`.
+
+    A reduced point is its length-1 jet and a curvilinear germ its jets; a
+    first neighborhood is the point and the order-1 coefficient of the
+    length-2 jet along each coordinate axis. The piece's type is read from
+    its class name, so no library method runs.
+    """
+    kind = type(piece).__name__
+    if kind == "CurvilinearGerm":
+        return brute_jet_vectors(param, piece.germ, piece.length)
+    point = tuple(piece.point)
+    out = brute_jet_vectors(param, Germ(point), 1)
+    if kind == "FirstNeighborhood":
+        for j in range(param.dim_X):
+            axis = tuple(int(i == j) for i in range(param.dim_X))
+            out.append(brute_jet_vectors(param, Germ(point, (axis,)), 2)[1])
+    return out
+
+
 class Scalars:
     """Arithmetic on the elements of a library field, written out here.
 
-    Over a field with a modulus `p`, ints mod p; over ZZ, ints; over QQ,
-    Fractions (ints pass as the rationals they equal).
+    Over a field with a modulus `p`, ints mod p; over QQ, Fractions (ints
+    pass as the rationals they equal).
     """
 
     def __init__(self, field):
         self.p = getattr(field, "p", None)
-        self.integral = field.name == "ZZ"
-        exact = self.p is not None or self.integral
-        self.zero, self.one = (0, 1) if exact else (Fraction(0), Fraction(1))
+        self.zero, self.one = (0, 1) if self.p is not None else (Fraction(0), Fraction(1))
 
     def of(self, x):
         q = Fraction(x)
         if self.p is not None:
             return q.numerator * pow(q.denominator, -1, self.p) % self.p
-        if self.integral:
-            if q.denominator != 1:
-                raise ValueError(f"{x} is not an integer")
-            return q.numerator
         return q
 
     def _reduce(self, a):

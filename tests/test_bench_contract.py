@@ -88,7 +88,7 @@ def test_oracle_piece_vectors_for_every_piece_type(workloads):
     for piece in (ReducedPoint(point), CurvilinearGerm(germ, 2), FirstNeighborhood(point)):
         vectors = workloads.piece_vectors(oracle, piece)
         assert len(vectors) == piece.degree, piece
-        assert oracle.rank(vectors) == rank_of_rows(QQ, piece.span_vectors(param, QQ)), piece
+        assert oracle.rank(vectors) == rank_of_rows(QQ, piece.span_vectors(param)), piece
 
 
 def test_ladder_first_and_custom_rungs_pass_their_checks(workloads, monkeypatch, tmp_path):

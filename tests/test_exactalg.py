@@ -13,6 +13,7 @@ from cactusbarrier.exactalg import (
     _echelon,
     _rank_int_bareiss,
     clear_denominators,
+    common_denominator,
     first_relation,
     nullspace,
     rank,
@@ -34,12 +35,16 @@ from oracles import (
 )
 
 
+def _of(field, x):
+    return Scalars(field).of(x)
+
+
 def mat(field, rows):
-    return Matrix(field, [[field.of(x) for x in row] for row in rows])
+    return Matrix(field, [[_of(field, x) for x in row] for row in rows])
 
 
 def identity(field, n):
-    return Matrix(field, [[field.of(int(i == j)) for j in range(n)] for i in range(n)])
+    return Matrix(field, [[_of(field, int(i == j)) for j in range(n)] for i in range(n)])
 
 
 def test_rank_identity():
@@ -146,7 +151,7 @@ def _oracle_matrices(draw, fields=_ORACLE_FIELDS):
     if field == QQ:
         entry = st.fractions(-3, 3, max_denominator=4)
     else:
-        entry = st.one_of(st.integers(-3, 3), st.integers(0, field.p - 1)).map(field.of)
+        entry = st.one_of(st.integers(-3, 3), st.integers(0, field.p - 1)).map(Scalars(field).of)
     ncols = draw(st.integers(1, 5))
     nrows = draw(st.integers(1, 7))
     free = draw(st.integers(1, nrows))
@@ -154,7 +159,7 @@ def _oracle_matrices(draw, fields=_ORACLE_FIELDS):
                          min_size=free, max_size=free))
     while len(rows) < nrows:  # integer combinations of earlier rows
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
-        rows.append([field.of(sum(c * r[j] for c, r in zip(coeffs, rows)))
+        rows.append([_of(field, sum(c * r[j] for c, r in zip(coeffs, rows)))
                      for j in range(ncols)])
     return field, draw(st.permutations(rows)), ncols
 
@@ -188,10 +193,10 @@ def test_in_span_oracle_matches_sympy(case, data):
     assert s.dim == _sympy_rank(field, rows, ncols)
     if data.draw(st.booleans()):  # a combination of the rows
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
-        target = [_dot(field, [field.of(c) for c in coeffs], [r[j] for r in rows])
+        target = [_dot(field, [_of(field, c) for c in coeffs], [r[j] for r in rows])
                   for j in range(ncols)]
     else:
-        target = [field.of(x) for x in data.draw(
+        target = [_of(field, x) for x in data.draw(
             st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))]
     inside = _sympy_rank(field, rows + [target], ncols) == _sympy_rank(field, rows, ncols)
     # on the span's basis and on the raw rows, which may be dependent
@@ -225,15 +230,15 @@ def test_same_span_oracle_matches_sympy(case, data):
     a = subspace_from_vectors(ncols, rows)
     kind = data.draw(st.sampled_from(["recombined", "one more", "random"]))
     if kind == "random":
-        other = [[field.of(x) for x in data.draw(
+        other = [[_of(field, x) for x in data.draw(
             st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))]
             for _ in range(data.draw(st.integers(0, ncols)))]
     else:  # combinations of a's basis, then maybe one vector more
-        other = [[_dot(field, [field.of(c) for c in data.draw(st.lists(
+        other = [[_dot(field, [_of(field, c) for c in data.draw(st.lists(
             st.integers(-2, 2), min_size=a.dim, max_size=a.dim))], [v[j] for v in a.basis])
             for j in range(ncols)] for _ in range(a.dim + 1)]
         if kind == "one more":
-            other.append([field.of(x) for x in data.draw(
+            other.append([_of(field, x) for x in data.draw(
                 st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))])
     ra = _sympy_rank(field, a.basis, ncols)
     # the other side's basis as spanned and as drawn, which may be dependent
@@ -503,7 +508,7 @@ def _relation_cases(draw):
             rows.append(list(draw(st.sampled_from(rows))))
         else:
             coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-            rows.append([field.of(sum(c * r[j] for c, r in zip(coeffs, rows)))
+            rows.append([_of(field, sum(c * r[j] for c, r in zip(coeffs, rows)))
                          for j in range(ncols)])
     return field, rows, ncols
 
@@ -521,8 +526,8 @@ def test_first_relation_matches_the_kernel_of_the_first_dependent_prefix(case):
     assert len(rel) == len(rows)
     assert rel[i] and not any(rel[i + 1:])
     for j in range(ncols):
-        assert not field.of(sum(c * row[j] for c, row in zip(rel, rows)))
-    prefix = [[field.of(x) for x in col] for col in zip(*rows[:i + 1])]
+        assert not _of(field, sum(c * row[j] for c, row in zip(rel, rows)))
+    prefix = [[_of(field, x) for x in col] for col in zip(*rows[:i + 1])]
     kernel = rref_nullspace(field, prefix, i + 1)[0]
     if field == QQ:
         kernel = clear_denominators(kernel)
@@ -539,9 +544,9 @@ def test_clear_denominators_and_prime_check():
         clear_denominators(row, 2)
     with pytest.raises(ZeroDivisionError, match="of 1/3 vanishes mod 3"):
         clear_denominators(row, 3)
-    # PrimeField.of raises the same error for the same entry
+    # common_denominator decides it for every caller, naming the first such entry
     with pytest.raises(ZeroDivisionError, match="of -3/4 vanishes mod 2"):
-        PrimeField(2).of(Fraction(-3, 4))
+        common_denominator([Fraction(1, 3), Fraction(-3, 4), Fraction(1, 6)], 2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -10,7 +10,11 @@ to somewhere in the module outside its own definition. A public one must be
 referred to in the package outside its own definition, be named in bench/
 (as a name, an attribute or a string: the tracer names its targets as
 strings), be re-exported by `__init__.py`, or be kept in KEPT_PUBLIC with
-its reason. The README's library example runs as it stands.
+its reason. Each method and property of a class in the package, dunders
+aside, must be referred to as an attribute in the package or in bench/
+(outside its own body), be named as a string in bench/, or be kept in
+KEPT_PUBLIC, as "Class.name", with its reason. The README's library example
+runs as it stands.
 """
 
 import ast
@@ -19,6 +23,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -29,9 +34,11 @@ ROOT = PACKAGE.parents[1]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 
-# public names that no program code uses, each with the reason it stays
+# public names and methods that no program code uses, each with the reason it stays
 KEPT_PUBLIC = {
     "scheme_to_dict": "the scheme reader's round-trip tests write their files with it",
+    "PolyRing.t": "tests build the polynomial t with it, as the acceptance tests do",
+    "DenseTensor.diagonal": "tests build diagonal tensors, whose ranks are known, with it",
 }
 
 
@@ -148,7 +155,67 @@ def test_every_public_name_has_a_caller():
                              [p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")],
                              (PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     # the allow-list holds exactly the names the check would flag
-    assert sorted(d.rsplit(": ", 1)[1] for d in dead) == sorted(KEPT_PUBLIC)
+    assert sorted(d.rsplit(": ", 1)[1] for d in dead) == sorted(
+        name for name in KEPT_PUBLIC if "." not in name)
+
+
+def dead_methods(modules: dict[str, str], bench: list[str]) -> list[str]:
+    """Methods and properties, dunders aside, that nothing listed refers to.
+
+    `modules` maps each library module's name to its source and `bench`
+    holds the sources of the bench scripts. A method is used when a module
+    or a bench script refers to its name as an attribute (a use inside its
+    own body does not count), or a bench script names it as a string.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    named = Counter(n.attr for tree in trees.values() for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute))
+    for source in bench:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                named[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named[node.value] += 1
+    dead = []
+    for modname, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or node.name.startswith("__") and node.name.endswith("__")):
+                    continue
+                own = sum(isinstance(n, ast.Attribute) and n.attr == node.name
+                          for n in ast.walk(node))
+                if named[node.name] == own:
+                    dead.append(f"{modname} line {node.lineno}: {cls.name}.{node.name}")
+    return dead
+
+
+def test_the_check_finds_a_dead_method():
+    modules = {
+        "alg": ("class Ring:\n"
+                "    def __init__(self): self.x = self.used()\n"
+                "    def used(self): return 1\n"
+                "    def dead(self): pass\n"
+                "    def recursive(self, n): return self.recursive(n - 1)\n"
+                "    @property\n"
+                "    def size(self): return 0\n"
+                "    def traced(self): pass\n"
+                "    def called_by_bench(self): pass\n"
+                "    def _norm(self): pass\n"),
+        "cli": "def main(r): return r.size\n",
+    }
+    bench = ["TARGETS = {('alg', 'traced'): 'alg.Ring.traced'}\n"
+             "from cactusbarrier import alg\n"
+             "alg.Ring().called_by_bench()\n"]
+    assert dead_methods(modules, bench) == [
+        "alg line 4: Ring.dead", "alg line 5: Ring.recursive", "alg line 10: Ring._norm"]
+
+
+def test_every_method_has_a_caller():
+    dead = dead_methods({p.stem: p.read_text(encoding="utf-8") for p in MODULES},
+                        [p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")])
+    assert sorted(d.rsplit(": ", 1)[1] for d in dead) == sorted(
+        name for name in KEPT_PUBLIC if "." in name)
 
 
 def test_the_readme_library_example_runs():

@@ -41,6 +41,7 @@ from cactusbarrier.rankmethods import (
 from cactusbarrier.varieties import parse_variety, random_point
 
 from oracles import (
+    Scalars,
     brute_catalecticant_matrix,
     brute_flattening_matrix,
     brute_koszul_matrix,
@@ -404,7 +405,8 @@ def test_integer_image_ranks_match_evaluate_map(m, data):
                 integer_image(m, f, p)
             continue
         # M(F) over QQ, reduced entry by entry
-        expected = rank_mod_p([[gf.of(x) for x in row] for row in evaluate_map(m, f, QQ).rows], p)
+        reduced = [[Scalars(gf).of(x) for x in row] for row in evaluate_map(m, f, QQ).rows]
+        expected = rank_mod_p(reduced, p)
         assert rank_of_rows(gf, integer_image(m, f, p)) == expected
         assert map_rank(m, f, gf) == expected
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import cactusbarrier.exactalg as exactalg
 from cactusbarrier import cli
 import cactusbarrier.schemes as schemes
+import cactusbarrier.varieties as varieties
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
     Matrix,
@@ -19,7 +20,7 @@ from cactusbarrier.exactalg import (
     nullspace,
     rank_of_rows,
 )
-from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing
+from cactusbarrier.fields import QQ, PolyRing, RationalField
 from cactusbarrier.fileformats import piece_from_dict, piece_to_dict
 from cactusbarrier.schemes import (
     CurvilinearGerm,
@@ -42,7 +43,7 @@ from cactusbarrier.schemes import (
     validate_scheme,
 )
 from cactusbarrier.varieties import Germ, parse_variety, random_point
-from oracles import Scalars, in_span, same_span
+from oracles import Scalars, brute_piece_vectors, in_span, same_span
 
 
 def fr(x):
@@ -69,10 +70,10 @@ def test_piece_protocol(piece):
     assert pickle.loads(pickle.dumps(rational)) == rational
     assert piece.map_coords(lambda x: x) == piece
     piece.validate()
-    ints = piece.span_vectors(param, ZZ)
+    ints = piece.span_vectors(param)
     assert len(ints) == piece.degree == rank_of_rows(QQ, ints)
     assert all(type(x) is int for v in ints for x in v)
-    assert ints == rational.span_vectors(param, QQ)  # entry for entry
+    assert rational.span_vectors(param) == ints  # entry for entry, as ints
     assert ReducedPoint(piece.support) != FirstNeighborhood(piece.support)
 
 
@@ -397,7 +398,7 @@ def test_family_span_matches_a_sympy_greedy_selection(data):
     param = parse_variety(spec)
     pieces = data.draw(_pieces(param.dim_X))
     kept = []
-    for v in schemes._span_vectors(param, pieces, RQ):
+    for v in schemes._span_vectors(param, pieces):
         if _sympy_generic_rank(kept + [v]) > len(kept):
             kept.append(v)
     basis, rank, lim = _family_outcomes(param, pieces)
@@ -516,7 +517,7 @@ def test_family_span_falls_back_to_the_generic_rank_after_t_1():
     # A mutant that keeps every vector independent at t = 1 keeps the third.
     p = parse_variety("segre:2x2")
     pieces = [ReducedPoint((RQ.from_coeffs(c), RQ.zero)) for c in ([], [-1, 1], [0, 2])]
-    raw = schemes._span_vectors(p, pieces, RQ)
+    raw = schemes._span_vectors(p, pieces)
     oracle = []
     for v in raw:
         if _sympy_generic_rank(oracle + [v]) > len(oracle):
@@ -562,16 +563,15 @@ def test_generic_rank_with_a_denominator_divisible_by_2_31_minus_1():
     assert _sympy_generic_rank(kept) == 2
 
 
-# -- span vectors over ZZ for integral chart points -------------------------
+# -- span vectors on ints for integral chart points ---------------------------
 
 CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,3",
                       "segre-veronese:(1,2)x(2,1)")
 
 
-def _fraction_path(param, scheme, field):
-    """Span vectors with every coordinate taken into `field` first, as before ZZ."""
-    return [v for p in scheme.pieces
-            for v in p.map_coords(field.of).span_vectors(param, field)]
+def _fraction_path(param, scheme):
+    """Span vectors of the scheme's pieces by the brute-force oracle, in Fractions."""
+    return [v for p in scheme.pieces for v in brute_piece_vectors(param, p)]
 
 
 @st.composite
@@ -596,25 +596,31 @@ def _entries_equal(a, b):
 def test_integral_span_vectors_equal_the_fraction_path(case):
     param, s = case
     out = scheme_span_vectors(param, s, QQ)
-    assert _entries_equal(out, _fraction_path(param, s, QQ))
+    assert _entries_equal(out, _fraction_path(param, s))
     assert all(type(x) is int for v in out for x in v)
+
+
+def _ring_methods():
+    """(class, name) of every method of `PolyRing` and of the `QQ` marker, dunders aside."""
+    return [(cls, name) for cls in (PolyRing, RationalField) for name, f in vars(cls).items()
+            if callable(f) and not name.startswith("__")]
 
 
 @pytest.mark.parametrize("spec", CAMPAIGN_VARIETIES)
 def test_integral_spans_and_points_take_no_ring_product(spec, monkeypatch):
-    # the int path multiplies with int `*`: ZZ[t]'s method is not called, nor is
-    # a ZZ method (ZZ has none; one planted here would be refused)
+    # the int path multiplies with int `*` and calls no ring method: each one
+    # is refused here
     param = parse_variety(spec)
     schemes_by_kind = [random_scheme(param, 2 * (param.dim_X + 1), mix=mix, bound=3,
                                      rng=random.Random(mix)) for mix in ("reduced", "curv", "nbhd")]
     want = [scheme_span_vectors(param, s) for s in schemes_by_kind]
     point = random_point(param, 5, random.Random(spec))
 
-    def refuse(self, a, b):
-        raise AssertionError("a ring product on the int path")
+    def refuse(self, *args):
+        raise AssertionError("a ring method on the int path")
 
-    monkeypatch.setattr(PolyRing, "mul", refuse)
-    monkeypatch.setattr(IntegerRing, "mul", refuse, raising=False)
+    for cls, name in _ring_methods():
+        monkeypatch.setattr(cls, name, refuse)
     for s, vectors in zip(schemes_by_kind, want):
         assert scheme_span_vectors(param, s) == vectors
         assert all(type(x) is int for v in vectors for x in v)
@@ -640,27 +646,31 @@ def test_int_and_integral_fraction_coordinates_give_the_same_int_vectors(spec):
         assert all(type(x) is int for v in ints for x in v)
         from_fractions = scheme_span_vectors(param, _map_scheme(Fraction, s))
         assert all(type(x) is int for v in from_fractions for x in v)
-        assert from_fractions == ints == _fraction_path(param, s, QQ)
-        # x + 1/2 is never integral, so every piece keeps Fractions
+        assert from_fractions == ints == _fraction_path(param, s)
+        # x + 1/2 is never integral, so every piece gives Fractions among its entries
         halves = _map_scheme(lambda x: x + Fraction(1, 2), s)
         rational = scheme_span_vectors(param, halves)
-        assert all(type(x) is Fraction for v in rational for x in v)
-        assert rational == _fraction_path(param, halves, QQ)
+        assert rational == _fraction_path(param, halves)
+        pos = 0
+        for p in halves.pieces:
+            assert any(type(x) is Fraction for v in rational[pos:pos + p.degree] for x in v)
+            pos += p.degree
 
 
 @pytest.mark.parametrize("spec", ["segre:3x3x3", "veronese:3,3"])
 def test_int_coordinates_do_not_pass_through_zz_of(spec, monkeypatch):
-    # integral Fractions are converted by ZZ.of once per coordinate, ints not at all;
-    # the product rule's own ZZ.of(e) for an exponent e > 1 is the same in both runs
+    # the one conversion to ints, `varieties._exact`, sees no int point;
+    # integral Fractions pass through it once per coordinate of a point piece
+    # (a germ's jet reads the denominators itself)
     param = parse_variety(spec)
     calls = []
-    real_of = IntegerRing.of
+    real = varieties._exact
 
-    def counting_of(self, x):
+    def counting(x):
         calls.append(x)
-        return real_of(self, x)
+        return real(x)
 
-    monkeypatch.setattr(IntegerRing, "of", counting_of)
+    monkeypatch.setattr(varieties, "_exact", counting)
 
     def count(scheme):
         calls.clear()
@@ -668,33 +678,91 @@ def test_int_coordinates_do_not_pass_through_zz_of(spec, monkeypatch):
         return len(calls)
 
     for s in _schemes_of_each_piece_type(param):
-        ncoords = sum(len(p.coords) for p in s.pieces)
-        assert count(_map_scheme(Fraction, s)) == count(s) + ncoords
-        if spec.startswith("segre"):  # every exponent is 1
-            assert count(s) == 0
+        points = [p for p in s.pieces if not isinstance(p, CurvilinearGerm)]
+        assert count(s) == 0
+        assert count(_map_scheme(Fraction, s)) == sum(len(p.coords) for p in points)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=_random_schemes(), den=st.integers(2, 7), which=st.integers(0, 7))
 def test_rational_span_vectors_equal_the_fraction_path(case, den, which):
     # pieces picked by the bits of `which` get coordinates x/den; the rest stay
-    # integral, so both rings meet in one scheme
+    # integral, so both kinds meet in one scheme
     param, s = case
     pieces = tuple(p.map_coords(lambda x: Fraction(x, den)) if which >> i & 1 else p
                    for i, p in enumerate(s.pieces))
     s = FiniteScheme(pieces)
     out = scheme_span_vectors(param, s, QQ)
-    assert _entries_equal(out, _fraction_path(param, s, QQ))
+    assert _entries_equal(out, _fraction_path(param, s))
     pos = 0
     for p in s.pieces:
-        n = len(p.map_coords(QQ.of).span_vectors(param, QQ))
         integral = all(x.denominator == 1 for x in p.coords)
-        assert all((type(x) is int) == integral for v in out[pos:pos + n] for x in v)
-        pos += n
+        assert all(type(x) is int for v in out[pos:pos + p.degree] for x in v) == integral
+        pos += p.degree
     assert pos == len(out)
 
 
-# -- family span vectors over ZZ[t] and the fraction-free limit ---------------
+# -- the chart coordinates pick the arithmetic ---------------------------------
+
+_KINDS = ("int", "integral Fraction", "rational", "int polynomial", "rational polynomial")
+_CHART_VARIETIES = ("segre:2x2x2", "veronese:2,3", "veronese:1,7", "segre-veronese:(1,2)x(2,1)",
+                    "segre:3x3x3")
+
+
+def _coordinates(kind, n, rng):
+    """n chart coordinates of one kind; the rational kinds keep one denominator above 1."""
+    def number(den):
+        return Fraction(rng.randint(-3, 3), rng.randint(1, den))
+    if kind == "int":
+        return tuple(rng.randint(-3, 3) for _ in range(n))
+    if kind == "integral Fraction":
+        return tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+    if kind == "rational":
+        return (Fraction(1, 2),) + tuple(number(4) for _ in range(n - 1))
+    polys = [tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 3))) for _ in range(n)]
+    if kind == "rational polynomial":
+        polys = [(Fraction(1, 3),) + polys[0]] + [tuple(Fraction(c, rng.randint(1, 4)) for c in x)
+                                                   for x in polys[1:]]
+    return tuple(RQ.from_elems(x) for x in polys)
+
+
+def _piece(kind, param, length, rng):
+    """A piece of each type, its coordinates all of `kind`."""
+    def point():
+        return _coordinates(kind, param.dim_X, rng)
+    return [ReducedPoint(point()), FirstNeighborhood(point()),
+            CurvilinearGerm(Germ(point(), tuple(point() for _ in range(length - 1))), length)]
+
+
+def _scalars(xs):
+    return [c for x in xs for c in (x if isinstance(x, tuple) else (x,))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_CHART_VARIETIES), kind=st.sampled_from(_KINDS),
+       length=st.integers(2, 4), seed=st.integers(0, 2**32))
+def test_span_vectors_take_their_arithmetic_from_the_coordinates(spec, kind, length, seed):
+    param = parse_variety(spec)
+    rng = random.Random(seed)
+    for piece in _piece(kind, param, length, rng):
+        vectors = piece.span_vectors(param)
+        assert len(vectors) == piece.degree and all(len(v) == param.dim_W for v in vectors)
+        # ints, or polynomials with int coefficients, exactly when the data are integral
+        integral = all(c.denominator == 1 for c in _scalars(piece.coords))
+        assert integral == (kind in ("int", "integral Fraction", "int polynomial"))
+        assert all(type(c) is int for v in vectors for c in _scalars(v)) == integral
+        if not kind.endswith("polynomial"):
+            assert vectors == brute_piece_vectors(param, piece)
+            continue
+        # an entry has degree at most D e in t (D the sum of the factor
+        # degrees, e < 4 the largest coordinate degree), so 3 D + 1 values fix it
+        for t in range(3 * sum(f.d for f in param.factors) + 1):
+            at = piece.map_coords(lambda x: sum(c * t**i for i, c in enumerate(x)))
+            assert ([[sum(c * t**i for i, c in enumerate(x)) for x in v] for v in vectors]
+                    == brute_piece_vectors(param, at))
+
+
+# -- family span vectors on int polynomials and the fraction-free limit --------
 
 FAMILY_VARIETIES = CAMPAIGN_VARIETIES + ("veronese:1,3",)
 
@@ -734,7 +802,7 @@ def _families(draw, rational):
     if rational:
         which = draw(st.integers(1, 15))
         limit = FiniteScheme(tuple(
-            p.map_coords(lambda x: x / den) if which >> i & 1 else p
+            p.map_coords(lambda x: Fraction(x, den)) if which >> i & 1 else p
             for i, p in enumerate(limit.pieces)))
     if kind == "constant":
         return param, constant_family_pieces(limit.pieces), limit
@@ -742,8 +810,8 @@ def _families(draw, rational):
 
 
 def _fraction_family_path(fn):
-    """fn() with every piece taken into its target ring itself, as before ZZ[t]."""
-    with mock.patch.object(schemes, "chart_ring", lambda field, coords: field):
+    """fn() with chart coordinates kept as they are given: Fraction coefficients stay Fractions."""
+    with mock.patch.object(varieties, "_exact", lambda x: x):
         return fn()
 
 
@@ -818,12 +886,11 @@ def _check_against_fraction_path(param, pieces, limit):
     assert fam.ring == old.ring == RQ
     assert _entries_equal(fam.basis, old.basis)
     # kept vectors are a subsequence of the raw ones; tag each with its piece
-    raw = [(v, _integral(p)) for p in pieces for v in schemes._span_vectors(param, [p], RQ)]
+    raw = [(v, _integral(p)) for p in pieces for v in schemes._span_vectors(param, [p])]
     tags = iter(raw)
     for v in fam.basis:
         integral = next(i for r, i in tags if r == v)
-        assert _is_int_poly_vector(v) == integral
-        assert integral or all(type(c) is Fraction for e in v for c in e)
+        assert _is_int_poly_vector(v) or not integral
     assert generic_rank(fam) == generic_rank(old)
 
     lim, ncalls, calls = _relation_calls(lambda: limit_of_spans(fam))

@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactusbarrier.exactalg import rank, subspace_from_vectors
-from cactusbarrier.fields import QQ, ZZ, IntegerRing, PolyRing, PrimeField, chart_ring
+from cactusbarrier.fields import QQ, PolyRing, PrimeField
 from cactusbarrier.schemes import CurvilinearGerm, FiniteScheme, ReducedPoint, scheme_span_vectors
 from cactusbarrier.varieties import (
     Germ,
     VarietySpecError,
     evaluate,
-    evaluate_in_ring,
-    jet_vectors_in_ring,
+    jet_vectors,
     monomial_exponents,
     parse_variety,
     random_chart_point,
     random_point,
-    tangent_vectors_in_ring,
+    tangent_vectors,
 )
 
 from oracles import (
@@ -35,9 +34,9 @@ def qvec(*xs):
 
 
 def _jets(param, germ, length):
-    """Jet vectors over QQ, the germ taken in as Fractions."""
-    return jet_vectors_in_ring(param, [QQ.of(x) for x in germ.base],
-                               [[QQ.of(x) for x in c] for c in germ.coeffs], length, QQ)
+    """Jet vectors, the germ taken in as Fractions."""
+    return jet_vectors(param, [QQ.of(x) for x in germ.base],
+                       [[QQ.of(x) for x in c] for c in germ.coeffs], length)
 
 
 def _span(param, vectors):
@@ -73,12 +72,10 @@ def test_evaluate_veronese_points():
 
 
 def test_evaluate_over_prime_field():
-    # GF(p) only screens ranks: chart points are evaluated over ZZ or QQ only
+    # GF(p) only screens ranks: span vectors are over QQ only
     gf = PrimeField(101)
-    with pytest.raises(TypeError, match=r"no chart evaluation over GF\(101\)"):
-        chart_ring(gf, [Fraction(3), 4])
     p = parse_variety("veronese:1,2")
-    with pytest.raises(TypeError, match=r"no chart evaluation over GF\(101\)"):
+    with pytest.raises(TypeError, match=r"no span vectors over GF\(101\)"):
         scheme_span_vectors(p, FiniteScheme((ReducedPoint((2,)),)), gf)
     assert scheme_span_vectors(p, FiniteScheme((ReducedPoint((2,)),))) == [[1, 2, 4]]
 
@@ -139,7 +136,7 @@ def test_jet_span_monotone_and_bounded():
 
 
 def _tangent_span(param, chart_point):
-    return _span(param, tangent_vectors_in_ring(param, [QQ.of(x) for x in chart_point], QQ))
+    return _span(param, tangent_vectors(param, [QQ.of(x) for x in chart_point]))
 
 
 def test_tangent_frame_examples():
@@ -197,14 +194,15 @@ def test_jet_span_requires_immersed_germ():
         CurvilinearGerm(Germ((Fraction(0),), ((Fraction(0),),)), 2).validate()
 
 
-# -- chart evaluation over ZZ for integral chart points ---------------------
+# -- chart evaluation on ints for integral chart points ----------------------
 
 CAMPAIGN_VARIETIES = ("segre:2x2x2", "segre:3x3x3", "veronese:2,3", "veronese:3,3",
                       "segre-veronese:(1,2)x(2,1)")
 
 
 def _fraction_path(param, point):
-    return evaluate_in_ring(param, [QQ.of(x) for x in point], QQ)
+    """The chart point by the full-convolution jet oracle, in Fractions."""
+    return brute_jet_vectors(param, Germ(tuple(point)), 1)[0]
 
 
 # the ladder's widest rungs, next to the campaign varieties
@@ -224,27 +222,29 @@ def test_evaluate_and_random_point_equal_the_fraction_path(spec, seed, bound, de
     assert len(v) == len(ref) and all(x == y for x, y in zip(v, ref))
     assert rng.getstate() == ref_rng.getstate()
     assert all(type(x) is int for x in v)
-    assert v == brute_jet_vectors(p, Germ(point), 1)[0]
     scaled = [Fraction(x, den) for x in point]
     w = evaluate(p, scaled)
     assert w == _fraction_path(p, scaled)
-    if den > 1 and any(x.denominator > 1 for x in scaled):
-        assert all(type(x) is Fraction for x in w)
+    # ints exactly when the point is integral: each coordinate is an entry
+    integral = all(x.denominator == 1 for x in scaled)
+    assert all(type(x) is int for x in w) == integral
 
 
 # -- product-rule tangent frames ----------------------------------------------
 
-def _axis_jet_frame(param, coords, ring):
+RQ = PolyRing(QQ)
+
+
+def _axis_jet_frame(param, coords):
     """The point and the length-2 jet along each coordinate axis: one chart evaluation each."""
-    axes = [[ring.one if i == j else ring.zero for i in range(param.dim_X)]
-            for j in range(param.dim_X)]
-    return [evaluate_in_ring(param, coords, ring)] + [
-        jet_vectors_in_ring(param, coords, [axis], 2, ring)[1] for axis in axes]
+    one, zero = ((1,), ()) if isinstance(coords[0], tuple) else (1, 0)
+    axes = [[one if i == j else zero for i in range(param.dim_X)] for j in range(param.dim_X)]
+    return [evaluate(param, coords)] + [jet_vectors(param, coords, [axis], 2)[1] for axis in axes]
 
 
-def _entry_types(vectors):
-    return [[(type(x), tuple(map(type, x)) if isinstance(x, tuple) else ()) for x in v]
-            for v in vectors]
+def _scalars(vectors):
+    """Every scalar of the vectors: the entries, and the coefficients of polynomial entries."""
+    return [c for v in vectors for x in v for c in (x if isinstance(x, tuple) else (x,))]
 
 
 def _brute_frame(param, point):
@@ -258,54 +258,53 @@ def _brute_frame(param, point):
 def test_tangent_vectors_equal_the_jet_oracle_along_each_axis(spec):
     p = parse_variety(spec)
     rng = random.Random(spec)
-    zt = PolyRing(ZZ)
-    for ring in (ZZ, QQ, zt):
-        if ring is zt:
-            raw = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(p.dim_X)]
-            coords = [zt.from_coeffs(c) for c in raw]
+    for kind in ("int", "rational", "int polynomial", "rational polynomial"):
+        den = 3 if kind.startswith("rational") else 1
+        number = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, den))
+        if kind.endswith("polynomial"):
+            raw = [RQ.from_coeffs([number() for _ in range(rng.randint(0, 3))])
+                   for _ in range(p.dim_X)]
+            coords = raw if den > 1 else [tuple(map(int, x)) for x in raw]
         else:
-            den = 3 if ring is QQ else 1
-            raw = [Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(p.dim_X)]
-            coords = [ring.of(x) for x in raw]
-        frame = tangent_vectors_in_ring(p, coords, ring)
-        old = _axis_jet_frame(p, coords, ring)
-        assert frame == old and _entry_types(frame) == _entry_types(old)
-        if ring is zt:
+            raw = [number() for _ in range(p.dim_X)]
+            coords = raw if den > 1 else list(map(int, raw))
+        frame = tangent_vectors(p, coords)
+        assert frame == _axis_jet_frame(p, coords)
+        integral = all(c.denominator == 1 for c in _scalars([coords]))
+        assert all(type(c) is int for c in _scalars(frame)) == integral
+        if kind.endswith("polynomial"):
             # entries have degree <= 2 * (sum of factor degrees); that many + 1 values fix them
-            for s in range(2 * sum(f.d for f in p.factors) + 1):
-                at = [sum(c * s**i for i, c in enumerate(x)) for x in raw]
-                want = _brute_frame(p, at)
-                assert [[sum(c * s**i for i, c in enumerate(x)) for x in v] for v in frame] == want
+            for t in range(2 * sum(f.d for f in p.factors) + 1):
+                want = _brute_frame(p, [_at(x, t) for x in raw])
+                assert [[_at(x, t) for x in v] for v in frame] == want
         else:
-            want = _brute_frame(p, raw)
-            assert frame == [[ring.of(x) for x in v] for v in want]
-
-
-class _CountingZZ(IntegerRing):
-    def __init__(self):
-        self.muls = 0
-
-    def mul(self, a, b):
-        self.muls += 1
-        return a * b
+            assert frame == _brute_frame(p, raw)
 
 
 # For scale: a power table per variable and one length-2 jet per axis take
 # 48 and 414 (segre:3x3x3), 39 and 213 (veronese:3,3) multiplications.
 @pytest.mark.parametrize("spec, evaluate_muls, tangent_muls",
                          [("segre:3x3x3", 20, 20), ("veronese:3,3", 16, 28)])
-def test_chart_maps_take_one_product_per_monomial(spec, evaluate_muls, tangent_muls):
+def test_chart_maps_take_one_product_per_monomial(spec, evaluate_muls, tangent_muls, monkeypatch):
+    # polynomial coordinates (here x + t) multiply on `PolyRing.mul`, and the
+    # product rule's factor e > 1 is one `PolyRing.scale`
     p = parse_variety(spec)
-    coords = list(range(2, 2 + p.dim_X))
-    ring = _CountingZZ()
-    point = evaluate_in_ring(p, coords, ring)
-    assert ring.muls == evaluate_muls and point == evaluate_in_ring(p, coords, ZZ)
-    ring.muls = 0
-    frame = tangent_vectors_in_ring(p, coords, ring)
-    assert ring.muls == tangent_muls and frame == tangent_vectors_in_ring(p, coords, ZZ)
+    ints = list(range(2, 2 + p.dim_X))
+    coords = [(x, 1) for x in ints]
+    point, frame = evaluate(p, coords), tangent_vectors(p, coords)
+    assert [x[0] for x in point] == evaluate(p, ints)
+    calls = []
+    for name in ("mul", "scale"):
+        def counting(self, a, b, real=getattr(PolyRing, name)):
+            calls.append(a)
+            return real(self, a, b)
+        monkeypatch.setattr(PolyRing, name, counting)
+    assert evaluate(p, coords) == point and len(calls) == evaluate_muls
+    calls.clear()
+    assert tangent_vectors(p, coords) == frame and len(calls) == tangent_muls
 
 
-# -- jets over ZZ by Kronecker substitution -------------------------------------
+# -- jets of int germs by Kronecker substitution --------------------------------
 
 def _coordinate(rng, h, signs):
     if signs == "top":
@@ -323,17 +322,17 @@ def test_int_jets_equal_the_oracle_and_the_rational_path(spec, length, rows, h, 
     p = parse_variety(spec)
     rng = random.Random(seed)
     base, *coeffs = [[_coordinate(rng, h, signs) for _ in range(p.dim_X)] for _ in range(rows + 1)]
-    ours = jet_vectors_in_ring(p, base, coeffs, length, ZZ)
+    ours = jet_vectors(p, base, coeffs, length)
     assert all(type(x) is int for v in ours for x in v)
-    rational = jet_vectors_in_ring(p, [Fraction(x) for x in base],
-                                   [[Fraction(x) for x in c] for c in coeffs], length, QQ)
+    rational = jet_vectors(p, [Fraction(x) for x in base],
+                           [[Fraction(x) for x in c] for c in coeffs], length)
     assert ours == rational
     assert ours == brute_jet_vectors(p, Germ(tuple(base), tuple(map(tuple, coeffs))), length)
 
 
-# -- jets over QQ, ZZ[t] and QQ[t] on the same packed ints ----------------------
+# -- jets of rational and polynomial germs on the same packed ints --------------
 
-_JET_RINGS = {"QQ": QQ, "ZZ[t]": PolyRing(ZZ), "QQ[t]": PolyRing(QQ)}
+_JET_KINDS = ("int polynomial", "rational", "rational polynomial")
 
 
 def _at(poly, x):
@@ -344,33 +343,34 @@ def _at(poly, x):
 # e the largest degree of a coordinate), so D e + 1 values of t fix it
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(spec=st.sampled_from(CAMPAIGN_VARIETIES + ("veronese:1,7",)),
-       name=st.sampled_from(sorted(_JET_RINGS)), length=st.integers(1, 8),
+       kind=st.sampled_from(_JET_KINDS), length=st.integers(1, 8),
        rows=st.integers(0, 8), e=st.integers(0, 3),
        h=st.sampled_from((1, 2, 10, 10**6, 10**12)), den=st.sampled_from((1, 2, 6, 10**6)),
        signs=st.sampled_from(("mixed", "+", "-", "top")), seed=st.integers(0, 2**32))
-def test_packed_jets_over_every_ring_equal_the_oracle(spec, name, length, rows, e, h, den,
+def test_packed_jets_over_every_ring_equal_the_oracle(spec, kind, length, rows, e, h, den,
                                                       signs, seed):
-    p, ring = parse_variety(spec), _JET_RINGS[name]
+    p = parse_variety(spec)
     rng = random.Random(seed)
-    scalar = int if name == "ZZ[t]" else Fraction
+    poly = kind.endswith("polynomial")
 
     def coefficient():
         x = _coordinate(rng, h, signs)
-        return x if scalar is int else Fraction(x, rng.randint(1, den))
+        return x if kind == "int polynomial" else Fraction(x, rng.randint(1, den))
 
     def coordinate():
-        if ring is QQ:
+        if not poly:
             return coefficient()
-        return ring.from_elems([coefficient() for _ in range(rng.randint(0, e + 1))])
+        return RQ.from_elems([coefficient() for _ in range(rng.randint(0, e + 1))])
 
     base, *coeffs = [[coordinate() for _ in range(p.dim_X)] for _ in range(rows + 1)]
-    ours = jet_vectors_in_ring(p, base, coeffs, length, ring)
+    ours = jet_vectors(p, base, coeffs, length)
     assert len(ours) == length and all(len(v) == p.dim_W for v in ours)
-    if ring is QQ:
-        assert all(type(x) is Fraction for v in ours for x in v)
+    # ints exactly when the rows the jet reads are integral, else Fractions
+    integral = all(c.denominator == 1 for c in _scalars([base, *coeffs[:length - 1]]))
+    assert all(type(c) is (int if integral else Fraction) for c in _scalars(ours))
+    if not poly:
         assert ours == brute_jet_vectors(p, Germ(tuple(base), tuple(map(tuple, coeffs))), length)
         return
-    assert all(type(c) is scalar for v in ours for x in v for c in x)
     assert all(x[-1] for v in ours for x in v if x)  # no trailing zeros
     for t in range(sum(f.d for f in p.factors) * e + 1):
         germ = Germ(tuple(_at(x, t) for x in base),
