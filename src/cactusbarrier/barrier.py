@@ -3,14 +3,15 @@
 The verified statement is always the same: for F in the span of a finite
 subscheme of degree r on a smooth chart variety, rank M(F) <= k * r for any
 linear matrix map whose rank on chart points is at most k. Each instance
-clears the span vectors once, to integer rows, draws F on them and ranks
-M(F) once, by one fraction-free elimination over the integers, which gives
-the rational rank that every report states and, as `fp_rank`, the rank over
-a large prime field (the screen). A Koszul flattening eliminates a Schur
-complement through an invertible slice of F instead, where it has one
-(`rankmethods.koszul_ranks`). So every report is confirmed over QQ,
-and a violation is a build-stopping bug, never a discovery, since only
-smooth varieties are in scope here.
+takes the span's integer rows and rank from the scheme's memo entry
+(`schemes.cleared_span`, so every method of a scheme reuses them), draws F
+on them and ranks M(F) once, by one fraction-free elimination over the
+integers, which gives the rational rank that every report states and, as
+`fp_rank`, the rank over a large prime field (the screen). A Koszul
+flattening eliminates a Schur complement through an invertible slice of F
+instead, where it has one (`rankmethods.koszul_ranks`). So every report is
+confirmed over QQ, and a violation is a build-stopping bug, never a
+discovery, since only smooth varieties are in scope here.
 
 The ceiling calculator reports the closed-form degrees at which scheme spans
 fill the ambient space, which cap every bound any such method can certify.
@@ -32,7 +33,7 @@ from .exactalg import (
 )
 from .fields import QQ
 from .rankmethods import LinearMatrixMap, RankMethod, evaluate_map, integer_image, koszul_ranks
-from .schemes import FiniteScheme, scheme_span, scheme_span_vectors
+from .schemes import FiniteScheme, cleared_span, scheme_span, scheme_span_vectors
 from .varieties import VarietyParam, parse_variety
 
 
@@ -77,17 +78,18 @@ class BarrierReport:
         return d
 
 
-def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, degree: int,
+def _sample_and_check(param: VarietyParam, method: RankMethod, cleared, degree: int,
                       rng, *, bound: int, prime: int | None, seed: int | None, kind: str,
                       extra: dict) -> tuple:
-    """(coefficients, report) for F sampled from `vectors`: is rank M(F) <= k * degree?
+    """(coefficients, report) for F sampled from the span: is rank M(F) <= k * degree?
 
-    The vectors are cleared once, over one common denominator d, and F is
-    f / d for an integer combination f of the rows. `integer_image` gets
-    lambda * F = f // gcd(d, f), lambda the least denominator of F (a prime
-    dividing lambda raises ZeroDivisionError, as `common_denominator` does).
-    `koszul_ranks` answers first, for a Koszul flattening with an invertible
-    slice; otherwise the rows of M(F) are ranked once: with a prime,
+    `cleared` is (d, int rows, their rank): the span's vectors times their
+    common denominator d. F is f / d for an integer combination f of the
+    rows, and `integer_image` gets lambda * F = f // gcd(d, f), lambda the
+    least denominator of F (a prime dividing lambda raises
+    ZeroDivisionError, as `common_denominator` does). `koszul_ranks`
+    answers first, for a Koszul flattening with an invertible slice;
+    otherwise the rows of M(F) are ranked once: with a prime,
     `rank_qq_and_mod_p` also gives fp_rank (never above the rational rank),
     else fp_rank is None. At degree zero nothing is drawn, the report is all
     zeros and the coefficients are None.
@@ -95,7 +97,7 @@ def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, de
     head = (param.spec, method.spec, method.k, method.k_source)
     if degree == 0:
         return None, BarrierReport(*head, 0, 0, 0, 0, True, seed=seed, kind=kind, extra=extra)
-    den, ints = clear_rows(vectors)
+    den, ints, span_dim = cleared
     coeffs, f = sample_combination(ints, bound, rng)
     if den > 1:
         g = math.gcd(den, *f)
@@ -108,7 +110,7 @@ def _sample_and_check(param: VarietyParam, method: RankMethod, vectors: list, de
         ranks = (rank_of_rows(QQ, rows), None) if prime is None else rank_qq_and_mod_p(rows, prime)
     rk, fp_rank = ranks
     cap = method.k * degree
-    return coeffs, BarrierReport(*head, degree, rank_of_rows(QQ, ints), rk, cap, rk <= cap,
+    return coeffs, BarrierReport(*head, degree, span_dim, rk, cap, rk <= cap,
                                  fp_rank=fp_rank, seed=seed, kind=kind, extra=extra)
 
 
@@ -128,8 +130,8 @@ def verify_instance(param: VarietyParam, scheme: FiniteScheme, method: RankMetho
         raise ValueError(
             f"method acts on W of dimension {method.map.w}, variety has {param.dim_W}"
         )
-    raw = scheme_span_vectors(param, scheme, QQ) if scheme.degree else []
-    coeffs, report = _sample_and_check(param, method, raw, scheme.degree, rng, bound=bound,
+    cleared = cleared_span(param, scheme) if scheme.degree else None
+    coeffs, report = _sample_and_check(param, method, cleared, scheme.degree, rng, bound=bound,
                                        prime=prime, seed=seed, kind="instance", extra={})
     if coeffs is not None:
         report.extra["combination"] = coeffs
@@ -170,9 +172,10 @@ def verify_join_decomposition(param1: VarietyParam, param2: VarietyParam,
         raise ValueError(f"scheme supports overlap at {sorted(overlap)}")
     parts = [sample_combination(scheme_span_vectors(param1, scheme, QQ), bound, rng)[1]
              for scheme in (r1, r2) if scheme.degree]
-    return _sample_and_check(param1, method, parts, r1.degree + r2.degree, rng, bound=bound,
-                             prime=prime, seed=seed, kind="join",
-                             extra={"degree1": r1.degree, "degree2": r2.degree})[1]
+    den, ints = clear_rows(parts)
+    return _sample_and_check(param1, method, (den, ints, rank_of_rows(QQ, ints)),
+                             r1.degree + r2.degree, rng, bound=bound, prime=prime, seed=seed,
+                             kind="join", extra={"degree1": r1.degree, "degree2": r2.degree})[1]
 
 
 def grassmann_containment(e: Subspace, param: VarietyParam, scheme: FiniteScheme) -> bool:

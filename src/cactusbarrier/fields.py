@@ -3,10 +3,10 @@
 Nothing is floating point. Elements are plain Python data (Fraction, int,
 tuple), added, multiplied, divided and tested for zero on their own
 operators; `QQ` is a marker, with `of` and no arithmetic, and an int
-equals the Fraction it stands for. `PolyRing` is the flat ring QQ[t]:
-its products sum from int 0, so polynomials with int coefficients keep
-int coefficients. Chart maps take no ring: the coordinates' own types
-pick their arithmetic (see `varieties`).
+equals the Fraction it stands for. `PolyRing` is the flat ring QQ[t]: it
+takes coefficients in through `_exact`, which makes integral Fractions
+ints, as the chart maps do, and its products sum from int 0, so int
+coefficients stay ints. Chart maps take no ring (see `varieties`).
 
 `PrimeField` is a modulus, not a ring: the rank screen reduces integer rows
 mod p (see `exactalg`). Nothing is evaluated, spanned or deformed over
@@ -67,6 +67,19 @@ class RationalField:
 QQ = RationalField()
 
 
+def _exact(x):
+    """x with an integral rational, or each integral coefficient of a polynomial (tuple), as an int.
+
+    x with no denominator, such as a float or a string, is a TypeError.
+    """
+    try:
+        if isinstance(x, tuple):
+            return tuple(c.numerator if c.denominator == 1 else c for c in x)
+        return x.numerator if x.denominator == 1 else x
+    except AttributeError:
+        raise TypeError(f"{x!r} is neither a rational nor a polynomial over QQ") from None
+
+
 class PrimeField:
     """A prime modulus p: the rank screen's field GF(p), whose elements are ints in [0, p)."""
 
@@ -85,7 +98,8 @@ class PolyRing:
 
     Elements are tuples of ints or Fractions with no trailing zeros, added
     and multiplied on the coefficients' own operators; the zero polynomial
-    is the empty tuple. Any other base raises TypeError.
+    is the empty tuple. `of` and `from_coeffs` keep ints and turn integral
+    Fractions into ints. Any other base raises TypeError.
     """
 
     def __init__(self, base):
@@ -103,11 +117,11 @@ class PolyRing:
         return tuple(cs[:n])
 
     def of(self, x):
-        c = self.base.of(x)
+        c = _exact(x)
         return (c,) if c else ()
 
     def from_coeffs(self, coeffs) -> tuple:
-        return self._norm([self.base.of(c) for c in coeffs])
+        return self._norm([_exact(c) for c in coeffs])
 
     def from_elems(self, elems) -> tuple:
         """Normalize a coefficient list whose entries are already base elements."""

@@ -8,16 +8,19 @@ piece class carries its own `span_vectors`, `map_coords` and `validate`.
 
 Spans are over QQ and families over QQ[t]. A piece's span vectors take
 their arithmetic from its chart coordinates (see `varieties`; schemes and
-families share one per-piece loop): points, jets and tangent frames are
-sums of products of coordinates, so a piece whose coordinates are all
-integral, or polynomials with integral coefficients, gives ints, or
-polynomials with int coefficients, equal to the rational vectors entry by
-entry. Pieces with rational coordinates give Fractions among their
-entries. The dimension of the stated limit's span and its inclusion in the
-limit of the spans are two ranks (`rank_of_rows`, on integer rows over QQ),
-and each t-saturation step takes a primitive integer relation from one
-fraction-free elimination (`first_relation`), so Fractions remain only for
-rational coordinates.
+families share one per-piece loop): integral coordinates, or polynomials
+with integral coefficients, give ints, or polynomials with int
+coefficients, equal to the rational vectors entry by entry, and rational
+ones give Fractions among the entries. The stated limit's span dimension
+and its inclusion in the limit of the spans are two ranks (`rank_of_rows`
+on integer rows), and each t-saturation step takes a primitive integer
+relation from one fraction-free elimination (`first_relation`).
+
+A scheme's span data are computed once: `scheme_span_vectors` keeps one
+memo entry, keyed by the identity of (param, scheme), so the same two
+objects get the same shared list back, unvalidated, and any other pair
+replaces the entry. It also keeps the cleared rows and their rank
+(`cleared_span`), which the first `barrier.verify_instance` computes.
 
 Flat limits are never computed here. A one-parameter family carries its own
 explicitly stated limit, and the code checks that the span of the stated limit
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import Subspace, _echelon, first_relation, rank_of_rows, subspace_from_vectors
+from .exactalg import (Subspace, _echelon, clear_rows, first_relation, rank_of_rows,
+                       subspace_from_vectors)
 from .fields import QQ, PolyRing, RationalField
 from .varieties import Germ, VarietyParam, evaluate, jet_vectors, tangent_vectors
 
@@ -179,16 +183,32 @@ def _span_vectors(param: VarietyParam, pieces) -> list[list]:
     return [v for p in pieces for v in p.span_vectors(param)]
 
 
+_last_span: list = [None, None, None, None]  # param, scheme, vectors, `cleared_span` or None
+
+
 def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> list[list]:
     """Raw spanning vectors of the scheme over QQ, concatenated piece by piece.
 
     A piece with integral coordinates gives int vectors. `field` must be
-    QQ; any other raises TypeError.
+    QQ; any other raises TypeError. The list is shared through the memo
+    (see above), so no caller may change it. A scheme that fails
+    validation raises and leaves the memo as it was.
     """
     if not isinstance(field, RationalField):
         raise TypeError(f"no span vectors over {field!r}")
-    validate_scheme(param, scheme)
-    return _span_vectors(param, scheme.pieces)
+    if _last_span[0] is not param or _last_span[1] is not scheme:
+        validate_scheme(param, scheme)
+        _last_span[:] = [param, scheme, _span_vectors(param, scheme.pieces), None]
+    return _last_span[2]
+
+
+def cleared_span(param: VarietyParam, scheme: FiniteScheme) -> tuple:
+    """(d, the shared span vectors times d as int rows, their rank), once per memo entry."""
+    vectors = scheme_span_vectors(param, scheme)
+    if _last_span[3] is None:
+        den, ints = clear_rows(vectors)
+        _last_span[3] = den, ints, rank_of_rows(QQ, ints)
+    return _last_span[3]
 
 
 def scheme_span(param: VarietyParam, scheme: FiniteScheme) -> Subspace:

@@ -11,12 +11,12 @@ differentiating and dividing by factorials. Each monomial costs one product,
 and a tangent frame is the point plus its first partials, read off the point
 by the product rule d(u^e)/du_j = e_j * u^(e - e_j). Only sums and products
 occur, so the chart maps take no ring: coordinates are ints, Fractions or
-polynomials in t (tuples of them), and `_exact` first turns every integral
-rational, and every integral coefficient, into an int. Scalars then
-multiply on their own `*`, each level of the Kronecker product one list
-comprehension, so integral data give ints, equal to the rationals entry by
-entry; polynomials call `PolyRing.mul` once per monomial of degree >= 2 (see
-`_kron`).
+polynomials in t (tuples of them), and `fields._exact` first turns every
+integral rational, and every integral coefficient, into an int (any other
+coordinate is a TypeError). Scalars then multiply on their own `*`, each
+level of the Kronecker product one list comprehension, so integral data
+give ints, equal to the rationals entry by entry; polynomials call
+`PolyRing.mul` once per monomial of degree >= 2 (see `_kron`).
 
 A jet of length L is one chart evaluation on packed ints (Kronecker
 substitution): a rational germ is first scaled to an integral one, and
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .fields import QQ, PolyRing
+from .fields import QQ, PolyRing, _exact
 
 _POLY = PolyRing(QQ)  # polynomial coordinates multiply on its `mul`
 
@@ -197,18 +197,11 @@ def _kron(vectors: list[list], mul) -> list:
     return out
 
 
-def _exact(x):
-    """x with an integral rational, or each integral coefficient of a polynomial (tuple), as an int."""
-    if isinstance(x, tuple):
-        return tuple(map(_exact, x))
-    return x.numerator if x.denominator == 1 else x
-
-
 def evaluate(param: VarietyParam, coords) -> list:
     """Affine-cone point of the chart map; its leading coordinate is always 1.
 
-    Coordinates are ints, Fractions or polynomials (tuples); integral data
-    give ints, or polynomials with int coefficients. Ints are taken as they are.
+    Coordinates are ints, Fractions or polynomials (tuples), else TypeError;
+    integral data give ints, or polynomials with int coefficients.
     """
     if len(coords) != param.dim_X:
         raise ValueError(
@@ -258,7 +251,11 @@ def jet_vectors(param: VarietyParam, base: list, coeffs: list, length: int) -> l
     if poly:
         width = d * max(0, *(len(c) - 1 for r in rows for c in r)) + 1
         planes = [[c[i] if i < len(c) else 0 for c in r] for r in rows for i in range(width)]
-    q = math.lcm(*(x.denominator for p in planes for x in p))
+    try:
+        q = math.lcm(*(x.denominator for p in planes for x in p))
+    except AttributeError:
+        [_exact(x) for r in rows for x in r]  # the TypeError that names the coordinate
+        raise
     planes = [[x.numerator * (q // x.denominator) for x in p] for p in planes]
     h = max(abs(x) for p in planes for x in p) or 1
     k = ((length * width * h) ** d).bit_length() + 2

@@ -1,4 +1,7 @@
+import copy
+import gc
 import random
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -7,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cactusbarrier.barrier as barrier
+import cactusbarrier.schemes as schemes
 from cactusbarrier.barrier import (
     BarrierReport,
     UnsupportedVarietyError,
@@ -21,6 +25,7 @@ from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
     Subspace,
     clear_denominators,
+    clear_rows,
     rank,
     sample_combination,
     subspace_from_vectors,
@@ -41,7 +46,12 @@ from cactusbarrier.schemes import (
     CurvilinearGerm,
     FiniteScheme,
     FirstNeighborhood,
+    OverlappingSupportsError,
     ReducedPoint,
+    cleared_span,
+    compare_limit,
+    family_span,
+    perturbed_family,
     random_scheme,
     scheme_span,
     scheme_span_vectors,
@@ -497,9 +507,10 @@ def test_a_prime_raises_only_when_it_divides_the_denominator_of_f():
     meth = flattening_method(p, (0,))
     zeros = [Fraction(0)] * 6
     vectors = [[Fraction(1, 7), Fraction(1, 7)] + zeros, [Fraction(6, 7), Fraction(-1, 7)] + zeros]
+    cleared = (*clear_rows(vectors), 2)  # d = 7, the int rows and the span's rank
 
     def check(coeffs, prime):
-        return _sample_and_check(p, meth, vectors, 2, _Draws(*coeffs), bound=1, prime=prime,
+        return _sample_and_check(p, meth, cleared, 2, _Draws(*coeffs), bound=1, prime=prime,
                                  seed=None, kind="instance", extra={})[1]
 
     # F = v1 + v2 = e1 is integral: 7 divides only the vectors' common denominator
@@ -508,3 +519,104 @@ def test_a_prime_raises_only_when_it_divides_the_denominator_of_f():
     with pytest.raises(ZeroDivisionError, match="denominator 7 of F vanishes mod 7"):
         check((1, 0), 7)
     assert (check((1, 0), 11).rank, check((1, 0), None).fp_rank) == (1, None)
+
+
+# -- span data once per scheme: the one-entry memo of `schemes.scheme_span_vectors`
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of `module.name` from here on; the list grows by one per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _halves(scheme):
+    return FiniteScheme(tuple(p.map_coords(lambda x: x + Fraction(1, 2)) for p in scheme.pieces))
+
+
+def test_a_scheme_block_evaluates_and_ranks_its_span_once(monkeypatch):
+    # the campaign's block: scheme_span, then verify_instance under every builtin method
+    param = parse_variety("segre:3x3x3")
+    methods = builtin_methods(param)
+    assert len(methods) == 4
+    spans = _counting(monkeypatch, schemes, "_span_vectors")
+    ranks = _counting(monkeypatch, schemes, "rank_of_rows")
+    clears = _counting(monkeypatch, schemes, "clear_rows")
+    for seed in range(3):
+        rng = random.Random(seed)
+        scheme = random_scheme(param, 6, mix="mixed", bound=3, rng=rng)
+        span = scheme_span(param, scheme)
+        reports = [verify_instance(param, scheme, m, rng) for m in methods]
+        assert (len(spans), len(ranks), len(clears)) == (seed + 1,) * 3
+        assert all(r.passed and r.span_dim == span.dim for r in reports)
+
+
+def test_an_equal_scheme_is_recomputed_to_equal_vectors(monkeypatch):
+    # the memo is keyed by identity: an equal but distinct scheme is evaluated again
+    param = parse_variety("segre:3x3x3")
+    scheme = random_scheme(param, 5, mix="mixed", bound=3, rng=random.Random(2))
+    spans = _counting(monkeypatch, schemes, "_span_vectors")
+    first = scheme_span_vectors(param, scheme)
+    assert scheme_span_vectors(param, scheme) is first and len(spans) == 1
+    twin = FiniteScheme(tuple(scheme.pieces))
+    assert twin == scheme and twin is not scheme
+    again = scheme_span_vectors(param, twin)
+    assert len(spans) == 2 and again is not first and again == first
+    # so is the same scheme under an equal but distinct param
+    assert scheme_span_vectors(parse_variety("segre:3x3x3"), twin) == first and len(spans) == 3
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_no_caller_changes_the_shared_span_data(rational):
+    # each caller gets the memo's lists; compare them after its call with a deep copy
+    param = parse_variety("segre:2x2x3")
+    rng = random.Random(7)
+    r1 = random_scheme(param, 4, mix="mixed", bound=3, rng=rng)
+    r1 = _halves(r1) if rational else r1
+    r2 = FiniteScheme((ReducedPoint((9, 9, 9, 9)), FirstNeighborhood((9, 8, 7, 6))))
+    method = flattening_method(param, (0,))
+    assert (cleared_span(param, r1)[0] > 1) == rational
+    for use in (lambda: scheme_span(param, r1),
+                lambda: verify_instance(param, r1, method, rng),
+                lambda: verify_join_decomposition(param, param, r1, r2, method, rng),
+                lambda: compare_limit(param, family_span(param, perturbed_family(r1, rng)), r1),
+                lambda: grassmann_containment(scheme_span(param, r1), param, r1)):
+        shared = scheme_span_vectors(param, r1), cleared_span(param, r1)
+        want = copy.deepcopy(shared)
+        use()
+        assert shared == want
+
+
+def test_the_memo_holds_only_the_last_scheme():
+    param = parse_variety("segre:3x3x3")
+    rng = random.Random(4)
+    first = random_scheme(param, 4, mix="mixed", bound=3, rng=rng)
+    verify_instance(param, first, flattening_method(param, (0,)), rng)
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is not None  # the memo holds it
+    second = random_scheme(param, 4, mix="mixed", bound=3, rng=rng)
+    scheme_span_vectors(param, second)
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_scheme_that_fails_validation_raises_every_time(monkeypatch):
+    param = parse_variety("segre:3x3x3")
+    good = random_scheme(param, 3, mix="mixed", bound=3, rng=random.Random(5))
+    vectors = scheme_span_vectors(param, good)
+    spans = _counting(monkeypatch, schemes, "_span_vectors")
+    bad = FiniteScheme((ReducedPoint((1, 2, 3, 4, 5, 6)), FirstNeighborhood((1, 2, 3, 4, 5, 6))))
+    for _ in range(3):
+        with pytest.raises(OverlappingSupportsError):
+            scheme_span_vectors(param, bad)
+        with pytest.raises(OverlappingSupportsError):
+            verify_instance(param, bad, flattening_method(param, (0,)), random.Random(0))
+    # the failed calls left the memo as it was
+    assert scheme_span_vectors(param, good) is vectors and spans == []

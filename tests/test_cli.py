@@ -166,6 +166,22 @@ def test_cmd_verify_scheme_file(tmp_path):
     assert "4/4 pass" in out
 
 
+def test_cmd_verify_evaluates_a_scheme_file_once(tmp_path, monkeypatch):
+    # at --jobs 1 every trial verifies the one loaded scheme, whose span data are memoized
+    import cactusbarrier.schemes as schemes
+
+    calls = []
+    real = schemes._span_vectors
+    monkeypatch.setattr(schemes, "_span_vectors", lambda *a: calls.append(a) or real(*a))
+    p = parse_variety("segre:3x3x3")
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(scheme_to_dict(random_scheme(p, 5, bound=2, rng=random.Random(3)))))
+    code, out = run(["verify", "--variety", "segre:3x3x3", "--scheme", str(path),
+                     "--method", "koszul:p=1", "--trials", "5", "--seed", "2", "--jobs", "1"])
+    assert code == 0 and "5/5 pass" in out
+    assert len(calls) == 1
+
+
 def test_cmd_verify_bad_specs_exit_2():
     code, _ = run(["verify", "--variety", "nope:1", "--scheme", "random:deg=3",
                    "--method", "flattening:split=1|23", "--trials", "1"])

@@ -81,7 +81,9 @@ def test_polyring_matches_the_schoolbook_oracle(data, kind):
     c = data.draw(coeff.filter(bool))
     raw = data.draw(st.lists(coeff, max_size=7))
     got = R.from_coeffs(raw)
-    assert got == O.from_coeffs(raw) and all(type(x) is Fraction for x in got)
+    # from_coeffs keeps ints and turns integral Fractions into ints
+    assert got == O.from_coeffs(raw)
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in got)
     for got, want in ((R.mul(a, b), O.mul(a, b)), (R.add(a, b), O.add(a, b)),
                       (R.scale(c, a), O.scale(c, a))):
         assert got == want

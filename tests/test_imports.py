@@ -13,8 +13,10 @@ strings), be re-exported by `__init__.py`, or be kept in KEPT_PUBLIC with
 its reason. Each method and property of a class in the package, dunders
 aside, must be referred to as an attribute in the package or in bench/
 (outside its own body), be named as a string in bench/, or be kept in
-KEPT_PUBLIC, as "Class.name", with its reason. The README's library example
-runs as it stands.
+KEPT_PUBLIC, as "Class.name", with its reason. Every piece of state that
+lives as long as the process (a `functools.cache` or `lru_cache` function,
+a module-level dict, list or set) is listed in KEPT_STATE with what bounds
+it. The README's library example runs as it stands.
 """
 
 import ast
@@ -39,6 +41,25 @@ KEPT_PUBLIC = {
     "scheme_to_dict": "the scheme reader's round-trip tests write their files with it",
     "PolyRing.t": "tests build the polynomial t with it, as the acceptance tests do",
     "DenseTensor.diagonal": "tests build diagonal tensors, whose ranks are known, with it",
+}
+
+
+# process-lifetime state under src/cactusbarrier/, each with what bounds it
+KEPT_STATE = {
+    "cli._seed_hash": "one entry: the sha256 constructor",
+    "cli.build_parser": "one entry: the argument parser",
+    "fileformats._JSON_TYPES": "a fixed table of three JSON types",
+    "fileformats._POINT_PIECES": "a fixed table of the two point pieces",
+    "fileformats._POINT_TYPES": "the inverse of _POINT_PIECES",
+    "rankmethods._schur_blocks": "one entry per (a, p, x)",
+    "schemes._MIX_KINDS": "a fixed table of the four mixes",
+    "schemes._last_span": "the last (param, scheme) and its span data: one scheme",
+    "varieties.monomial_exponents": "one entry per factor shape (n, d)",
+    "varieties.monomial_index": "one entry per factor shape (n, d)",
+    "varieties._lowerings": "one entry per factor shape (n, d)",
+    "varieties._steps": "one entry per factor shape (n, d)",
+    "varieties._chart_degrees": "one entry per variety (its factors)",
+    "varieties._partial_sources": "one entry per variety (its factors)",
 }
 
 
@@ -96,6 +117,64 @@ def test_the_check_finds_a_dead_private_helper():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_private_helper_it_defines(path):
     assert dead_private_helpers(path.read_text(encoding="utf-8")) == []
+
+
+_CACHES = {"cache", "lru_cache"}
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict", "deque"}
+
+
+def process_state(source: str) -> list[str]:
+    """Module-level names that hold state for the life of the process.
+
+    A function is state when a decorator is `cache` or `lru_cache`, bare,
+    called or as an attribute (`functools.cache`); a name is when it is
+    bound at module level to a dict, list or set display or comprehension,
+    or to a call of `dict`, `list`, `set` or a `collections` container.
+    """
+    def cached(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return (dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)) in _CACHES
+
+    def container(value):
+        if isinstance(value, ast.Call):
+            f = value.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            return name in _CONTAINER_CALLS
+        return isinstance(value, _CONTAINERS)
+
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(cached(d) for d in node.decorator_list):
+                out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_the_check_finds_process_state():
+    source = ("import collections, functools\n"
+              "from functools import cache, lru_cache\n"
+              "@cache\ndef a(): pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef b(): pass\n"
+              "@lru_cache\ndef c(): pass\n"
+              "@staticmethod\ndef plain(): memo = {}\n"
+              "TABLE = {1: 2}\n"
+              "_seen: set = set()\n"
+              "ROWS = [x for x in range(3)]\n"
+              "COUNTS = collections.Counter()\n"
+              "NAME, PAIR, EMPTY = 'x', (1, 2), None\n"
+              "_last: list = [None, None]\n")
+    assert process_state(source) == ["a", "b", "c", "TABLE", "_seen", "ROWS", "COUNTS", "_last"]
+
+
+def test_every_piece_of_process_state_is_listed():
+    found = [f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+             for name in process_state(p.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(KEPT_STATE)
 
 
 def dead_public_names(modules: dict[str, str], bench: list[str], init: str) -> list[str]:

@@ -683,6 +683,22 @@ def test_int_coordinates_do_not_pass_through_zz_of(spec, monkeypatch):
         assert count(_map_scheme(Fraction, s)) == sum(len(p.coords) for p in points)
 
 
+def test_family_coefficients_stay_ints():
+    # `PolyRing.of` and `from_coeffs` keep ints and make integral Fractions ints,
+    # so integral families never pass through Fractions
+    param = parse_variety("segre:2x2x2")
+    scheme = random_scheme(param, 5, mix="mixed", bound=3, rng=random.Random(1))
+    for pieces in (constant_family_pieces(scheme.pieces),
+                   constant_family_pieces(_map_scheme(Fraction, scheme).pieces),
+                   perturbed_family(scheme, random.Random(2)),
+                   perturbed_family(_map_scheme(Fraction, scheme), random.Random(2))):
+        assert all(type(c) is int for p in pieces for x in p.coords for c in x)
+    halves = perturbed_family(_map_scheme(lambda x: Fraction(2 * x + 1, 2), scheme),
+                              random.Random(2))
+    assert all([type(c) for c in x] == [Fraction, int, int][:len(x)]
+               for p in halves for x in p.coords if x)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=_random_schemes(), den=st.integers(2, 7), which=st.integers(0, 7))
 def test_rational_span_vectors_equal_the_fraction_path(case, den, which):
@@ -881,8 +897,10 @@ def _entries_are_ints(vectors):
 
 
 def _check_against_fraction_path(param, pieces, limit):
-    run = lambda: family_span(param, pieces)
-    fam, old = run(), _fraction_family_path(run)
+    # families store integral coefficients as ints; the reference takes every one as a Fraction
+    as_fractions = [p.map_coords(lambda x: tuple(map(Fraction, x))) for p in pieces]
+    fam = family_span(param, pieces)
+    old = _fraction_family_path(lambda: family_span(param, as_fractions))
     assert fam.ring == old.ring == RQ
     assert _entries_equal(fam.basis, old.basis)
     # kept vectors are a subsequence of the raw ones; tag each with its piece
@@ -908,7 +926,9 @@ def _check_against_fraction_path(param, pieces, limit):
     other = random_scheme(param, 2, mix="reduced", bound=3, rng=random.Random(len(fam.basis)))
     for stated in (limit, other):
         cmp = compare_limit(param, fam, stated)
-        assert cmp == _fraction_family_path(lambda: compare_limit(param, old, stated))
+        # an equal copy misses the span memo, so the reference evaluates it again
+        twin = FiniteScheme(stated.pieces)
+        assert cmp == _fraction_family_path(lambda: compare_limit(param, old, twin))
         assert cmp == _membership_compare(param, old, stated)
     assert compare_limit(param, fam, limit).inclusion_holds
     return fam, calls

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from cactusbarrier.exactalg import rank, subspace_from_vectors
 from cactusbarrier.fields import QQ, PolyRing, PrimeField
-from cactusbarrier.schemes import CurvilinearGerm, FiniteScheme, ReducedPoint, scheme_span_vectors
+from cactusbarrier.schemes import (
+    CurvilinearGerm,
+    FiniteScheme,
+    FirstNeighborhood,
+    ReducedPoint,
+    scheme_span_vectors,
+)
 from cactusbarrier.varieties import (
     Germ,
     VarietySpecError,
@@ -376,3 +382,27 @@ def test_packed_jets_over_every_ring_equal_the_oracle(spec, kind, length, rows, 
         germ = Germ(tuple(_at(x, t) for x in base),
                     tuple(tuple(_at(x, t) for x in c) for c in coeffs))
         assert [[_at(x, t) for x in v] for v in ours] == brute_jet_vectors(p, germ, length)
+
+
+# a non-rational chart coordinate is a TypeError that names it, on every chart map
+
+_NOT_RATIONAL = {  # coordinates of segre:2x2x2, and the repr the error names
+    "float": ((0.5, 1, 2), r"^0\.5 "),
+    "string": (("1/2", 1, 2), r"^'1/2' "),
+    "polynomial coefficient": (((1,), (2, 0.5), ()), r"^\(2, 0\.5\) "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_RATIONAL))
+def test_a_non_rational_chart_coordinate_is_a_type_error(case):
+    p = parse_variety("segre:2x2x2")
+    coords, named = _NOT_RATIONAL[case]
+    direction = tuple((1,) if isinstance(x, tuple) else 1 for x in coords)
+    pieces = (ReducedPoint(coords), FirstNeighborhood(coords),
+              CurvilinearGerm(Germ(coords, (direction,)), 3),
+              CurvilinearGerm(Germ(direction, (coords,)), 2))
+    with pytest.raises(TypeError, match=named):
+        evaluate(p, coords)
+    for piece in pieces:
+        with pytest.raises(TypeError, match=named):
+            scheme_span_vectors(p, FiniteScheme((piece,)))
