@@ -1,9 +1,9 @@
 """Exact rank-method bounds and finite-scheme barrier verification.
 
-Everything is exact over the rationals, with a prime-field rank screen; no floats anywhere.
+Everything is exact over the rationals, with a rank screen mod a prime; no floats anywhere.
 """
 
-from .fields import QQ, PolyRing, PrimeField
+from .fields import POLY, QQ, PolyRing
 from .exactalg import (
     DEFAULT_PRIME,
     Matrix,

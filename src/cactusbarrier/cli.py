@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 from .barrier import UnsupportedVarietyError, ceilings, verify_instance
 from .exactalg import DEFAULT_PRIME, clear_denominators, common_denominator
-from .fields import QQ, PolyRing, PrimeField, is_probable_prime
+from .fields import is_probable_prime
 from .fileformats import (
     FileFormatError,
     custom_map_from_tensor,
@@ -293,14 +293,13 @@ def cmd_bound(args, out) -> int:
             f"has dim W = {param.dim_W}"
         )
     prime = _parse_field(args.field)
-    field = QQ if prime is None else PrimeField(prime)
     rng = random.Random(derive_seed(_root_seed(args), "bound"))
     method = _build_method(args.method, param, rng, prime)
     if method.k < 1:
         raise CliError("method constant k is zero on this variety; no bound")
     with _prime_reduction(args.tensor):
         vec = clear_denominators(tensor.to_vector(), prime)
-    r = map_rank(method.map, vec, field)
+    r = map_rank(method.map, vec, prime)
     bound_val = -(-r // method.k)
     result = {
         "variety": param.spec,
@@ -309,7 +308,7 @@ def cmd_bound(args, out) -> int:
         "k": method.k,
         "k_source": method.k_source,
         "bound": bound_val,
-        "field": field.name,
+        "field": "QQ" if prime is None else f"GF({prime})",
     }
     ceiling_line = None
     try:
@@ -372,7 +371,7 @@ def cmd_limit(args, out) -> int:
             raise CliError(f"family degree {family.degree} != limit degree {limit_scheme.degree}")
         fam = family_span(param, data)
     else:
-        fam = SpanFamily(param.dim_W, data, PolyRing(QQ))
+        fam = SpanFamily(param.dim_W, data)
     cmp = compare_limit(param, fam, limit_scheme)
     verdict = "inclusion holds" if cmp.inclusion_holds else "INCLUSION FAILS"
     if cmp.inclusion_holds and cmp.strict:

@@ -16,12 +16,13 @@ exactly:
   ranks a smaller Schur complement by the same rule instead, through
   `rank_and_minor` (see `rankmethods.koszul_ranks`).
 - Everything incremental uses one row-incremental fraction-free echelon
-  (`_echelon`), on ints mod q over GF(q). It yields each row that lies in
-  the span of the rows kept before it, with that row's relation:
-  `first_relation` (one t-saturation step) is its first yield, `nullspace`
-  the relations of the dependent columns, and a rank over GF(q) is the
-  number of rows it keeps. A prime field is only ever such a modulus for
-  ranks and relations of int rows: no span is built over it.
+  (`_echelon`). Over QQ it yields each row that lies in the span of the
+  rows kept before it, with that row's relation: `first_relation` (one
+  t-saturation step) is its first yield, and `nullspace` the relations of
+  the dependent columns. Mod a prime q it runs on ints mod q and yields no
+  relations: `rank_mod_p` is the number of rows it keeps. A prime is only
+  ever such a modulus for ranks of int rows: no span or relation is built
+  mod p.
 
 A third, `rankmethods._adjugate_solve`, is fraction-free Gauss-Jordan on
 ints: it solves through the invertible slice of a Koszul flattening.
@@ -35,9 +36,14 @@ over QQ) still run a reduced row echelon form, on the entries' own operators
 too: ints and Fractions, scaled by the Fraction inverse of each pivot. It
 stops reading vectors once the span is the whole ambient space, which no
 later vector can enlarge, so later vectors are neither reduced nor
-length-checked. Ranks over a polynomial ring (generic ranks of one-parameter
-families) are the largest of enough integer specializations of t, each
-ranked over the base.
+length-checked. Ranks over QQ[t] (generic ranks of one-parameter families)
+are the largest of enough integer specializations of t, each ranked over
+QQ.
+
+The benchmark's tracer reads the first argument of `rank_of_rows(field,
+rows)` as the field, and wraps `rank` and `nullspace`, which take a
+`Matrix` with its `field`; those signatures stay until the program times
+its own layers (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
 
-from .fields import PolyRing, PrimeField, RationalField
+from .fields import QQ, PolyRing, RationalField, is_probable_prime
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -154,20 +160,18 @@ def _horner(coeffs, x):
 
 
 def rank_of_rows(field, rows: list) -> int:
-    """Exact rank of a list of row vectors over `field`.
+    """Exact rank of a list of row vectors over `field`, QQ or QQ[t].
 
-    Over QQ the rows may hold Fractions or ints; over a prime field, any
-    ints, which are reduced mod p. Over QQ, m rows of n > 2m entries stop at
-    rank m of their first 2m columns: a nonzero m x m minor there is one of
-    the whole matrix, and m rows cap the rank. Only a smaller rank goes on.
-
-    Over a polynomial ring R[t], the rank is the one over the
-    fraction field of R[t] (the generic rank), taken from specializations.
-    Let d be the largest entry degree and D = min(#rows, #cols) * d. Every
-    r x r minor is a polynomial of degree at most r * d <= D, and a nonzero
-    polynomial of degree at most D is nonzero at one of any D + 1 points.
-    Specializing never raises a rank, so the largest rank over R among
-    t = 1, ..., D + 1 is the generic rank.
+    Over QQ the rows may hold Fractions or ints, and m rows of n > 2m
+    entries stop at rank m of their first 2m columns: a nonzero m x m minor
+    there is one of the whole matrix, and m rows cap the rank. Only a
+    smaller rank goes on. Over QQ[t] (`POLY`), the
+    rank is the one over the fraction field of QQ[t] (the generic rank),
+    taken from specializations. Let d be the largest entry degree and
+    D = min(#rows, #cols) * d. Every r x r minor is a polynomial of degree
+    at most r * d <= D, and a nonzero polynomial of degree at most D is
+    nonzero at one of any D + 1 points. Specializing never raises a rank,
+    so the largest rank over QQ among t = 1, ..., D + 1 is the generic rank.
     """
     rows = [row for row in rows if row]
     if not rows:
@@ -177,19 +181,24 @@ def rank_of_rows(field, rows: list) -> int:
         if len(rows[0]) > 2 * m and _rank_int_bareiss(clear_rows([r[:2 * m] for r in rows])[1])[0] == m:
             return m
         return _rank_int_bareiss(clear_rows(rows)[1])[0]
-    if isinstance(field, PrimeField):
-        return len(rows) - sum(1 for _ in _echelon(field, rows, relations=False))
     if isinstance(field, PolyRing):
         full = min(len(rows), len(rows[0]))
         points = full * max(max(len(e) for row in rows for e in row) - 1, 0) + 1
         best = 0
         for x in range(1, points + 1):
             at_x = [[_horner(e, x) for e in row] for row in rows]
-            best = max(best, rank_of_rows(field.base, at_x))
+            best = max(best, rank_of_rows(QQ, at_x))
             if best == full:
                 break
         return best
     raise TypeError(f"no rank routine for {field!r}")
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank mod the prime p of rows of ints, which are reduced mod p; a composite p is a ValueError."""
+    if not is_probable_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return len(rows) - sum(1 for _ in _echelon(rows, relations=False, q=p))
 
 
 def rank_qq_and_mod_p(rows: list[list[int]], p: int) -> tuple[int, int]:
@@ -199,14 +208,15 @@ def rank_qq_and_mod_p(rows: list[list[int]], p: int) -> tuple[int, int]:
     r x r minor of the rows, r the rational rank. If p does not divide that
     minor, the rank mod p is at least r; it is never more than the rational
     rank, since a minor that is nonzero mod p is nonzero. So it is r, and
-    only when p divides the minor are the rows ranked again, mod p. When
-    rows outnumber columns the transpose is eliminated instead, on the side
-    with fewer rows: it has the same ranks, and its minors are the rows'.
+    only when p divides the minor are the rows ranked again, mod p
+    (`rank_mod_p`). When rows outnumber columns the transpose is eliminated
+    instead, on the side with fewer rows: it has the same ranks, and its
+    minors are the rows'.
     """
     r, minor = rank_and_minor(rows)
     if minor % p:
         return r, r
-    return r, rank_of_rows(PrimeField(p), rows)
+    return r, rank_mod_p(rows, p)
 
 
 def rank_and_minor(rows: list[list[int]]) -> tuple[int, int]:
@@ -220,34 +230,33 @@ def rank_and_minor(rows: list[list[int]]) -> tuple[int, int]:
     return _rank_int_bareiss([list(c) for c in zip(*rows)] if tall else [row[:] for row in rows])
 
 
-def _echelon(field, rows: list, relations: bool = True):
+def _echelon(rows: list, relations: bool = True, q: int | None = None):
     """Yield (i, relation) for each row i that lies in the span of the rows kept before it.
 
     Rows are scanned into a fraction-free echelon, each followed by its
     combination of the input rows (or, without `relations`, by nothing, and
-    every relation is None). Over QQ a row is cleared of denominators,
-    reduced against each kept row r by e * v - x * r (e the pivot of r, x the
-    entry of v there) and divided by its gcd; over GF(q) this runs mod q,
-    with every kept row scaled to pivot e = 1. A row that reduces to zero is
-    not kept. The rows kept before it are
-    independent, so its relation on them is unique up to scale: it comes
-    over all rows, zero at every row not kept and beyond i, as the primitive
-    integer vector with c_i > 0 over QQ and with c_i = 1 over GF(q).
+    every relation is None). A row is cleared of denominators, reduced
+    against each kept row r by e * v - x * r (e the pivot of r, x the entry
+    of v there) and divided by its gcd. A row that reduces to zero is not
+    kept. The rows kept before it are independent, so its relation on them
+    is unique up to scale: it comes over all rows, zero at every row not
+    kept and beyond i, as the primitive integer vector with c_i > 0.
+
+    With a prime `q`, int rows are reduced mod q instead, every kept row
+    scaled to pivot 1, and every relation is None: mod q only ranks are
+    asked for.
     """
-    q = field.p if isinstance(field, PrimeField) else None
-    if q is None and not isinstance(field, RationalField):
-        raise TypeError(f"no echelon over {field!r}")
-    m = len(rows) if relations else 0
+    m = len(rows) if relations and q is None else 0
     kept = []  # (pivot column, row followed by its combination)
     for i, row in enumerate(rows):
         n = len(row)
         if q is None:
             den = math.lcm(*[x.denominator for x in row])
             w = [x.numerator * (den // x.denominator) for x in row] + [0] * m
+            if m:
+                w[n + i] = den
         else:
-            den, w = 1, [x % q for x in row] + [0] * m
-        if relations:
-            w[n + i] = den
+            w = [x % q for x in row]
         for pc, r in kept:
             x = w[pc]
             if x:
@@ -263,28 +272,25 @@ def _echelon(field, rows: list, relations: bool = True):
                 inv = pow(w[pc], -1, q)
                 w = [a * inv % q for a in w]
             kept.append((pc, w))
-        elif not relations:
+        elif not m:
             yield i, None
-        elif q:
-            inv = pow(w[n + i], -1, q)
-            yield i, [a * inv % q for a in w[n:]]
         else:
             c = w[n:]  # primitive after the gcd divisions (e_i for a zero row)
             yield i, c if c[i] > 0 else [-a for a in c]
 
 
-def first_relation(field, rows: list):
+def first_relation(rows: list):
     """The relation on the first row that lies in the span of the rows before it; None if independent.
 
     This is the first relation `_echelon` yields. When row i is the first
     that depends on the rows before it, rows 0..i-1 are independent, so the
     relation on rows 0..i is unique up to scale. It is returned over all
-    rows, zero beyond i, as the primitive integer vector with c_i > 0 over QQ
-    and with c_i = 1 over GF(q). That is `clear_denominators(nullspace(M)[0])`,
-    resp. `nullspace(M)[0]`, for M the transpose of rows 0..i: the first
-    kernel vector has a 1 at the first free column, which is row i.
+    rows, zero beyond i, as the primitive integer vector with c_i > 0. That
+    is `clear_denominators(nullspace(M)[0])`, for M the transpose of rows
+    0..i: the first kernel vector has a 1 at the first free column, which
+    is row i.
     """
-    return next((c for _, c in _echelon(field, rows)), None)
+    return next((c for _, c in _echelon(rows)), None)
 
 
 def rank(m: Matrix) -> int:
@@ -292,17 +298,16 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace(m: Matrix) -> list[list]:
-    """Basis of the right kernel {x : m x = 0}, the one the reduced row echelon form gives.
+    """Basis over QQ of the right kernel {x : m x = 0}, the one the reduced row echelon form gives.
 
     For each column j that depends on the columns before it, its relation
     (see `_echelon`) divided by its entry at j: 1 at j, and 0 at every later
     column and at every other dependent column, as in the RREF basis.
-    Entries are Fractions over QQ and ints in [0, q) over GF(q).
+    Entries are Fractions; `m.field` must be QQ.
     """
-    cols = [list(col) for col in zip(*m.rows)]
-    if isinstance(m.field, PrimeField):
-        return [c for _, c in _echelon(m.field, cols)]
-    return [[Fraction(x, c[j]) for x in c] for j, c in _echelon(m.field, cols)]
+    if not isinstance(m.field, RationalField):
+        raise TypeError(f"no kernel over {m.field!r}")
+    return [[Fraction(x, c[j]) for x in c] for j, c in _echelon([list(col) for col in zip(*m.rows)])]
 
 
 @dataclass

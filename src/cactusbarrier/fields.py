@@ -1,21 +1,23 @@
-"""Exact scalars: rationals, dense univariate polynomials, prime moduli.
+"""Exact scalars: rationals and dense univariate polynomials over them.
 
 Nothing is floating point. Elements are plain Python data (Fraction, int,
 tuple), added, multiplied, divided and tested for zero on their own
-operators; `QQ` is a marker, with `of` and no arithmetic, and an int
-equals the Fraction it stands for. `PolyRing` is the flat ring QQ[t]: it
-takes coefficients in through `_exact`, which makes integral Fractions
-ints, as the chart maps do, and its products sum from int 0, so int
-coefficients stay ints. Chart maps take no ring (see `varieties`).
+operators; `QQ` is a marker with no arithmetic, and an int equals the
+Fraction it stands for. `PolyRing` is the flat ring QQ[t], and `POLY` the
+one instance the program uses: it takes coefficients in through `_exact`,
+which makes integral Fractions ints, as the chart maps do, and its products
+sum from int 0, so int coefficients stay ints. Chart maps take no ring (see
+`varieties`).
 
-`PrimeField` is a modulus, not a ring: the rank screen reduces integer rows
-mod p (see `exactalg`). Nothing is evaluated, spanned or deformed over
-GF(p), so `PolyRing` refuses a prime field.
+A prime is an int: the rank screen reduces integer rows mod p (see
+`exactalg.rank_mod_p`), and nothing is evaluated, spanned or deformed over
+GF(p), so `PolyRing` takes no other base than QQ. The `QQ` marker, the
+`PolyRing(QQ)` constructor and `from_coeffs` stay public for the benchmark,
+which passes `QQ` and builds its limits families with them, until ROADMAP
+item 11.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -45,20 +47,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The rationals; elements are `fractions.Fraction` (lowest terms, positive denominator)."""
-
-    name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def of(self, x) -> Fraction:
-        return Fraction(x)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
+    """The marker of the rationals, `QQ`: elements are ints and Fractions, on their own operators."""
 
     def __repr__(self):
         return "QQ"
@@ -80,55 +69,41 @@ def _exact(x):
         raise TypeError(f"{x!r} is neither a rational nor a polynomial over QQ") from None
 
 
-class PrimeField:
-    """A prime modulus p: the rank screen's field GF(p), whose elements are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if not is_probable_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-
-    def __repr__(self):
-        return self.name
-
-
 class PolyRing:
     """Dense univariate polynomials over QQ.
 
     Elements are tuples of ints or Fractions with no trailing zeros, added
     and multiplied on the coefficients' own operators; the zero polynomial
-    is the empty tuple. `of` and `from_coeffs` keep ints and turn integral
-    Fractions into ints. Any other base raises TypeError.
+    is the empty tuple, a polynomial e has degree len(e) - 1, and e[v:] is
+    e divided by t^v. `of` and `from_coeffs` keep ints and turn integral
+    Fractions into ints; `from_elems` only drops trailing zeros. Any other
+    base raises TypeError.
     """
+
+    zero = ()
+    one = (1,)
 
     def __init__(self, base):
         if not isinstance(base, RationalField):
             raise TypeError(f"no polynomial ring over {base!r}")
-        self.base = base
-        self.name = f"{base.name}[t]"
-        self.zero = ()
-        self.one = (base.one,)
-
-    def _norm(self, cs: list) -> tuple:
-        n = len(cs)
-        while n and not cs[n - 1]:
-            n -= 1
-        return tuple(cs[:n])
 
     def of(self, x):
         c = _exact(x)
         return (c,) if c else ()
 
     def from_coeffs(self, coeffs) -> tuple:
-        return self._norm([_exact(c) for c in coeffs])
+        return self.from_elems([_exact(c) for c in coeffs])
 
     def from_elems(self, elems) -> tuple:
-        """Normalize a coefficient list whose entries are already base elements."""
-        return self._norm(list(elems))
+        """The polynomial of a coefficient sequence of ints and Fractions, trailing zeros dropped."""
+        cs = tuple(elems)
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        return cs[:n]
 
     def t(self) -> tuple:
-        return self._norm([self.base.zero, self.base.one])
+        return (0, 1)
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -136,10 +111,10 @@ class PolyRing:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return self._norm(out)
+        return self.from_elems(out)
 
     def scale(self, c, a):
-        """c * a for a nonzero base element c; the base has no zero divisors."""
+        """c * a for a nonzero rational c; QQ has no zero divisors."""
         return tuple(c * x for x in a)
 
     def mul(self, a, b):
@@ -151,19 +126,13 @@ class PolyRing:
                 for k, cb in enumerate(b, i):
                     if cb:
                         out[k] += ca * cb
-        return self._norm(out)
-
-    def degree(self, a) -> int:
-        return len(a) - 1
+        return self.from_elems(out)
 
     def valuation(self, a) -> int | None:
         for i, c in enumerate(a):
             if c:
                 return i
         return None
-
-    def shift_down(self, a, v: int):
-        return a[v:] if v else a
 
     def __eq__(self, other):
         return isinstance(other, PolyRing)
@@ -172,5 +141,8 @@ class PolyRing:
         return hash("QQ[t]")
 
     def __repr__(self):
-        return self.name
+        return "QQ[t]"
+
+
+POLY = PolyRing(QQ)
 

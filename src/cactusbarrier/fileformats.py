@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .fields import QQ, PolyRing
+from .fields import POLY
 from .rankmethods import DenseTensor, LinearMatrixMap, SymmetricForm, _flat_index, _strides
 from .schemes import CurvilinearGerm, FiniteScheme, FirstNeighborhood, ReducedPoint
 from .varieties import Germ, parse_variety
@@ -253,10 +253,8 @@ def family_from_dict(doc: dict):
     param = parse_variety(_get(doc, "variety", str))
     limit = scheme_from_dict(_get(doc, "limit"))
     fam = _get(doc, "family", dict)
-    ring = PolyRing(QQ)
-
     def poly(coeffs):
-        return ring.from_coeffs(_coords(coeffs, parse_rational))
+        return POLY.from_coeffs(_coords(coeffs, parse_rational))
 
     if fam.get("kind") == "schemes":
         pieces = [piece_from_dict(p, poly) for p in _get(fam, "schemes", list)]

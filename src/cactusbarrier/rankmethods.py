@@ -16,13 +16,16 @@ those of the map's coefficients (computed once per map). When every cell
 of the map has at most one term, as in every builtin map, the rows are
 gathered from the distinct terms c * F[w] through a table cached on the
 map (`LinearMatrixMap.gather`); otherwise they are summed cell by cell.
-Those rows give the rational rank and, reduced mod p, the prime-field
-screen's rank (`map_rank` under a `PrimeField`). A Koszul flattening with
+Those rows give the rational rank and, reduced mod p, the rank screen's
+(`map_rank` with a `prime`: a prime is an int). A Koszul flattening with
 square slices, at least 12 x 12, is ranked without building M(F): through
 its first invertible slice (`koszul_ranks`), M(F) has the rank of a
 block-diagonal part plus that of a smaller Schur complement. `evaluate_map`
 builds M(F) over QQ, summing Fraction entries on their own operators, for
-callers that need them, such as factor subspaces.
+callers that need them, such as factor subspaces; its positional `QQ` and
+the `Matrix` it returns stay for the benchmark, which passes the one and
+reads the other's size, until the program times its own layers (ROADMAP
+item 11).
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from functools import cache, cached_property
 from itertools import combinations
 from operator import mul
 
-from .exactalg import Matrix, clear_denominators, common_denominator, rank_and_minor, rank_of_rows
-from .fields import QQ, PrimeField, RationalField
+from .exactalg import (Matrix, clear_denominators, common_denominator, rank_and_minor, rank_mod_p,
+                       rank_of_rows)
+from .fields import QQ, RationalField
 from .varieties import (
     VarietyParam,
     homogeneous_exponents,
@@ -126,10 +130,10 @@ def integer_image(m: LinearMatrixMap, vec: list, prime: int | None = None) -> li
     return out
 
 
-def map_rank(m: LinearMatrixMap, vec: list, field=QQ) -> int:
-    """rank M(F) over QQ or a prime field, taken on the integer image of M."""
-    prime = field.p if isinstance(field, PrimeField) else None
-    return rank_of_rows(field, integer_image(m, vec, prime))
+def map_rank(m: LinearMatrixMap, vec: list, prime: int | None = None) -> int:
+    """rank M(F) over QQ, or mod `prime` when given, taken on the integer image of M."""
+    rows = integer_image(m, vec, prime)
+    return rank_of_rows(QQ, rows) if prime is None else rank_mod_p(rows, prime)
 
 
 def evaluate_map(m: LinearMatrixMap, vec: list, field=QQ) -> Matrix:
@@ -141,7 +145,8 @@ def evaluate_map(m: LinearMatrixMap, vec: list, field=QQ) -> Matrix:
     if not isinstance(field, RationalField):
         raise TypeError(f"no M(F) over {field!r}")
     _check_length(m, vec)
-    out = [[field.zero] * m.b for _ in range(m.a)]
+    zero = Fraction(0)
+    out = [[zero] * m.b for _ in range(m.a)]
     for w, cs in m.cells.items():
         fw = vec[w]
         if fw:

@@ -6,15 +6,17 @@ span computations and already realize the span-degeneration phenomena this
 package verifies; arbitrary zero-dimensional ideals are out of scope. Each
 piece class carries its own `span_vectors`, `map_coords` and `validate`.
 
-Spans are over QQ and families over QQ[t]. A piece's span vectors take
-their arithmetic from its chart coordinates (see `varieties`; schemes and
-families share one per-piece loop): integral coordinates, or polynomials
-with integral coefficients, give ints, or polynomials with int
-coefficients, equal to the rational vectors entry by entry, and rational
-ones give Fractions among the entries. The stated limit's span dimension
-and its inclusion in the limit of the spans are two ranks (`rank_of_rows`
-on integer rows), and each t-saturation step takes a primitive integer
-relation from one fraction-free elimination (`first_relation`).
+Spans are over QQ and families over QQ[t], the one ring `fields.POLY`: a
+`SpanFamily` is an ambient dimension and a basis, and carries no ring. A
+piece's span vectors take their arithmetic from its chart coordinates (see
+`varieties`; schemes and families share one per-piece loop): integral
+coordinates, or polynomials with integral coefficients, give ints, or
+polynomials with int coefficients, equal to the rational vectors entry by
+entry, and rational ones give Fractions among the entries. The stated
+limit's span dimension and its inclusion in the limit of the spans are two
+ranks (`rank_of_rows` on integer rows), and each t-saturation step takes a
+primitive integer relation from one fraction-free elimination
+(`first_relation`).
 
 A scheme's span data are computed once: `scheme_span_vectors` keeps one
 memo entry, keyed by the identity of (param, scheme), so the same two
@@ -25,7 +27,7 @@ replaces the entry. It also keeps the cleared rows and their rank
 Flat limits are never computed here. A one-parameter family carries its own
 explicitly stated limit, and the code checks that the span of the stated limit
 sits inside the limit of the family's spans, which it computes exactly by
-t-saturation over the polynomial ring.
+t-saturation over QQ[t].
 
 A family proves its independence once. Specializing never raises a rank,
 so `family_span` keeps every vector before the first one dependent at t = 1
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 from .exactalg import (Subspace, _echelon, clear_rows, first_relation, rank_of_rows,
                        subspace_from_vectors)
-from .fields import QQ, PolyRing, RationalField
+from .fields import POLY, QQ, RationalField
 from .varieties import Germ, VarietyParam, evaluate, jet_vectors, tangent_vectors
 
 
@@ -190,9 +192,10 @@ def scheme_span_vectors(param: VarietyParam, scheme: FiniteScheme, field=QQ) -> 
     """Raw spanning vectors of the scheme over QQ, concatenated piece by piece.
 
     A piece with integral coordinates gives int vectors. `field` must be
-    QQ; any other raises TypeError. The list is shared through the memo
-    (see above), so no caller may change it. A scheme that fails
-    validation raises and leaves the memo as it was.
+    QQ; any other raises TypeError (the benchmark passes `QQ` positionally,
+    so the parameter stays until ROADMAP item 11). The list is shared
+    through the memo (see above), so no caller may change it. A scheme that
+    fails validation raises and leaves the memo as it was.
     """
     if not isinstance(field, RationalField):
         raise TypeError(f"no span vectors over {field!r}")
@@ -315,23 +318,22 @@ def random_scheme(param: VarietyParam, degree_budget: int, mix: str = "mixed",
 
 @dataclass
 class SpanFamily:
-    """A family of subspaces over a punctured disk, spanned by polynomial vectors in t.
+    """A family of subspaces over a punctured disk, spanned by vectors over QQ[t].
 
-    The basis must have full generic rank (rank over the fraction field of the
-    polynomial ring equals the basis length).
+    The basis must have full generic rank (rank over the fraction field of
+    QQ[t] equals the basis length).
     """
 
     ambient_dim: int
     basis: list
-    ring: PolyRing
 
 
 def generic_rank(fam: SpanFamily) -> int:
-    """Rank of the basis over the fraction field of the polynomial ring.
+    """Rank of the basis over the fraction field of QQ[t].
 
     See `rank_of_rows`: the largest rank among enough specializations of t.
     """
-    return rank_of_rows(fam.ring, fam.basis)
+    return rank_of_rows(POLY, fam.basis)
 
 
 def limit_of_spans(fam: SpanFamily) -> Subspace:
@@ -349,40 +351,36 @@ def limit_of_spans(fam: SpanFamily) -> Subspace:
     multiple of the rational kernel vector, so the steps and the limit are
     the same, and int vectors stay ints.
     """
-    ring = fam.ring
-    base = ring.base
     m = len(fam.basis)
     if m == 0:
         return Subspace(fam.ambient_dim, [])
-    vecs = [list(v) for v in fam.basis]
-    for v in vecs:
-        vals = [ring.valuation(e) for e in v if e]
+    vecs = []
+    for v in fam.basis:
+        vals = [POLY.valuation(e) for e in v if e]
         if not vals:
             raise ValueError("family contains an identically zero column")
         shift = min(vals)
-        if shift:
-            for j in range(fam.ambient_dim):
-                v[j] = ring.shift_down(v[j], shift)
-    max_steps = sum(max(ring.degree(e), 0) for v in vecs for e in v) + m + 8
+        vecs.append([e[shift:] for e in v])
+    max_steps = sum(max(len(e) - 1, 0) for v in vecs for e in v) + m + 8
     for step in range(max_steps):
         at0 = [[e[0] if e else 0 for e in v] for v in vecs]  # constant terms
-        combo = first_relation(base, at0)
+        combo = first_relation(at0)
         if combo is None:
             return Subspace(fam.ambient_dim, at0)
-        if not step and generic_rank(SpanFamily(fam.ambient_dim, vecs, ring)) != m:
+        if not step and generic_rank(SpanFamily(fam.ambient_dim, vecs)) != m:
             raise ValueError("family basis drops rank generically (non-flat presentation)")
         target = max(i for i, c in enumerate(combo) if c)
-        new = [ring.zero] * fam.ambient_dim
+        new = [POLY.zero] * fam.ambient_dim
         for i, c in enumerate(combo):
             if not c:
                 continue
             for j in range(fam.ambient_dim):
-                new[j] = ring.add(new[j], ring.scale(c, vecs[i][j]))
-        vals = [ring.valuation(e) for e in new if e]
+                new[j] = POLY.add(new[j], POLY.scale(c, vecs[i][j]))
+        vals = [POLY.valuation(e) for e in new if e]
         if not vals:
             raise ValueError("family basis drops rank generically (non-flat presentation)")
         shift = min(vals)
-        vecs[target] = [ring.shift_down(e, shift) for e in new]
+        vecs[target] = [e[shift:] for e in new]
     raise RuntimeError("t-saturation did not stabilize; malformed family")
 
 
@@ -394,18 +392,17 @@ def family_span(param: VarietyParam, pieces) -> SpanFamily:
     the first one dependent at t = 1 (found by one echelon of the t = 1
     values) is kept with no generic rank: specializing never raises a rank.
     From that one on, a vector is kept when appending it raises the generic
-    rank (`rank_of_rows` over the polynomial ring). Integral pieces give
-    vectors of int polynomials (see `varieties`).
+    rank (`rank_of_rows` over QQ[t]). Integral pieces give vectors of int
+    polynomials (see `varieties`).
     """
-    ring = PolyRing(QQ)
     raw = _span_vectors(param, pieces)
     at1 = ([sum(e) for e in v] for v in raw)  # read up to the first row dependent at t = 1
-    first, _ = next(_echelon(QQ, at1, relations=False), (len(raw), None))
+    first, _ = next(_echelon(at1, relations=False), (len(raw), None))
     kept = raw[:first]
     for v in raw[first:]:
-        if rank_of_rows(ring, kept + [v]) > len(kept):
+        if rank_of_rows(POLY, kept + [v]) > len(kept):
             kept.append(v)
-    return SpanFamily(param.dim_W, kept, ring)
+    return SpanFamily(param.dim_W, kept)
 
 
 @dataclass
@@ -430,10 +427,9 @@ def compare_limit(param: VarietyParam, fam: SpanFamily,
     vectors leaves the rank at its dimension.
     """
     lim = limit_of_spans(fam)
-    base = fam.ring.base
-    raw0 = scheme_span_vectors(param, limit_scheme, base)
-    inclusion = rank_of_rows(base, lim.basis + raw0) == lim.dim
-    return LimitComparison(rank_of_rows(base, raw0), lim.dim, inclusion)
+    raw0 = scheme_span_vectors(param, limit_scheme)
+    inclusion = rank_of_rows(QQ, lim.basis + raw0) == lim.dim
+    return LimitComparison(rank_of_rows(QQ, raw0), lim.dim, inclusion)
 
 
 def span_of_limit_vs_limit_of_spans(param: VarietyParam, family_pieces,
@@ -448,8 +444,7 @@ def span_of_limit_vs_limit_of_spans(param: VarietyParam, family_pieces,
 
 def constant_family_pieces(pieces) -> list:
     """Lift a rational scheme to a constant-in-t family (each coordinate a constant polynomial)."""
-    ring = PolyRing(QQ)
-    return [p.map_coords(ring.of) for p in pieces]
+    return [p.map_coords(POLY.of) for p in pieces]
 
 
 def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2) -> list:
@@ -458,9 +453,7 @@ def perturbed_family(scheme: FiniteScheme, rng, bound: int = 2, tdeg: int = 2) -
     Constant terms are kept, higher t-coefficients are random integers, so the
     stated limit of the family is exactly the input scheme.
     """
-    ring = PolyRing(QQ)
-
     def wiggle(x):
-        return ring.from_coeffs([x] + [rng.randint(-bound, bound) for _ in range(tdeg)])
+        return POLY.from_coeffs([x] + [rng.randint(-bound, bound) for _ in range(tdeg)])
 
     return [p.map_coords(wiggle) for p in scheme.pieces]

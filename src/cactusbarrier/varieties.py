@@ -37,9 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .fields import QQ, PolyRing, _exact
-
-_POLY = PolyRing(QQ)  # polynomial coordinates multiply on its `mul`
+from .fields import POLY, _exact
 
 
 class VarietySpecError(ValueError):
@@ -209,7 +207,7 @@ def evaluate(param: VarietyParam, coords) -> list:
         )
     if not all(type(x) is int for x in coords):
         coords = [_exact(x) for x in coords]
-    mul, one = (_POLY.mul, (1,)) if isinstance(coords[0], tuple) else (operator.mul, 1)
+    mul, one = (POLY.mul, POLY.one) if isinstance(coords[0], tuple) else (operator.mul, 1)
     parts = [_factor_monomials(f, list(u), one, mul) for f, u in _split_coords(param, coords)]
     return _kron(parts, mul)
 
@@ -271,7 +269,7 @@ def jet_vectors(param: VarietyParam, base: list, coeffs: list, length: int) -> l
         planes = [[Fraction(x, n) for x, n in zip(p, dens)] for p in planes]
     if not poly:
         return planes
-    return [[_POLY.from_elems(c) for c in zip(*planes[m * width:(m + 1) * width])]
+    return [[POLY.from_elems(c) for c in zip(*planes[m * width:(m + 1) * width])]
             for m in range(length)]
 
 
@@ -297,7 +295,7 @@ def _partial_sources(factors: tuple) -> tuple:
 def tangent_vectors(param: VarietyParam, coords) -> list[list]:
     """Chart point together with all first partial derivative vectors, by the product rule."""
     point = evaluate(param, coords)
-    zero, scale = ((), _POLY.scale) if isinstance(point[0], tuple) else (0, operator.mul)
+    zero, scale = (POLY.zero, POLY.scale) if isinstance(point[0], tuple) else (0, operator.mul)
     out = [point]
     for sources in _partial_sources(param.factors):
         v = [zero] * param.dim_W

@@ -7,8 +7,8 @@ jets by full (untruncated) convolution arithmetic on coefficient lists,
 polynomial arithmetic by a schoolbook loop, and kernels, solves, membership
 and prime-field ranks by the field-element eliminations the library ran
 before its fraction-free echelon. Scalars are added and multiplied by
-`Scalars`, never by a method of `cactusbarrier.fields`: a library field only
-names the arithmetic, through its modulus `p` or its name.
+`Scalars`, never by a method of `cactusbarrier.fields`: `QQ` or a prime
+(an int, as the library takes it) only names the arithmetic.
 """
 
 from __future__ import annotations
@@ -174,14 +174,14 @@ def brute_piece_vectors(param, piece) -> list[list]:
 
 
 class Scalars:
-    """Arithmetic on the elements of a library field, written out here.
+    """Arithmetic on the elements of QQ or of GF(p), written out here.
 
-    Over a field with a modulus `p`, ints mod p; over QQ, Fractions (ints
-    pass as the rationals they equal).
+    `field` is `QQ`, for Fractions (ints pass as the rationals they equal),
+    or a prime p as an int, for ints mod p.
     """
 
     def __init__(self, field):
-        self.p = getattr(field, "p", None)
+        self.p = field if isinstance(field, int) else None
         self.zero, self.one = (0, 1) if self.p is not None else (Fraction(0), Fraction(1))
 
     def of(self, x):

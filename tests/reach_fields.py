@@ -8,7 +8,7 @@ one pass of each bench workload (campaign, ladder, limits) through
 bench/workloads.py as it stands. A `sys.setprofile` hook records every call
 of a function defined in cactusbarrier/fields.py; the script prints each
 reached qualified name with its call count, most called first. It is not
-collected by pytest, and takes about 12 s on a 2-core host.
+collected by pytest, and takes about 4 s on a 2-core host.
 """
 
 from __future__ import annotations

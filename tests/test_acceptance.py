@@ -19,8 +19,8 @@ from cactusbarrier.barrier import (
     verify_instance,
     verify_join_decomposition,
 )
-from cactusbarrier.exactalg import DEFAULT_PRIME, rank, rank_of_rows
-from cactusbarrier.fields import QQ, PrimeField
+from cactusbarrier.exactalg import DEFAULT_PRIME, rank, rank_mod_p
+from cactusbarrier.fields import QQ
 from cactusbarrier.rankmethods import (
     DenseTensor,
     SymmetricForm,
@@ -94,8 +94,8 @@ def barrier_campaign():
                 results.append((rep, factor_dim, method.k, scheme.degree))
                 f = [sum(c * v[j] for c, v in zip(rep.extra["combination"], raw))
                      for j in range(param.dim_W)]
-                fp_ranks.append(rank_of_rows(PrimeField(DEFAULT_PRIME),
-                                             integer_image(method.map, f, DEFAULT_PRIME)))
+                fp_ranks.append(rank_mod_p(integer_image(method.map, f, DEFAULT_PRIME),
+                                           DEFAULT_PRIME))
     elapsed = time.monotonic() - start
     return {"results": results, "fp_ranks": fp_ranks, "elapsed": elapsed,
             "piece_kinds": piece_kinds}

@@ -30,7 +30,7 @@ from cactusbarrier.exactalg import (
     sample_combination,
     subspace_from_vectors,
 )
-from cactusbarrier.fields import QQ, PrimeField, RationalField
+from cactusbarrier.fields import QQ, RationalField
 from cactusbarrier.rankmethods import (
     builtin_methods,
     catalecticant_method,
@@ -293,10 +293,10 @@ def test_grassmann_containment_matches_membership_in_the_rref_oracle(spec, degre
     rng = random.Random(seed)
     sch = random_scheme(p, degree, mix="mixed", bound=3, rng=rng)
     span = scheme_span(p, sch)
-    vectors = [[QQ.of(sum(rng.randint(-2, 2) * v[j] for v in span.basis))
+    vectors = [[Fraction(sum(rng.randint(-2, 2) * v[j] for v in span.basis))
                 for j in range(p.dim_W)] for _ in range(data.draw(st.integers(1, 3)))]
     if data.draw(st.booleans()):
-        vectors.append([QQ.of(rng.randint(-3, 3)) for _ in range(p.dim_W)])
+        vectors.append([Fraction(rng.randint(-3, 3)) for _ in range(p.dim_W)])
     e = subspace_from_vectors(p.dim_W, vectors)
     ech = reduced_echelon(QQ, span.basis, p.dim_W)
     assert grassmann_containment(e, p, sch) == all(ech.contains(v) for v in e.basis)
@@ -473,16 +473,15 @@ def test_integer_instance_path_matches_the_fraction_reference(case, seed, bound,
     rng, ref = random.Random(seed), random.Random(seed)
     with mock.patch.object(barrier, "integer_image", image):
         report = verify_instance(param, scheme, method, rng, prime=prime, bound=bound)
-    coeffs, f = fraction_sample_combination(QQ, [[QQ.of(x) for x in v] for v in vectors],
+    coeffs, f = fraction_sample_combination(QQ, [[Fraction(x) for x in v] for v in vectors],
                                             bound, ref)
     m = method.map
     rank = _oracle_rank(QQ, evaluate_map(m, f, QQ).rows, m.b)
     fp_rank = None
     if prime is not None:  # M(F) over QQ, reduced entry by entry
-        gf = PrimeField(prime)
-        reduced = [[Scalars(gf).of(x) for x in row] for row in evaluate_map(m, f, QQ).rows]
-        fp_rank = _oracle_rank(gf, reduced, m.b)
-    span_dim = _oracle_rank(QQ, [[QQ.of(x) for x in v] for v in vectors], param.dim_W)
+        reduced = [[Scalars(prime).of(x) for x in row] for row in evaluate_map(m, f, QQ).rows]
+        fp_rank = _oracle_rank(prime, reduced, m.b)
+    span_dim = _oracle_rank(QQ, [[Fraction(x) for x in v] for v in vectors], param.dim_W)
     assert ((report.extra["combination"], report.rank, report.fp_rank, report.span_dim)
             == (coeffs, rank, fp_rank, span_dim))
     assert rng.getstate() == ref.getstate()

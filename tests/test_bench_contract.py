@@ -6,9 +6,12 @@ time. `bench/workloads.py` calls the library directly, so a changed signature
 breaks the benchmark; the first operations of the campaign and limits
 workloads, and the ladder's first rung and its custom-map rung, run here, and
 their results pass the workloads' own checks. Building the ladder replaces
-`cli._verify_trial`, so its test restores the function afterwards.
-Bench modules are loaded by path, with bench/ on sys.path as the benchmark
-runs them.
+`cli._verify_trial`, so its tests restore the function afterwards. The
+tracer's wrappers also read their targets' arguments and results (the field
+of `rank_of_rows(field, rows)`, the size of `evaluate_map`'s matrix), so the
+same first operations run once more under an installed `Tracer`, and no
+traced call may raise. Bench modules are loaded by path, with bench/ on
+sys.path as the benchmark runs them.
 """
 
 import importlib
@@ -101,3 +104,35 @@ def test_ladder_first_and_custom_rungs_pass_their_checks(workloads, monkeypatch,
     results = {op.key: op.fn() for op in ladder.ops(SEED) if op.key in (("rung", 0), last)}
     assert list(results) == [("rung", 0), last]
     assert ladder.check(results, SEED) == []
+
+
+def test_traced_operations_run_clean(workloads, monkeypatch, tmp_path):
+    # `bench/run.py --trace 1` on the first campaign and limits operations and
+    # the ladder's first rung: every operation returns, no span records an
+    # error, and the per-layer figures read the ranks they traced
+    from cactusbarrier import cli
+
+    monkeypatch.setattr(cli, "_verify_trial", cli._verify_trial)
+    plan = ((workloads.Campaign(), 6), (workloads.Limits(), 3),
+            (workloads.Ladder(tmp_path), 1))
+    tracer = _load("bench_tracer", BENCH / "tracer.py").Tracer()
+    tracer.install()
+    try:
+        for workload, n in plan:
+            gen = workload.ops(SEED)
+            result = None
+            for _ in range(n):
+                op = gen.send(result)
+                tracer.start_op(op.key)
+                span = tracer.begin(op.span)
+                result = op.fn()
+                tracer.end(span)
+            gen.close()
+    finally:
+        tracer.uninstall()
+    assert [s for s in tracer.spans if s[6] == {"error": True}] == []
+    assert {"barrier.verify_instance", "rankmethods.evaluate_map", "schemes.limit_of_spans",
+            "bench.cli_verify"} <= {s[2] for s in tracer.spans}
+    layer = tracer.per_layer(1, lambda start: 1.0, lambda start, end: 0.0)
+    assert layer["exactalg.rank_qq_calls"] > 0 and layer["exactalg.rank_poly_calls"] > 0
+    assert layer["rankmethods.matrix_cells"] > 0

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import cactusbarrier.cli as cli
 from cactusbarrier.barrier import BarrierReport
-from cactusbarrier.fields import PrimeField
 from cactusbarrier.fileformats import (
     FileFormatError,
     load_tensor,
@@ -764,14 +763,13 @@ def _record_ranks(monkeypatch):
     by_minor = recording(ranked, exactalg.rank_and_minor)
     monkeypatch.setattr(exactalg, "rank_and_minor", by_minor)
     monkeypatch.setattr(rankmethods, "rank_and_minor", by_minor)
-    real_rank = exactalg.rank_of_rows
+    real_rank = exactalg.rank_mod_p
 
-    def rank_of_rows(field, rows):
-        if isinstance(field, PrimeField):
-            mod_p.append([list(row) for row in rows])
-        return real_rank(field, rows)
+    def rank_mod_p(rows, p):
+        mod_p.append([list(row) for row in rows])
+        return real_rank(rows, p)
 
-    monkeypatch.setattr(exactalg, "rank_of_rows", rank_of_rows)
+    monkeypatch.setattr(exactalg, "rank_mod_p", rank_mod_p)
     return images, eliminated, ranked, mod_p
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cactusbarrier.exactalg as exactalg
@@ -17,12 +17,13 @@ from cactusbarrier.exactalg import (
     first_relation,
     nullspace,
     rank,
+    rank_and_minor,
     rank_of_rows,
     rank_qq_and_mod_p,
     sample_combination,
     subspace_from_vectors,
 )
-from cactusbarrier.fields import QQ, PolyRing, PrimeField
+from cactusbarrier.fields import POLY, QQ, is_probable_prime
 from oracles import (
     Scalars,
     fraction_sample_combination,
@@ -65,13 +66,16 @@ def test_rank_rectangular_rational():
 
 
 def test_rank_mod_p():
-    gf = PrimeField(7)
-    m = mat(gf, [[1, 2], [2, 4]])
-    assert rank(m) == 1
-    assert rank(identity(gf, 4)) == 4
+    # a prime is an int: `exactalg.rank_mod_p` reduces int rows mod it
+    assert exactalg.rank_mod_p([[1, 2], [2, 4]], 7) == 1
+    assert exactalg.rank_mod_p([[int(i == j) for j in range(4)] for i in range(4)], 7) == 4
     # 7 divides the determinant of [[1,3],[3,2]] (= -7), so rank drops mod 7
-    assert rank(mat(gf, [[1, 3], [3, 2]])) == 1
+    assert exactalg.rank_mod_p([[1, 3], [3, 2]], 7) == 1
     assert rank(mat(QQ, [[1, 3], [3, 2]])) == 2
+    assert exactalg.rank_mod_p([[8, 6], [1, 0]], 7) == 2
+    assert exactalg.rank_mod_p([], 7) == exactalg.rank_mod_p([[], []], 7) == 0
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        exactalg.rank_mod_p([[1, 3], [3, 2]], 6)
 
 
 def test_rank_equals_rank_of_transpose():
@@ -89,7 +93,6 @@ def test_rank_agreement_rational_vs_prime_field():
     # ranks over a large prime agree with rational ranks on almost all samples;
     # any disagreement must come from a bad prime, i.e. undershoot the QQ rank
     rng = random.Random(2024)
-    gf = PrimeField(1_000_003)
     agree = total = 0
     for _ in range(120):
         n, m, r = rng.randint(2, 5), rng.randint(2, 5), rng.randint(1, 3)
@@ -98,7 +101,7 @@ def test_rank_agreement_rational_vs_prime_field():
         prod = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(m)]
                 for i in range(n)]
         rq = rank(mat(QQ, prod))
-        rp = rank(mat(gf, prod))
+        rp = exactalg.rank_mod_p(prod, 1_000_003)
         total += 1
         if rq == rp:
             agree += 1
@@ -116,16 +119,24 @@ def test_nullspace():
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def test_rank_of_rows_and_nullspace_take_only_their_own_fields():
+    # rank_of_rows ranks over QQ or QQ[t]; a prime goes to rank_mod_p, and kernels are over QQ
+    assert rank_of_rows(POLY, [[(0, 1), (1,)], [(1,), (0, 0, 1)]]) == 2
+    with pytest.raises(TypeError, match="no rank routine for 7"):
+        rank_of_rows(7, [[1]])
+    with pytest.raises(TypeError, match=r"no kernel over QQ\[t\]"):
+        nullspace(Matrix(POLY, [[(1,)]]))
+
+
 def test_rank_of_rows_prime_field_matches_default_prime():
-    gf = PrimeField(DEFAULT_PRIME)
     rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    assert rank_of_rows(gf, rows) == 2
+    assert exactalg.rank_mod_p(rows, DEFAULT_PRIME) == 2
     assert rank_of_rows(QQ, [[Fraction(x) for x in r] for r in rows]) == 2
 
 
 # -- sympy oracle for kernels and membership ---------------------------------
 
-_ORACLE_FIELDS = [QQ, PrimeField(7), PrimeField(101), PrimeField(DEFAULT_PRIME)]
+_ORACLE_FIELDS = [QQ, 7, 101, DEFAULT_PRIME]  # QQ or a prime
 
 
 def _sympy_rank(field, rows, ncols) -> int:
@@ -138,7 +149,7 @@ def _sympy_rank(field, rows, ncols) -> int:
     if field == QQ:
         dom, conv = SQQ, lambda x: SQQ(x.numerator, x.denominator)
     else:
-        dom = GF(field.p)
+        dom = GF(field)
         conv = dom
     return DomainMatrix([[conv(x) for x in row] for row in rows],
                         (len(rows), ncols), dom).rank()
@@ -151,7 +162,7 @@ def _oracle_matrices(draw, fields=_ORACLE_FIELDS):
     if field == QQ:
         entry = st.fractions(-3, 3, max_denominator=4)
     else:
-        entry = st.one_of(st.integers(-3, 3), st.integers(0, field.p - 1)).map(Scalars(field).of)
+        entry = st.one_of(st.integers(-3, 3), st.integers(0, field - 1)).map(Scalars(field).of)
     ncols = draw(st.integers(1, 5))
     nrows = draw(st.integers(1, 7))
     free = draw(st.integers(1, nrows))
@@ -172,8 +183,9 @@ def _dot(field, a, b):
     return acc
 
 
+# kernels are over QQ only; GF(p) gives ranks only
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_oracle_matrices())
+@given(_oracle_matrices([QQ]))
 def test_nullspace_matches_sympy(case):
     field, rows, ncols = case
     basis = nullspace(Matrix(field, rows))
@@ -214,7 +226,7 @@ def _types(vectors):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_oracle_matrices())
+@given(_oracle_matrices([QQ]))
 def test_nullspace_equals_the_rref_oracle(case):
     field, rows, ncols = case
     basis = nullspace(Matrix(field, rows))
@@ -373,8 +385,37 @@ def test_wide_rank_rule_matches_the_rref_oracle(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_int_matrices(), st.sampled_from([2, 3, 5, 7, 101, DEFAULT_PRIME]))
 def test_rank_over_a_prime_field_matches_elimination_mod_p(case, p):
-    rows, _ = case
-    assert rank_of_rows(PrimeField(p), rows) == rank_mod_p(rows, p)
+    rows, ncols = case
+    expected = rank_mod_p(rows, p)
+    assert exactalg.rank_mod_p(rows, p) == expected
+    assert expected == _sympy_rank(p, [[x % p for x in row] for row in rows], ncols)
+
+
+_SMALL_PRIMES = [q for q in range(2, 100) if is_probable_prime(q)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_int_matrices())
+def test_rank_qq_and_mod_p_ranks_again_mod_a_prime_that_divides_the_minor(case):
+    # the prime is chosen to divide the last Bareiss pivot, so the one-elimination
+    # answer cannot stand and `rank_mod_p` ranks the rows again
+    rows, ncols = case
+    minor = rank_and_minor(rows)[1]
+    p = next((q for q in _SMALL_PRIMES if minor % q == 0), None)
+    assume(p is not None)
+    calls = []
+    real = exactalg.rank_mod_p
+
+    def spy(r, q):
+        calls.append(q)
+        return real(r, q)
+
+    with mock.patch.object(exactalg, "rank_mod_p", spy):
+        got = rank_qq_and_mod_p(rows, p)
+    assert calls == [p]
+    assert got == (_sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], ncols),
+                   _sympy_rank(p, [[x % p for x in row] for row in rows], ncols))
+    assert got[1] == rank_mod_p(rows, p)
 
 
 def test_rank_qq_and_mod_p_pins():
@@ -401,8 +442,7 @@ def test_rank_qq_and_mod_p_matches_sympy_and_elimination_mod_p(case, p):
     rows, ncols = case
     expected = (_sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], ncols),
                 rank_mod_p(rows, p))
-    assert expected[1] == _sympy_rank(PrimeField(p), [[x % p for x in row] for row in rows],
-                                      ncols)
+    assert expected[1] == _sympy_rank(p, [[x % p for x in row] for row in rows], ncols)
     assert rank_qq_and_mod_p(rows, p) == expected
     # the same rows over a denominator that p does not divide
     assert rank_qq_and_mod_p([clear_denominators([Fraction(x, 11) for x in row], p)
@@ -449,52 +489,44 @@ def test_rank_qq_and_mod_p_eliminates_the_side_with_fewer_rows(rows, p):
 
 
 def test_first_relation_pins():
-    assert first_relation(QQ, [[1, 0], [0, 1]]) is None
-    assert first_relation(QQ, []) is None
-    assert first_relation(QQ, [[0, 0], [1, 2]]) == [1, 0]
-    assert first_relation(QQ, [[1, 2], [2, 4]]) == [-2, 1]
+    assert first_relation([[1, 0], [0, 1]]) is None
+    assert first_relation([]) is None
+    assert first_relation([[0, 0], [1, 2]]) == [1, 0]
+    assert first_relation([[1, 2], [2, 4]]) == [-2, 1]
     # rows 0, 1, 2 already depend; row 3 is never reached
-    assert first_relation(QQ, [[1, 0], [0, 1], [1, 1], [5, 5]]) == [-1, -1, 1, 0]
+    assert first_relation([[1, 0], [0, 1], [1, 1], [5, 5]]) == [-1, -1, 1, 0]
     # Fraction rows: the primitive integer relation, last coefficient positive
     half = [Fraction(1, 2), Fraction(1, 3)]
-    assert first_relation(QQ, [half, [3, 2]]) == [-6, 1]
-    assert first_relation(QQ, [[3, 2], half]) == [-1, 6]
-    assert first_relation(QQ, [[Fraction(2, 3), 1], [Fraction(1, 3), Fraction(1, 2)]]) == [-1, 2]
+    assert first_relation([half, [3, 2]]) == [-6, 1]
+    assert first_relation([[3, 2], half]) == [-1, 6]
+    assert first_relation([[Fraction(2, 3), 1], [Fraction(1, 3), Fraction(1, 2)]]) == [-1, 2]
     # the gcd division keeps the combination primitive through several updates
-    assert first_relation(QQ, [[2, 4, 0], [0, 6, 3], [2, 10, 3]]) == [-1, -1, 1]
-    # over GF(7): row 1 is 3 * row 0, so the relation is (-3, 1) = (4, 1)
-    assert first_relation(PrimeField(7), [[1, 2], [3, 6]]) == [4, 1]
-    assert first_relation(PrimeField(7), [[2, 1], [1, 3], [3, 4]]) == [6, 6, 1]
-    with pytest.raises(TypeError):
-        first_relation(PolyRing(QQ), [[(1,)]])
+    assert first_relation([[2, 4, 0], [0, 6, 3], [2, 10, 3]]) == [-1, -1, 1]
 
 
 def test_echelon_yields_every_dependent_row_with_its_relation():
     rows = [[1, 0], [2, 0], [0, 1], [1, 1], [0, 0]]
     # row 1 is dropped, so row 3's relation is on rows 0 and 2 only
-    assert list(_echelon(QQ, rows)) == [
+    assert list(_echelon(rows)) == [
         (1, [-2, 1, 0, 0, 0]), (3, [-1, 0, -1, 1, 0]), (4, [0, 0, 0, 0, 1])]
-    assert list(_echelon(PrimeField(7), rows)) == [
-        (1, [5, 1, 0, 0, 0]), (3, [6, 0, 6, 1, 0]), (4, [0, 0, 0, 0, 1])]
-    assert list(_echelon(QQ, rows, relations=False)) == [(1, None), (3, None), (4, None)]
-    assert list(_echelon(QQ, [[Fraction(1, 2), 1], [1, 2], [3, 0]])) == [(1, [-2, 1, 0])]
-    with pytest.raises(TypeError):
-        next(_echelon(PolyRing(QQ), [[(1,)]]))
+    assert list(_echelon(rows, relations=False)) == [(1, None), (3, None), (4, None)]
+    assert list(_echelon([[Fraction(1, 2), 1], [1, 2], [3, 0]])) == [(1, [-2, 1, 0])]
+    # mod a prime q only ranks are asked for: the same rows, and no relations
+    for relations in (True, False):
+        assert list(_echelon(rows, relations, q=7)) == [(1, None), (3, None), (4, None)]
+    # 7 divides det [[1, 3], [3, 2]], and 8 is 1 mod 7
+    assert list(_echelon([[1, 3], [3, 2], [8, 3]], q=7)) == [(1, None), (2, None)]
 
 
 @st.composite
 def _relation_cases(draw):
-    """(field, rows, ncols) over QQ (ints and Fractions) or GF(q) for small q.
+    """(QQ, rows, ncols), rows of ints and Fractions.
 
     Rows are drawn one at a time as free, zero, repeated or combined from
     earlier rows, in tall and wide shapes.
     """
-    q = draw(st.sampled_from([None, 2, 3, 5, 7]))
-    field = QQ if q is None else PrimeField(q)
-    if q is None:
-        entry = st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=6))
-    else:
-        entry = st.integers(0, q - 1)
+    field = QQ
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=6))
     ncols = draw(st.integers(1, 6))
     nrows = draw(st.integers(1, 8))
     rows = []
@@ -517,7 +549,7 @@ def _relation_cases(draw):
 @given(_relation_cases())
 def test_first_relation_matches_the_kernel_of_the_first_dependent_prefix(case):
     field, rows, ncols = case
-    rel = first_relation(field, rows)
+    rel = first_relation(rows)
     if rel is None:
         assert _sympy_rank(field, rows, ncols) == len(rows)
         return
@@ -528,10 +560,8 @@ def test_first_relation_matches_the_kernel_of_the_first_dependent_prefix(case):
     for j in range(ncols):
         assert not _of(field, sum(c * row[j] for c, row in zip(rel, rows)))
     prefix = [[_of(field, x) for x in col] for col in zip(*rows[:i + 1])]
-    kernel = rref_nullspace(field, prefix, i + 1)[0]
-    if field == QQ:
-        kernel = clear_denominators(kernel)
-        assert all(type(c) is int for c in rel)
+    kernel = clear_denominators(rref_nullspace(field, prefix, i + 1)[0])
+    assert all(type(c) is int for c in rel)
     assert rel[:i + 1] == kernel
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactusbarrier.fields import QQ, PolyRing, PrimeField, is_probable_prime
+from cactusbarrier.exactalg import rank_mod_p
+from cactusbarrier.fields import POLY, QQ, PolyRing, is_probable_prime
 
 from oracles import SchoolbookPolyRing
 
@@ -19,13 +20,15 @@ def test_primality():
 
 
 def test_rational_field_basics():
-    assert QQ.of("3/4") == Fraction(3, 4)
+    # QQ is a marker: no arithmetic and no element constructor
+    assert repr(QQ) == "QQ"
+    assert not hasattr(QQ, "of") and not hasattr(QQ, "zero")
 
 
 def test_polyring_over_prime_field():
-    # GF(p) only screens ranks: there is no polynomial ring over it
-    with pytest.raises(TypeError, match=r"no polynomial ring over GF\(101\)"):
-        PolyRing(PrimeField(101))
+    # a prime only screens ranks: there is no polynomial ring over GF(p)
+    with pytest.raises(TypeError, match=r"no polynomial ring over 101"):
+        PolyRing(101)
 
 
 def test_jets_over_integers_match_rationals():
@@ -37,20 +40,20 @@ def test_jets_over_integers_match_rationals():
 
 
 def test_prime_field_arithmetic():
-    gf = PrimeField(7)
-    assert gf.p == 7 and gf.name == "GF(7)"
-    with pytest.raises(ValueError):
-        PrimeField(6)
+    # a prime is an int; the one mod-p routine refuses a composite modulus
+    assert rank_mod_p([[1, 2], [3, 6]], 7) == 1
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        rank_mod_p([[1]], 6)
 
 
 def test_field_identity():
     assert QQ == QQ and hash(QQ) == hash(QQ)
-    assert PolyRing(QQ) == PolyRing(QQ) and hash(PolyRing(QQ)) == hash(PolyRing(QQ))
-    assert QQ != PrimeField(7)
+    assert PolyRing(QQ) == PolyRing(QQ) == POLY and hash(PolyRing(QQ)) == hash(POLY)
+    assert QQ != 7 and QQ != POLY
 
 
 def test_polyring_arithmetic():
-    R = PolyRing(QQ)
+    R = POLY
     t = R.t()
     one = R.one
     p = R.add(one, t)                      # 1 + t
@@ -58,9 +61,17 @@ def test_polyring_arithmetic():
     assert q == (Fraction(1), Fraction(2), Fraction(1))
     assert R.add(q, R.scale(Fraction(-1), q)) == ()
     assert q[1] == 2
-    assert R.degree(q) == 2
+    assert len(q) - 1 == 2                 # the degree
     assert R.valuation(R.mul(t, q)) == 1
-    assert R.shift_down(R.mul(t, q), 1) == q
+    assert R.mul(t, q)[1:] == q            # division by t
+
+
+def test_polyring_one_and_t_have_int_coefficients():
+    # as `of` and `from_coeffs` give them: a polynomial built from them keeps ints
+    assert POLY.one == (1,) and POLY.t() == (0, 1)
+    assert all(type(c) is int for c in POLY.one + POLY.t())
+    assert all(type(c) is int for c in POLY.mul(POLY.add(POLY.one, POLY.t()), POLY.t()))
+    assert POLY.from_elems([0, 1, 0, 0]) == POLY.t() and POLY.from_elems(()) == POLY.zero
 
 
 # -- QQ[t] arithmetic on int and rational coefficients, against a schoolbook oracle

@@ -16,7 +16,8 @@ from cactusbarrier.exactalg import (
     rank_of_rows,
     rank_qq_and_mod_p,
 )
-from cactusbarrier.fields import QQ, PrimeField
+from cactusbarrier.exactalg import rank_mod_p as exactalg_rank_mod_p
+from cactusbarrier.fields import QQ
 from cactusbarrier.fileformats import custom_map_from_tensor
 from cactusbarrier.rankmethods import (
     DenseTensor,
@@ -72,8 +73,8 @@ def test_evaluate_map_zero_vector():
 def test_evaluate_map_is_built_over_qq_only():
     # ranks mod p take the integer image; Fraction entries are never labelled GF(p)
     m = flattening((2, 2, 2), (0,))
-    with pytest.raises(TypeError, match=r"no M\(F\) over GF\(101\)"):
-        evaluate_map(m, [1] * 8, PrimeField(101))
+    with pytest.raises(TypeError, match=r"no M\(F\) over 101"):
+        evaluate_map(m, [1] * 8, 101)
 
 
 def test_evaluate_map_rank_one_point():
@@ -325,13 +326,15 @@ def test_custom_method_gets_empirical_label():
 
 
 def test_map_rank_over_prime_field():
-    gf = PrimeField(2**31 - 1)
     t = DenseTensor.diagonal((3, 3, 3), 2)
     m = flattening((3, 3, 3), (0,))
-    assert map_rank(m, t.to_vector(), gf) == 2
+    assert map_rank(m, t.to_vector(), 2**31 - 1) == 2
     # 7 * e0 x e0 x e0 + e1 x e1 x e1 has rank 2 over QQ and 1 mod 7
     t.entries[0] = Fraction(7)
-    assert (map_rank(m, t.to_vector()), map_rank(m, t.to_vector(), PrimeField(7))) == (2, 1)
+    assert (map_rank(m, t.to_vector()), map_rank(m, t.to_vector(), prime=7)) == (2, 1)
+    # the prime is checked where it is used, as `rank_mod_p` checks it
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        map_rank(m, t.to_vector(), prime=6)
 
 
 def test_symmetric_form_embedding_consistency():
@@ -397,7 +400,6 @@ def test_integer_image_ranks_match_evaluate_map(m, data):
     assert all(type(x) is int for row in rows for x in row)
     assert rank_of_rows(QQ, rows) == rank(evaluate_map(m, f, QQ)) == map_rank(m, f)
     for p in (2, 3, 7, DEFAULT_PRIME):
-        gf = PrimeField(p)
         denominators = [x.denominator for x in f]
         denominators += [c.denominator for cs in m.cells.values() for _, _, c in cs]
         if any(d % p == 0 for d in denominators):
@@ -405,10 +407,10 @@ def test_integer_image_ranks_match_evaluate_map(m, data):
                 integer_image(m, f, p)
             continue
         # M(F) over QQ, reduced entry by entry
-        reduced = [[Scalars(gf).of(x) for x in row] for row in evaluate_map(m, f, QQ).rows]
+        reduced = [[Scalars(p).of(x) for x in row] for row in evaluate_map(m, f, QQ).rows]
         expected = rank_mod_p(reduced, p)
-        assert rank_of_rows(gf, integer_image(m, f, p)) == expected
-        assert map_rank(m, f, gf) == expected
+        assert exactalg_rank_mod_p(integer_image(m, f, p), p) == expected
+        assert map_rank(m, f, p) == expected
 
 
 def test_integer_image_scales_by_both_denominators():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import pickle
@@ -20,7 +21,7 @@ from cactusbarrier.exactalg import (
     nullspace,
     rank_of_rows,
 )
-from cactusbarrier.fields import QQ, PolyRing, RationalField
+from cactusbarrier.fields import POLY, QQ, PolyRing, RationalField
 from cactusbarrier.fileformats import piece_from_dict, piece_to_dict
 from cactusbarrier.schemes import (
     CurvilinearGerm,
@@ -167,7 +168,7 @@ def test_random_scheme_rejects_infeasible_budgets():
 
 def test_limit_of_spans_constant_family():
     R = PolyRing(QQ)
-    fam = SpanFamily(3, [[R.of(1), R.zero, R.zero], [R.zero, R.of(1), R.zero]], R)
+    fam = SpanFamily(3, [[R.of(1), R.zero, R.zero], [R.zero, R.of(1), R.zero]])
     lim = limit_of_spans(fam)
     assert lim.dim == 2
     assert in_span(QQ, lim.basis, [fr(1), fr(0), fr(0)])
@@ -182,15 +183,21 @@ def test_limit_of_spans_saturation_recovers_third_direction():
         [R.of(1), R.zero, R.zero],
         [R.zero, R.of(1), R.zero],
         [R.of(1), R.of(1), R.t()],
-    ], R)
+    ])
     lim = limit_of_spans(fam)
     assert lim.dim == 3
     assert in_span(QQ, lim.basis, [fr(0), fr(0), fr(1)])
 
 
+def test_span_family_is_a_dimension_and_a_basis():
+    # QQ[t] is one ring, `fields.POLY`: a family carries no ring of its own
+    assert [f.name for f in dataclasses.fields(SpanFamily)] == ["ambient_dim", "basis"]
+    assert limit_of_spans(SpanFamily(1, [[POLY.t()]])).basis == [[1]]
+
+
 def test_limit_of_spans_single_vector():
     R = PolyRing(QQ)
-    lim = limit_of_spans(SpanFamily(2, [[R.of(1), R.t()]], R))
+    lim = limit_of_spans(SpanFamily(2, [[R.of(1), R.t()]]))
     assert lim.dim == 1
     assert [list(map(int, b)) for b in lim.basis] == [[1, 0]]
 
@@ -198,10 +205,10 @@ def test_limit_of_spans_single_vector():
 def test_limit_of_spans_rejects_degenerate_families():
     R = PolyRing(QQ)
     with pytest.raises(ValueError):
-        limit_of_spans(SpanFamily(2, [[R.zero, R.zero]], R))
+        limit_of_spans(SpanFamily(2, [[R.zero, R.zero]]))
     with pytest.raises(ValueError):
         # second column is t times the first: generic rank 1 < 2
-        limit_of_spans(SpanFamily(2, [[R.of(1), R.of(2)], [R.t(), R.mul(R.t(), R.of(2))]], R))
+        limit_of_spans(SpanFamily(2, [[R.of(1), R.of(2)], [R.t(), R.mul(R.t(), R.of(2))]]))
 
 
 def test_limit_dimension_equals_generic_rank():
@@ -215,7 +222,7 @@ def test_limit_dimension_equals_generic_rank():
         ]
         if rank_of_rows(R, basis) != m:
             continue
-        assert limit_of_spans(SpanFamily(n, basis, R)).dim == m
+        assert limit_of_spans(SpanFamily(n, basis)).dim == m
 
 
 def test_collinear_collision_scheme_family():
@@ -329,7 +336,7 @@ def _family_outcomes(param, pieces):
 
 
 def _basis_outcomes(n, basis):
-    fam = SpanFamily(n, basis, RQ)
+    fam = SpanFamily(n, basis)
     return (generic_rank(fam), _outcome(lambda: limit_of_spans(fam).basis))
 
 
@@ -365,9 +372,9 @@ def _specializations(fn):
             return real(field, rows)
         return rank
 
-    def echelon(field, rows, relations=True):
-        echelons.append(field)
-        return exactalg._echelon(field, rows, relations)
+    def echelon(rows, relations=True, q=None):
+        echelons.append(q)
+        return exactalg._echelon(rows, relations, q)
 
     with mock.patch.object(schemes, "rank_of_rows", counting(poly)), \
             mock.patch.object(exactalg, "rank_of_rows", counting(base)), \
@@ -438,7 +445,7 @@ def test_poly_rank_needs_all_d_plus_one_points():
     rows = [[f, RQ.zero], [RQ.zero, g]]
     assert _sympy_generic_rank(rows) == 2
     assert rank_of_rows(RQ, rows) == 2
-    assert generic_rank(SpanFamily(2, rows, RQ)) == 2
+    assert generic_rank(SpanFamily(2, rows)) == 2
 
 
 def test_generic_rank_on_dependence_hidden_from_leading_terms():
@@ -466,7 +473,7 @@ def test_independent_rows_need_one_specialization():
     assert (poly, points, echelons) == (1, 1, 1)
     # dependent rows take every point: the second row is t times the first
     rows = [[RQ.one, RQ.t()], [RQ.t(), RQ.mul(RQ.t(), RQ.t())]]
-    rank, poly, points, _ = _specializations(lambda: generic_rank(SpanFamily(2, rows, RQ)))
+    rank, poly, points, _ = _specializations(lambda: generic_rank(SpanFamily(2, rows)))
     assert (rank, poly, points) == (1, 1, 2 * 2 + 1)
 
 
@@ -478,7 +485,7 @@ def test_limit_of_spans_ranks_generically_only_on_dependent_constant_terms():
     assert (lim.dim, poly, points) == (4, 0, 0)
     # two points colliding at (0, 0): dependent constant terms, one flatness rank
     collide = SpanFamily(4, [[RQ.one, RQ.zero, RQ.zero, RQ.zero],
-                             [RQ.one, RQ.zero, RQ.t(), RQ.zero]], RQ)
+                             [RQ.one, RQ.zero, RQ.t(), RQ.zero]])
     lim, poly, points, _ = _specializations(lambda: limit_of_spans(collide))
     assert (lim.basis, poly, points) == ([[1, 0, 0, 0], [0, 0, 1, 0]], 1, 1)
 
@@ -495,9 +502,9 @@ def test_family_span_cost_on_generically_dependent_vectors():
         calls.append(len(rows))
         return real(rows)
 
-    def echelon(field, rows, relations=True):
+    def echelon(rows, relations=True, q=None):
         calls.append("t = 1")
-        return real_echelon(field, rows, relations)
+        return real_echelon(rows, relations, q)
 
     with mock.patch.object(exactalg, "_rank_int_bareiss", counting), \
             mock.patch.object(schemes, "_echelon", echelon):
@@ -535,14 +542,14 @@ def test_a_cycling_dependent_basis_is_refused_as_non_flat(tmp_path, capsys):
     """
     msg = "family basis drops rank generically (non-flat presentation)"
     with pytest.raises(ValueError) as err:
-        limit_of_spans(SpanFamily(1, [[RQ.from_coeffs([1, 1])], [RQ.from_coeffs([1, 2])]], RQ))
+        limit_of_spans(SpanFamily(1, [[RQ.from_coeffs([1, 1])], [RQ.from_coeffs([1, 2])]]))
     assert str(err.value) == msg
     # the same rows padded into veronese:1,2, whose W has dimension 3
     p = parse_variety("veronese:1,2")
     padded = [[RQ.from_coeffs([1, c]), RQ.zero, RQ.zero] for c in (1, 2)]
     limit = FiniteScheme((reduced(0), reduced(1)))
     with pytest.raises(ValueError) as err:
-        compare_limit(p, SpanFamily(3, padded, RQ), limit)
+        compare_limit(p, SpanFamily(3, padded), limit)
     assert str(err.value) == msg
     path = tmp_path / "family.json"
     path.write_text(json.dumps({
@@ -836,8 +843,8 @@ def _relation_calls(fn):
     found = []
     real = schemes.first_relation
 
-    def counting(field, rows):
-        rel = real(field, rows)
+    def counting(rows):
+        rel = real(rows)
         found.append(rel is not None)
         return rel
 
@@ -852,15 +859,15 @@ def _limit_by_products(fam, clear=False):
     rule before `first_relation`. Returns the t = 0 rows at the end, which
     are a basis of the limit, and the number of saturation steps.
     """
-    ring, base, n = fam.ring, fam.ring.base, fam.ambient_dim
+    ring, base, n = RQ, QQ, fam.ambient_dim
     scalars = Scalars(base)
     vecs = []
     for v in fam.basis:
         shift = min(ring.valuation(e) for e in v if e)
-        vecs.append([ring.shift_down(e, shift) for e in v])
+        vecs.append([e[shift:] for e in v])
     steps = 0
     while True:
-        at0 = [[e[0] if e else base.zero for e in v] for v in vecs]
+        at0 = [[e[0] if e else Fraction(0) for e in v] for v in vecs]
         if rank_of_rows(base, at0) == len(vecs):
             return at0, steps
         steps += 1
@@ -873,7 +880,7 @@ def _limit_by_products(fam, clear=False):
             if not scalars.is_zero(c):
                 new = [ring.add(a, ring.mul(ring.from_elems([c]), e)) for a, e in zip(new, v)]
         shift = min(ring.valuation(e) for e in new if e)
-        vecs[target] = [ring.shift_down(e, shift) for e in new]
+        vecs[target] = [e[shift:] for e in new]
 
 
 def _membership_compare(param, fam, limit_scheme):
@@ -901,7 +908,7 @@ def _check_against_fraction_path(param, pieces, limit):
     as_fractions = [p.map_coords(lambda x: tuple(map(Fraction, x))) for p in pieces]
     fam = family_span(param, pieces)
     old = _fraction_family_path(lambda: family_span(param, as_fractions))
-    assert fam.ring == old.ring == RQ
+    assert fam.ambient_dim == old.ambient_dim == param.dim_W
     assert _entries_equal(fam.basis, old.basis)
     # kept vectors are a subsequence of the raw ones; tag each with its piece
     raw = [(v, _integral(p)) for p in pieces for v in schemes._span_vectors(param, [p])]
