@@ -1,31 +1,31 @@
 """Exact dense linear algebra: ranks, kernels, spans, span sampling.
 
-Two eliminations here run on plain Python ints, after rational rows are
-cleared of denominators through `.numerator` and `.denominator`; over QQ
-both are fraction-free (Bareiss, Math. Comp. 22, 1968), dividing only
-exactly:
+One elimination serves every rank, relation and solve: `bareiss`, a
+column-scan fraction-free (Bareiss, Math. Comp. 22, 1968) elimination of
+plain Python ints, which divides only exactly. Rational rows are cleared of
+denominators first, through `.numerator` and `.denominator` (`clear_rows`).
+A column with no pivot depends on the columns before it:
 
-- Batch ranks over QQ use fraction-free (Bareiss) elimination, so
-  coefficient growth stays polynomial; `rank_of_rows` clears all rows over
-  one common denominator (`clear_rows`), and m rows of more than 2m entries
-  stop at rank m of their first 2m columns (exact; see there). The barrier
-  check ranks the integer rows of M(F) (see `rankmethods.integer_image`)
-  once, by `rank_qq_and_mod_p`, which takes int rows as they are: the last
-  Bareiss pivot is a nonzero r x r minor, r the rational rank, and when the
-  prime does not divide it the rank mod p is r as well. A Koszul flattening
-  ranks a smaller Schur complement by the same rule instead, through
-  `rank_and_minor` (see `rankmethods.koszul_ranks`).
-- Everything incremental uses one row-incremental fraction-free echelon
-  (`_echelon`). Over QQ it yields each row that lies in the span of the
-  rows kept before it, with that row's relation: `first_relation` (one
-  t-saturation step) is its first yield, and `nullspace` the relations of
-  the dependent columns. Mod a prime q it runs on ints mod q and yields no
-  relations: `rank_mod_p` is the number of rows it keeps. A prime is only
-  ever such a modulus for ranks of int rows: no span or relation is built
-  mod p.
-
-A third, `rankmethods._adjugate_solve`, is fraction-free Gauss-Jordan on
-ints: it solves through the invertible slice of a Koszul flattening.
+- Ranks over QQ are its pivot count, and its last pivot is, up to sign, an
+  r x r minor, r the rank (`rank_and_minor`). `rank_of_rows` clears all
+  rows over one common denominator, and m rows of more than 2m entries stop
+  at rank m of their first 2m columns (exact; see there). The barrier check
+  ranks the integer rows of M(F) (see `rankmethods.integer_image`) once, by
+  `rank_qq_and_mod_p`, which takes int rows as they are: when the prime does
+  not divide the minor, the rank mod p is r as well. A Koszul flattening
+  ranks a smaller Schur complement by the same rule instead (see
+  `rankmethods.koszul_ranks`).
+- Mod a prime q it runs on ints mod q, each pivot scaled to 1, and gives
+  no relations: `rank_mod_p` is its pivot count. A prime is only ever such a
+  modulus for ranks of int rows: no span or relation is built mod p.
+- With `relations` it also reduces the rows above each pivot (Gauss-Jordan)
+  and lists each dependent column's relation on the pivot columns before
+  it. `nullspace` is the relations of a matrix's dependent columns;
+  `first_dependent` the first one of the transpose, where the scan stops:
+  the first row that lies in the span of the rows before it, whose
+  relation `first_relation` (one t-saturation step) makes primitive. The
+  solve through a Koszul flattening's invertible slice is the relations of
+  the other slices' columns (`rankmethods.koszul_ranks`).
 
 Span vectors of integral chart points arrive as ints (chart maps take their
 arithmetic from their coordinates; see `varieties`), and `clear_rows` copies
@@ -74,46 +74,93 @@ class Matrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _rank_int_bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    # Fraction-free (Bareiss) elimination; overwrites `rows` and returns
-    # (rank, last pivot). A row with a zero in the pivot column is skipped
-    # instead of multiplied through: level[i] is the pivot that last updated
-    # row i (1 if none), so its Bareiss entries are the stored ones times
-    # prev / level[i]. Updating the row, or rescaling it when it becomes the
-    # pivot row, divides by level[i] exactly; so every pivot is a true
-    # Bareiss entry, and by Sylvester's identity the last one is, up to
-    # sign, the rank x rank minor on the pivot rows and columns (1 at rank 0).
-    a = rows
+def bareiss(a: list[list[int]], n: int | None = None, q: int | None = None, relations: bool = False,
+            first: bool = False) -> tuple[int, int, list]:
+    """Eliminate the int rows `a`, of n columns, in place, column by column: (rank, d, dependent).
+
+    n defaults to the length of the first row (0 without rows). d is the
+    last pivot: up to sign the rank x rank minor on the pivot rows and
+    columns (1 at rank 0). The pivot of a column is the first row at or
+    below the rank that is nonzero there; a column with none depends on the
+    columns before it. Each row below the pivot is updated by Bareiss's
+    step, divided exactly by the previous pivot. A row with a zero in the
+    pivot column is skipped instead of multiplied through: level[i] is the
+    pivot that last updated row i (1 if none), so its Bareiss entries are the
+    stored ones times prev / level[i]. Updating the row, or rescaling it when
+    it becomes the pivot row, divides by level[i] exactly; so every pivot is
+    a true Bareiss entry, and by Sylvester's identity d is the minor.
+
+    Without `relations`, dependent is empty and the scan stops at full row
+    rank. With `relations` the rows above each pivot are updated the same
+    way (Gauss-Jordan), so at a dependent column j the Bareiss entry of row
+    t is d times the coefficient of the t-th pivot column in column j.
+    dependent lists (j, c) for each dependent column j: c is -d at j, those
+    entries at the pivot columns, and 0 elsewhere, the one relation on
+    column j and the pivot columns before it, up to scale. With `first`
+    too, the scan stops at the first dependent column, and rank and d are
+    those of the columns before it.
+
+    With a prime `q` the rows must be reduced mod q already: each pivot row
+    is scaled to pivot 1, the steps run mod q, and d is 1.
+    """
     m = len(a)
-    n = len(a[0]) if a else 0
+    if n is None:
+        n = len(a[0]) if a else 0
     level = [1] * m
+    cols = []  # pivot column of each row above the rank
+    dependent = []
     rank = 0
     prev = 1
     for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        piv = rank if rank < m and a[rank][col] else next(
+            (i for i in range(rank + 1, m) if a[i][col]), None)
         if piv is None:
+            if relations:
+                c = [0] * n
+                for t, p in enumerate(cols):
+                    c[p] = a[t][col] * prev // level[t]
+                c[col] = -prev
+                dependent.append((col, c))
+                if first:
+                    break
             continue
         a[rank], a[piv] = a[piv], a[rank]
         level[rank], level[piv] = level[piv], level[rank]
         ar = a[rank]
         d = level[rank]
-        if d != prev:
+        if q:
+            inv = pow(ar[col], -1, q)
+            for j in range(col, n):
+                ar[j] = ar[j] * inv % q
+        elif d != prev:
             for j in range(col, n):
                 ar[j] = ar[j] * prev // d
-        pv = ar[col]
-        for i in range(rank + 1, m):
+        pv = level[rank] = ar[col]
+        for i in chain(range(rank), range(rank + 1, m)) if relations else range(rank + 1, m):
             ai = a[i]
-            c = ai[col]
-            if c:
-                d = level[i]
-                for j in range(col + 1, n):
-                    ai[j] = (pv * ai[j] - c * ar[j]) // d
-                level[i] = pv
+            x = ai[col]
+            if x:
+                if q:
+                    for j in range(col + 1, n):
+                        ai[j] = (ai[j] - x * ar[j]) % q
+                else:
+                    d = level[i]
+                    for j in range(col + 1, n):
+                        ai[j] = (pv * ai[j] - x * ar[j]) // d
+                    level[i] = pv
         prev = pv
+        cols.append(col)
         rank += 1
-        if rank == m:
+        if rank == m and not relations:
             break
-    return rank, prev
+    return rank, prev, dependent
+
+
+def _full_on_prefix(rows: list) -> bool:
+    # m rows of more than 2m entries with rank m on their first 2m columns:
+    # a nonzero m x m minor there is one of the whole rows
+    m = len(rows)
+    return len(rows[0]) > 2 * m and bareiss(clear_rows([r[:2 * m] for r in rows])[1])[0] == m
 
 
 def common_denominator(xs, prime: int | None = None) -> int:
@@ -177,10 +224,7 @@ def rank_of_rows(field, rows: list) -> int:
     if not rows:
         return 0
     if isinstance(field, RationalField):
-        m = len(rows)
-        if len(rows[0]) > 2 * m and _rank_int_bareiss(clear_rows([r[:2 * m] for r in rows])[1])[0] == m:
-            return m
-        return _rank_int_bareiss(clear_rows(rows)[1])[0]
+        return len(rows) if _full_on_prefix(rows) else bareiss(clear_rows(rows)[1])[0]
     if isinstance(field, PolyRing):
         full = min(len(rows), len(rows[0]))
         points = full * max(max(len(e) for row in rows for e in row) - 1, 0) + 1
@@ -195,10 +239,11 @@ def rank_of_rows(field, rows: list) -> int:
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank mod the prime p of rows of ints, which are reduced mod p; a composite p is a ValueError."""
+    """Rank mod the prime p of int rows, on their side with fewer rows; a composite p is a ValueError."""
     if not is_probable_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    return len(rows) - sum(1 for _ in _echelon(rows, relations=False, q=p))
+    tall = rows and len(rows) > len(rows[0])
+    return bareiss([[x % p for x in row] for row in (zip(*rows) if tall else rows)], q=p)[0]
 
 
 def rank_qq_and_mod_p(rows: list[list[int]], p: int) -> tuple[int, int]:
@@ -227,70 +272,42 @@ def rank_and_minor(rows: list[list[int]]) -> tuple[int, int]:
     side with fewer rows.
     """
     tall = rows and len(rows) > len(rows[0])
-    return _rank_int_bareiss([list(c) for c in zip(*rows)] if tall else [row[:] for row in rows])
+    return bareiss([list(row) for row in zip(*rows)] if tall else [row[:] for row in rows])[:2]
 
 
-def _echelon(rows: list, relations: bool = True, q: int | None = None):
-    """Yield (i, relation) for each row i that lies in the span of the rows kept before it.
+def first_dependent(rows: list) -> tuple[int, list] | None:
+    """(i, c) for the first row i in the span of the rows before it; None if the rows are independent.
 
-    Rows are scanned into a fraction-free echelon, each followed by its
-    combination of the input rows (or, without `relations`, by nothing, and
-    every relation is None). A row is cleared of denominators, reduced
-    against each kept row r by e * v - x * r (e the pivot of r, x the entry
-    of v there) and divided by its gcd. A row that reduces to zero is not
-    kept. The rows kept before it are independent, so its relation on them
-    is unique up to scale: it comes over all rows, zero at every row not
-    kept and beyond i, as the primitive integer vector with c_i > 0.
-
-    With a prime `q`, int rows are reduced mod q instead, every kept row
-    scaled to pivot 1, and every relation is None: mod q only ranks are
-    asked for.
+    m rows of more than 2m entries that have rank m on their first 2m
+    columns are independent, as in `rank_of_rows`, and nothing more is
+    eliminated. Otherwise the rows, cleared over one common denominator,
+    are the columns of a `bareiss` scan with relations that stops at the
+    first dependent column: row i, with c its relation (c_i != 0, and c is
+    zero beyond i).
     """
-    m = len(rows) if relations and q is None else 0
-    kept = []  # (pivot column, row followed by its combination)
-    for i, row in enumerate(rows):
-        n = len(row)
-        if q is None:
-            den = math.lcm(*[x.denominator for x in row])
-            w = [x.numerator * (den // x.denominator) for x in row] + [0] * m
-            if m:
-                w[n + i] = den
-        else:
-            w = [x % q for x in row]
-        for pc, r in kept:
-            x = w[pc]
-            if x:
-                if q:
-                    w = [(a - x * b) % q for a, b in zip(w, r)]
-                else:
-                    w = [r[pc] * a - x * b for a, b in zip(w, r)]
-                    if (g := math.gcd(*w)) > 1:
-                        w = [a // g for a in w]
-        pc = next((j for j in range(n) if w[j]), None)
-        if pc is not None:
-            if q:
-                inv = pow(w[pc], -1, q)
-                w = [a * inv % q for a in w]
-            kept.append((pc, w))
-        elif not m:
-            yield i, None
-        else:
-            c = w[n:]  # primitive after the gcd divisions (e_i for a zero row)
-            yield i, c if c[i] > 0 else [-a for a in c]
+    if rows and _full_on_prefix(rows):
+        return None
+    dependent = bareiss(clear_rows(list(zip(*rows)))[1], len(rows), relations=True, first=True)[2]
+    return dependent[0] if dependent else None
 
 
 def first_relation(rows: list):
     """The relation on the first row that lies in the span of the rows before it; None if independent.
 
-    This is the first relation `_echelon` yields. When row i is the first
-    that depends on the rows before it, rows 0..i-1 are independent, so the
-    relation on rows 0..i is unique up to scale. It is returned over all
-    rows, zero beyond i, as the primitive integer vector with c_i > 0. That
-    is `clear_denominators(nullspace(M)[0])`, for M the transpose of rows
+    When row i is the first that depends on the rows before it
+    (`first_dependent`), rows 0..i-1 are independent, so the relation on
+    rows 0..i is unique up to scale. It is returned over all rows, zero
+    beyond i, as the primitive integer vector with c_i > 0. That is
+    `clear_denominators(nullspace(M)[0])`, for M the transpose of rows
     0..i: the first kernel vector has a 1 at the first free column, which
     is row i.
     """
-    return next((c for _, c in _echelon(rows)), None)
+    found = first_dependent(rows)
+    if found is None:
+        return None
+    i, c = found
+    g = math.gcd(*c)
+    return [x // g for x in c] if c[i] > 0 else [-x // g for x in c]
 
 
 def rank(m: Matrix) -> int:
@@ -301,13 +318,14 @@ def nullspace(m: Matrix) -> list[list]:
     """Basis over QQ of the right kernel {x : m x = 0}, the one the reduced row echelon form gives.
 
     For each column j that depends on the columns before it, its relation
-    (see `_echelon`) divided by its entry at j: 1 at j, and 0 at every later
-    column and at every other dependent column, as in the RREF basis.
-    Entries are Fractions; `m.field` must be QQ.
+    (see `bareiss`) divided by its entry at j: 1 at j, and 0 at every later
+    column and at every other dependent column, as in the RREF basis. The
+    rows are cleared over one common denominator first, which keeps the
+    kernel. Entries are Fractions; `m.field` must be QQ.
     """
     if not isinstance(m.field, RationalField):
         raise TypeError(f"no kernel over {m.field!r}")
-    return [[Fraction(x, c[j]) for x in c] for j, c in _echelon([list(col) for col in zip(*m.rows)])]
+    return [[Fraction(x, c[j]) for x in c] for j, c in bareiss(clear_rows(m.rows)[1], relations=True)[2]]
 
 
 @dataclass

@@ -20,7 +20,9 @@ Those rows give the rational rank and, reduced mod p, the rank screen's
 (`map_rank` with a `prime`: a prime is an int). A Koszul flattening with
 square slices, at least 12 x 12, is ranked without building M(F): through
 its first invertible slice (`koszul_ranks`), M(F) has the rank of a
-block-diagonal part plus that of a smaller Schur complement. `evaluate_map`
+block-diagonal part plus that of a smaller Schur complement. Each of these
+ranks, and the solve through the slice, is one run of the one elimination,
+`exactalg.bareiss`. `evaluate_map`
 builds M(F) over QQ, summing Fraction entries on their own operators, for
 callers that need them, such as factor subspaces; its positional `QQ` and
 the `Matrix` it returns stay for the benchmark, which passes the one and
@@ -37,8 +39,8 @@ from functools import cache, cached_property
 from itertools import combinations
 from operator import mul
 
-from .exactalg import (Matrix, clear_denominators, common_denominator, rank_and_minor, rank_mod_p,
-                       rank_of_rows)
+from .exactalg import (Matrix, bareiss, clear_denominators, common_denominator, rank_and_minor,
+                       rank_mod_p, rank_of_rows)
 from .fields import QQ, RationalField
 from .varieties import (
     VarietyParam,
@@ -308,33 +310,6 @@ def _schur_blocks(a: int, p: int, x: int) -> tuple[int, int, list]:
     return len(row_idx), len(col_idx), blocks
 
 
-def _adjugate_solve(g: list[list[int]], rhs: list[list[int]]) -> tuple[int, list]:
-    """(d, d * g^-1 * rhs) with d = +-det g, for an invertible g.
-
-    Fraction-free Gauss-Jordan on [g | rhs] (Bareiss's division by the
-    previous pivot, on the rows above the pivot too): every division is
-    exact, and the last pivot is det g, its sign flipped by each row swap.
-    g must be invertible: `koszul_ranks` passes only a slice that
-    `rank_and_minor` has found to have full rank.
-    """
-    n = len(g)
-    w = [gr + rr for gr, rr in zip(g, rhs)]
-    prev = 1
-    for k in range(n):
-        piv = next(i for i in range(k, n) if w[i][k])
-        w[k], w[piv] = w[piv], w[k]
-        wk = w[k]
-        pk = wk[k]
-        for i in range(n):
-            if i != k:
-                wi = w[i]
-                c = wi[k]
-                w[i] = wi[:k + 1] + [(pk * e - c * f) // prev
-                                     for e, f in zip(wi[k + 1:], wk[k + 1:])]
-        prev = pk
-    return prev, [row[n:] for row in w]
-
-
 def koszul_ranks(m: LinearMatrixMap, f: list[int], prime: int | None = None) -> tuple | None:
     """(rank, fp_rank) of M(F) for a Koszul flattening, through an invertible slice; or None.
 
@@ -348,7 +323,10 @@ def koszul_ranks(m: LinearMatrixMap, f: list[int], prime: int | None = None) -> 
     s in S put x in S. So rank M(F) = C(a-1, p) * n + rank(C A^-1 B), and
     C A^-1 B is +-1 / det K_x times the Schur complement of `_schur_blocks`,
     a C(a-1, p+1) n x C(a-1, p-1) n matrix of ints (20 x 20 at a = 5,
-    p = 2, for a 50 x 50 M(F)). Both blocks' ranks hold mod `prime` when it
+    p = 2, for a 50 x 50 M(F)). Its d * K_x^-1 * K_y, d = +-det K_x, are the
+    relations of the other slices' columns in one elimination of
+    [K_x | the other slices], whose pivots are K_x's columns
+    (`exactalg.bareiss`). Both blocks' ranks hold mod `prime` when it
     divides neither det K_x nor the Schur complement's last Bareiss pivot,
     a nonzero minor of it; fp_rank is then the rank (None without a prime).
 
@@ -379,14 +357,14 @@ def koszul_ranks(m: LinearMatrixMap, f: list[int], prime: int | None = None) -> 
     if x is None:
         return None
     others = [y for y in range(a) if y != x]
-    d, sol = _adjugate_solve(slices[x], [[e for y in others for e in slices[y][l]]
-                                         for l in range(n)])
+    _, d, dependent = bareiss([row + [e for y in others for e in slices[y][l]]
+                               for l, row in enumerate(slices[x])], relations=True)
     if prime is not None and d % prime == 0:
         return None
     nrows, ncols, blocks = _schur_blocks(a, p, x)
     # the columns of adj(K_x) K_y (up to the sign of d), then each commutator
     # K_i adj(K_x) K_j - K_j adj(K_x) K_i once
-    solved = {y: list(zip(*[row[k * n:(k + 1) * n] for row in sol])) for k, y in enumerate(others)}
+    solved = {y: [c[:n] for _, c in dependent[k * n:(k + 1) * n]] for k, y in enumerate(others)}
     commutators: dict = {}
     schur = [[0] * (ncols * n) for _ in range(nrows * n)]
     for t, v, sign, i, j in blocks:

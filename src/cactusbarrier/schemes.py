@@ -15,8 +15,9 @@ polynomials with int coefficients, equal to the rational vectors entry by
 entry, and rational ones give Fractions among the entries. The stated
 limit's span dimension and its inclusion in the limit of the spans are two
 ranks (`rank_of_rows` on integer rows), and each t-saturation step takes a
-primitive integer relation from one fraction-free elimination
-(`first_relation`).
+primitive integer relation (`first_relation`). Both, and the t = 1 scan of
+`family_span` (`first_dependent`), run the one fraction-free elimination,
+`exactalg.bareiss`.
 
 A scheme's span data are computed once: `scheme_span_vectors` keeps one
 memo entry, keyed by the identity of (param, scheme), so the same two
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import (Subspace, _echelon, clear_rows, first_relation, rank_of_rows,
+from .exactalg import (Subspace, clear_rows, first_dependent, first_relation, rank_of_rows,
                        subspace_from_vectors)
 from .fields import POLY, QQ, RationalField
 from .varieties import Germ, VarietyParam, evaluate, jet_vectors, tangent_vectors
@@ -389,15 +390,15 @@ def family_span(param: VarietyParam, pieces) -> SpanFamily:
 
     Raw spanning vectors are scanned in order, and each is kept when it is
     generically independent of those kept before it. Every vector before
-    the first one dependent at t = 1 (found by one echelon of the t = 1
+    the first one dependent at t = 1 (`first_dependent` of the t = 1
     values) is kept with no generic rank: specializing never raises a rank.
     From that one on, a vector is kept when appending it raises the generic
     rank (`rank_of_rows` over QQ[t]). Integral pieces give vectors of int
     polynomials (see `varieties`).
     """
     raw = _span_vectors(param, pieces)
-    at1 = ([sum(e) for e in v] for v in raw)  # read up to the first row dependent at t = 1
-    first, _ = next(_echelon(at1, relations=False), (len(raw), None))
+    found = first_dependent([[sum(e) for e in v] for v in raw])  # the values at t = 1
+    first = len(raw) if found is None else found[0]
     kept = raw[:first]
     for v in raw[first:]:
         if rank_of_rows(POLY, kept + [v]) > len(kept):

@@ -736,18 +736,19 @@ def test_verify_negative_count_is_usage_error(option, capsys):
 
 
 def _record_ranks(monkeypatch):
-    """Logs, as copies, of the rows of each M(F) image, each Bareiss elimination,
-    each M(F) or Schur complement ranked, and each rank over a prime field."""
+    """Logs, as copies, of the rows of each M(F) image, each Bareiss elimination
+    in `exactalg`, each M(F) or Schur complement ranked, each rank over a prime
+    field, and each elimination that `koszul_ranks` solves by."""
     import cactusbarrier.barrier as barrier
     import cactusbarrier.exactalg as exactalg
     import cactusbarrier.rankmethods as rankmethods
 
-    images, eliminated, ranked, mod_p = [], [], [], []
+    images, eliminated, ranked, mod_p, solves = [], [], [], [], []
 
     def recording(log, real):
-        def wrapper(rows):
+        def wrapper(rows, *args, **kwargs):
             log.append([list(row) for row in rows])
-            return real(rows)
+            return real(rows, *args, **kwargs)
         return wrapper
 
     real_image = barrier.integer_image
@@ -758,8 +759,8 @@ def _record_ranks(monkeypatch):
         return rows
 
     monkeypatch.setattr(barrier, "integer_image", image)
-    monkeypatch.setattr(exactalg, "_rank_int_bareiss",
-                        recording(eliminated, exactalg._rank_int_bareiss))
+    monkeypatch.setattr(exactalg, "bareiss", recording(eliminated, exactalg.bareiss))
+    monkeypatch.setattr(rankmethods, "bareiss", recording(solves, rankmethods.bareiss))
     by_minor = recording(ranked, exactalg.rank_and_minor)
     monkeypatch.setattr(exactalg, "rank_and_minor", by_minor)
     monkeypatch.setattr(rankmethods, "rank_and_minor", by_minor)
@@ -770,7 +771,7 @@ def _record_ranks(monkeypatch):
         return real_rank(rows, p)
 
     monkeypatch.setattr(exactalg, "rank_mod_p", rank_mod_p)
-    return images, eliminated, ranked, mod_p
+    return images, eliminated, ranked, mod_p, solves
 
 
 def test_default_verify_ranks_each_instance_once(monkeypatch):
@@ -780,7 +781,7 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
     # in turn: the rank's elimination is of the Schur complement,
     # C(3, 2) * 4 x C(3, 0) * 4 = 12 x 4, on its transpose, and the 24 x 16
     # M(F) is never built
-    images, eliminated, ranked, mod_p = _record_ranks(monkeypatch)
+    images, eliminated, ranked, mod_p, solves = _record_ranks(monkeypatch)
     trials = 4
     code, out = run(["verify", "--variety", "segre:4x4x4", "--scheme", "random:deg=5",
                      "--method", "koszul:p=1", "--trials", str(trials), "--seed", "3",
@@ -796,10 +797,13 @@ def test_default_verify_ranks_each_instance_once(monkeypatch):
     # some ranks stay below k*r: the rational rank is reported there too
     assert any(r["rank"] < r["bound"] for r in reports)
     assert all(len(rows) == 12 and len(rows[0]) == 4 for rows in schur)
-    # the span ranks eliminate the 5 span vectors; every other elimination is
-    # a slice's, or a Schur complement's, one per trial, on its 4 x 12 transpose
+    # the span ranks eliminate the 5 span vectors; every other rank
+    # elimination is a slice's, or a Schur complement's, one per trial, on its
+    # 4 x 12 transpose
     transposes = [[list(c) for c in zip(*rows)] for rows in schur]
     assert [rows for rows in eliminated if len(rows) != 5 and rows not in slices] == transposes
+    # each trial solves once, through [K_x | the other three slices], 4 x 16
+    assert len(solves) == trials and all(len(rows) == 4 and len(rows[0]) == 16 for rows in solves)
     # rank M(F) = C(3, 1) * 4 + the Schur complement's rank
     assert [r["rank"] for r in reports] == [12 + _sympy_rank(rows) for rows in schur]
 
@@ -816,7 +820,7 @@ def test_default_verify_ranks_each_whole_image_once(monkeypatch):
     # with fewer rows, which gives both ranks
     import cactusbarrier.exactalg as exactalg
 
-    images, eliminated, ranked, mod_p = _record_ranks(monkeypatch)
+    images, eliminated, ranked, mod_p, solves = _record_ranks(monkeypatch)
     trials = 4
     code, out = run(["verify", "--variety", "veronese:4,3", "--scheme", "random:deg=4",
                      "--method", "catalecticant:i=1", "--trials", str(trials), "--seed", "3",
@@ -829,7 +833,7 @@ def test_default_verify_ranks_each_whole_image_once(monkeypatch):
     sides = [[list(c) for c in zip(*rows)] for rows in images]
     assert all(len(rows) == 15 and len(rows[0]) == 5 for rows in images)
     assert [rows for rows in eliminated if rows in sides] == sides
-    assert not [rows for rows in mod_p if rows in images]
+    assert not [rows for rows in mod_p if rows in images] and not solves
     # the counter sees the fallback: the minor 7 vanishes mod 7
     seen = len(mod_p)
     assert exactalg.rank_qq_and_mod_p([[7]], 7) == (1, 0)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -10,8 +11,7 @@ import cactusbarrier.exactalg as exactalg
 from cactusbarrier.exactalg import (
     DEFAULT_PRIME,
     Matrix,
-    _echelon,
-    _rank_int_bareiss,
+    bareiss,
     clear_denominators,
     common_denominator,
     first_relation,
@@ -314,7 +314,9 @@ def _int_matrices(draw):
 def test_integer_bareiss_matches_sympy(case):
     rows, ncols = case
     expected = _sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], ncols)
-    assert _rank_int_bareiss([row[:] for row in rows])[0] == expected
+    # the kernel's pivot count on the rows as they are, and on the side with fewer rows
+    assert bareiss([row[:] for row in rows])[0] == expected
+    assert rank_and_minor(rows)[0] == expected
     assert rank_of_rows(QQ, rows) == expected
     # the same rows as Fractions with a common denominator per row
     scaled = [[Fraction(x, 6 * (i + 1)) for x in row] for i, row in enumerate(rows)]
@@ -448,7 +450,7 @@ def test_rank_qq_and_mod_p_matches_sympy_and_elimination_mod_p(case, p):
     assert rank_qq_and_mod_p([clear_denominators([Fraction(x, 11) for x in row], p)
                               for row in rows], p) == expected
     # the last pivot is a nonzero minor: the determinant, on a square matrix of full rank
-    r, minor = _rank_int_bareiss([row[:] for row in rows])
+    r, minor = bareiss([row[:] for row in rows])[:2]
     assert minor != 0
     if r == len(rows) == ncols:
         assert abs(minor) == abs(SMatrix(rows).det())
@@ -472,25 +474,29 @@ def _shaped_int_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_shaped_int_matrices(), st.sampled_from([2, 3, 5, 7, DEFAULT_PRIME]))
 def test_rank_qq_and_mod_p_eliminates_the_side_with_fewer_rows(rows, p):
-    # tall rows are eliminated as their transpose, wide and square ones as they are
+    # tall rows are eliminated as their transpose, wide and square ones as
+    # they are, over QQ and, when p divides the minor, mod p
     m, n = len(rows), len(rows[0])
     expected = (_sympy_rank(QQ, [[Fraction(x) for x in row] for row in rows], n),
                 rank_mod_p(rows, p))
     seen = []
-    real = exactalg._rank_int_bareiss
+    real = exactalg.bareiss
 
-    def bareiss(a):
+    def spy(a, *args, **kwargs):
         seen.append([row[:] for row in a])
-        return real(a)
+        return real(a, *args, **kwargs)
 
-    with mock.patch.object(exactalg, "_rank_int_bareiss", bareiss):
+    with mock.patch.object(exactalg, "bareiss", spy):
         assert rank_qq_and_mod_p(rows, p) == expected
     assert seen[0] == ([list(c) for c in zip(*rows)] if m > n else rows)
+    assert all(len(a) == min(m, n) for a in seen)
 
 
 def test_first_relation_pins():
     assert first_relation([[1, 0], [0, 1]]) is None
     assert first_relation([]) is None
+    # a row of zeros, of no entries or of two, depends on the (no) rows before it
+    assert first_relation([[]]) == first_relation([[0, 0]]) == [1]
     assert first_relation([[0, 0], [1, 2]]) == [1, 0]
     assert first_relation([[1, 2], [2, 4]]) == [-2, 1]
     # rows 0, 1, 2 already depend; row 3 is never reached
@@ -504,18 +510,102 @@ def test_first_relation_pins():
     assert first_relation([[2, 4, 0], [0, 6, 3], [2, 10, 3]]) == [-1, -1, 1]
 
 
-def test_echelon_yields_every_dependent_row_with_its_relation():
-    rows = [[1, 0], [2, 0], [0, 1], [1, 1], [0, 0]]
-    # row 1 is dropped, so row 3's relation is on rows 0 and 2 only
-    assert list(_echelon(rows)) == [
-        (1, [-2, 1, 0, 0, 0]), (3, [-1, 0, -1, 1, 0]), (4, [0, 0, 0, 0, 1])]
-    assert list(_echelon(rows, relations=False)) == [(1, None), (3, None), (4, None)]
-    assert list(_echelon([[Fraction(1, 2), 1], [1, 2], [3, 0]])) == [(1, [-2, 1, 0])]
-    # mod a prime q only ranks are asked for: the same rows, and no relations
-    for relations in (True, False):
-        assert list(_echelon(rows, relations, q=7)) == [(1, None), (3, None), (4, None)]
-    # 7 divides det [[1, 3], [3, 2]], and 8 is 1 mod 7
-    assert list(_echelon([[1, 3], [3, 2], [8, 3]], q=7)) == [(1, None), (2, None)]
+def test_edge_pins():
+    # no columns: an empty kernel; no rows or no columns: rank 0 and the empty minor 1
+    assert nullspace(Matrix(QQ, [[], []])) == nullspace(Matrix(QQ, [])) == []
+    assert rank_and_minor([]) == rank_and_minor([[]]) == (0, 1)
+
+
+def test_bareiss_lists_every_dependent_column_with_its_relation():
+    # the columns of m are the rows [1, 0], [2, 0], [0, 1], [1, 1], [0, 0]:
+    # column 1 is 2 * column 0, column 3 is columns 0 + 2, column 4 is zero
+    m = [[1, 2, 0, 1, 0], [0, 0, 1, 1, 0]]
+    assert bareiss([row[:] for row in m], 5, relations=True) == (2, 1, [
+        (1, [2, -1, 0, 0, 0]), (3, [1, 0, 1, -1, 0]), (4, [0, 0, 0, 0, -1])])
+    # the scan stops at the first one, with the rank and pivot before it
+    assert bareiss([row[:] for row in m], 5, relations=True, first=True) == (1, 1, [
+        (1, [2, -1, 0, 0, 0])])
+    # without relations, at full row rank; mod a prime q only ranks are asked for
+    assert bareiss([row[:] for row in m], 5) == bareiss([row[:] for row in m], 5, q=7) == (2, 1, [])
+    # the columns [1, 3], [3, 2], [8, 3]: the minor -7 makes column 2
+    # dependent over QQ only past full rank, with the relation 7 * (1, 3) -
+    # 21 * (3, 2) + 7 * (8, 3) = 0; mod 7 (8 is 1) the rank is 1
+    m = [[1, 3, 8], [3, 2, 3]]
+    assert bareiss([row[:] for row in m], 3, relations=True) == (2, -7, [(2, [7, -21, 7])])
+    assert bareiss([row[:] for row in m], 3) == (2, -7, [])
+    assert bareiss([[x % 7 for x in row] for row in m], 3, q=7) == (1, 1, [])
+    # a pivot row that a skipped row reaches at a lower level: row 1 is zero
+    # at column 0, so it enters column 1 at level 1 and is rescaled by 2
+    assert bareiss([[2, 1, 1], [0, 1, 1]], 3, relations=True) == (2, 2, [(2, [0, 2, -2])])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Tall, wide or square int rows of a drawn rank, with up to two zero columns."""
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    short = draw(st.integers(1, 5))
+    long = short if shape == "square" else short + draw(st.integers(1, 3))
+    m, n = (long, short) if shape == "tall" else (short, long)
+    r = draw(st.integers(0, min(m, n)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**4, 10**4))
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for row in right:
+            row[j] = 0
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def _primitive(c, j):
+    g = math.gcd(*c)
+    return [x // g if c[j] > 0 else -x // g for x in c]
+
+
+# The one elimination against integer arithmetic, sympy and the mod-p
+# oracle: relations, ranks over QQ and mod q, and the solve of the Koszul
+# slice reduction.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_kernel_cases(), st.data())
+def test_bareiss_matches_the_oracles(rows, data):
+    from sympy import Matrix as SMatrix
+
+    m, n = len(rows), len(rows[0])
+    rank, _, dependent = bareiss([row[:] for row in rows], n, relations=True)
+    assert rank == SMatrix(rows).rank() and len(dependent) == n - rank
+    columns = [j for j, _ in dependent]
+    if dependent:
+        # the scan that stops at the first dependent column j has the j
+        # pivots before it, and its last pivot is -c_j
+        j, c = dependent[0]
+        before, d, first = bareiss([row[:] for row in rows], n, relations=True, first=True)
+        assert (before, first) == (j, [(j, c)]) and c[j] == -d
+    for j, c in dependent:
+        # M c = 0, c_j != 0, and 0 past j and at the other dependent columns
+        assert all(sum(x * y for x, y in zip(row, c)) == 0 for row in rows)
+        assert c[j] and not any(c[j + 1:]) and not any(c[i] for i in columns if i != j)
+        # the one relation on column j and the pivot columns before it
+        support = [i for i in range(j) if i not in columns] + [j]
+        kernel = SMatrix([[row[i] for i in support] for row in rows]).nullspace()
+        assert len(kernel) == 1
+        den = math.lcm(*[x.q for x in kernel[0]])
+        cleared = [int(x * den) for x in kernel[0]]
+        assert [_primitive(c, j)[i] for i in support] == _primitive(cleared, len(support) - 1)
+    # the pivot count mod q against the oracle, and over QQ in rank order
+    for q in (2, 3, 7, DEFAULT_PRIME):
+        assert bareiss([[x % q for x in row] for row in rows], q=q)[0] == rank_mod_p(rows, q)
+    assert bareiss([row[:] for row in rows])[0] == rank
+    # the solve: for an invertible g, the relations of [g | rhs] past g's
+    # columns are X with g X = d rhs, |d| = |det g|
+    g = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                           min_size=m, max_size=m))
+    det = SMatrix(g).det()
+    assume(det != 0)
+    w = [gr + row for gr, row in zip(g, rows)]
+    _, d, solved = bareiss(w, m + n, relations=True)
+    x = [c[:m] for _, c in solved]
+    assert [j for j, _ in solved] == list(range(m, m + n)) and abs(d) == abs(det)
+    assert all(sum(g[i][t] * col[t] for t in range(m)) == d * rows[i][j]
+               for j, col in enumerate(x) for i in range(m))
 
 
 @st.composite

@@ -19,6 +19,7 @@ import argparse
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 from cactusbarrier import cli
@@ -49,6 +50,18 @@ def test_golden_stream(case, monkeypatch):
     code, stream = run_case(case)
     assert code == int((GOLDEN / f"{case['name']}.exit").read_text())
     assert stream == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def test_every_golden_file_belongs_to_a_case():
+    # each .out and .exit is a case's stream, and every other file but
+    # cases.json is an input that a case names, as an argument or after "="
+    names = {c["name"] for c in CASES}
+    inputs = {word for c in CASES for arg in c["argv"] for word in re.split("[=,]", arg)}
+    for path in GOLDEN.iterdir():
+        if path.suffix in (".out", ".exit"):
+            assert path.stem in names, f"{path.name} is no case's stream"
+        elif path.name != "cases.json":
+            assert path.name in inputs, f"{path.name} is no case's input"
 
 
 VERIFY_JSON = [c for c in CASES if c["argv"][0] == "verify" and "json" in c["argv"]]

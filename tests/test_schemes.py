@@ -361,8 +361,8 @@ def _sympy_generic_rank(rows):
 
 def _specializations(fn):
     """fn's result, how many ranks over a polynomial ring it computed, how
-    many specializations those ranks took, and how many t = 1 echelons
-    `family_span` ran."""
+    many specializations those ranks took, and how many t = 1 scans
+    (`first_dependent`) `family_span` ran."""
     poly, base, echelons = [], [], []
     real = exactalg.rank_of_rows
 
@@ -372,13 +372,13 @@ def _specializations(fn):
             return real(field, rows)
         return rank
 
-    def echelon(rows, relations=True, q=None):
-        echelons.append(q)
-        return exactalg._echelon(rows, relations, q)
+    def at_1(rows):
+        echelons.append(rows)
+        return exactalg.first_dependent(rows)
 
     with mock.patch.object(schemes, "rank_of_rows", counting(poly)), \
             mock.patch.object(exactalg, "rank_of_rows", counting(base)), \
-            mock.patch.object(schemes, "_echelon", echelon):
+            mock.patch.object(schemes, "first_dependent", at_1):
         out = fn()
     return out, sum(isinstance(f, PolyRing) for f in poly), len(base), len(echelons)
 
@@ -468,7 +468,7 @@ def test_independent_rows_need_one_specialization():
     (kept, rank, lim), poly, points, echelons = _specializations(
         lambda: _family_outcomes(p, pieces))
     assert len(kept) == rank == len(lim) == 4
-    # family_span keeps all four on one t = 1 echelon; generic_rank takes one
+    # family_span keeps all four on one t = 1 scan; generic_rank takes one
     # specialization; limit_of_spans, on independent constant terms, none
     assert (poly, points, echelons) == (1, 1, 1)
     # dependent rows take every point: the second row is t times the first
@@ -496,31 +496,32 @@ def test_family_span_cost_on_generically_dependent_vectors():
     p = parse_variety("segre:2x2")
     pieces = [ReducedPoint((RQ.from_coeffs([0, i]), RQ.zero)) for i in range(3)]
     calls = []
-    real, real_echelon = exactalg._rank_int_bareiss, exactalg._echelon
+    real = exactalg.bareiss
 
-    def counting(rows):
+    def counting(rows, *args, **kwargs):
         calls.append(len(rows))
-        return real(rows)
+        return real(rows, *args, **kwargs)
 
-    def echelon(rows, relations=True, q=None):
+    def at_1(rows):
         calls.append("t = 1")
-        return real_echelon(rows, relations, q)
+        return exactalg.first_dependent(rows)
 
-    with mock.patch.object(exactalg, "_rank_int_bareiss", counting), \
-            mock.patch.object(schemes, "_echelon", echelon):
+    with mock.patch.object(exactalg, "bareiss", counting), \
+            mock.patch.object(schemes, "first_dependent", at_1):
         fam = family_span(p, pieces)
     assert len(fam.basis) == 2
-    # one t = 1 echelon keeps the two vectors before the first one dependent
-    # at t = 1; that one takes all D + 1 = 3 * 1 + 1 points, each
-    # re-eliminating the kept rows with it
-    assert calls == ["t = 1"] + [3] * 4
+    # one t = 1 scan, one elimination of the 4 x 3 transpose of the t = 1
+    # values, keeps the two vectors before the first one dependent at t = 1;
+    # that one takes all D + 1 = 3 * 1 + 1 points, each re-eliminating the
+    # kept rows with it
+    assert calls == ["t = 1", 4] + [3] * 4
 
 
 def test_family_span_falls_back_to_the_generic_rank_after_t_1():
     # reduced points (0, 0), (t - 1, 0), (2t, 0) on segre:2x2 give
     # (1, 0, x, 0): the second is dependent at t = 1 but generically
     # independent, so it is kept; the third is independent at t = 1 of the
-    # rows the echelon kept, but generically in the span of the first two.
+    # first, but generically in the span of the first two.
     # A mutant that keeps every vector independent at t = 1 keeps the third.
     p = parse_variety("segre:2x2")
     pieces = [ReducedPoint((RQ.from_coeffs(c), RQ.zero)) for c in ([], [-1, 1], [0, 2])]
